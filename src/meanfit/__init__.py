@@ -19,12 +19,14 @@ from .expfam import (
 )
 from .fitsearch import (
     FitReport,
+    FitSurface,
     Histogram,
     KernelComparison,
     SweepGrid,
     beta_mse_profile,
     compare_kernels,
     fit_histogram,
+    fit_surface,
     histogram_to_series,
     mse_score,
     sweep_beta,

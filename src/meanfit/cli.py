@@ -23,8 +23,7 @@ from pathlib import Path
 
 from .errors import DomainError, EmptyDataError, FormatError, NoSolutionError, SweepError
 from .expfam import MODEL_NAMES, catalog
-from .fitsearch import SweepGrid, beta_mse_profile, compare_kernels, fit_histogram, \
-    sweep_beta, sweep_shape
+from .fitsearch import SweepGrid, compare_kernels, fit_histogram, fit_surface
 from .ingest import block_dct8, build_histogram, format_histogram_csv, \
     load_histogram_csv, load_pgm, load_values_csv
 from .means import holder_mean, kolmogorov_mean, lehmer_mean, v_weights
@@ -144,7 +143,7 @@ def _cmd_fit(args) -> int:
     model = _build_model(args.model, args.shape)
     hist = load_histogram_csv(args.input)
     report = fit_histogram(model, hist, args.kernel)
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="ascii")
     else:
@@ -162,16 +161,16 @@ def _cmd_sweep(args) -> int:
     if args.shape_grid is not None and "alpha" not in model.hyper:
         raise _UsageError(f"--shape-grid does not apply to {args.model}")
     hist = load_histogram_csv(args.input)
-    if args.shape_grid is not None:
-        best = sweep_shape(model, hist, args.shape_grid, beta_grid=args.beta)
-    else:
-        best = sweep_beta(model, hist, args.beta)
-    profile = beta_mse_profile(model, hist, args.beta, args.shape_grid)
+    kernels = [WeightKernel.power(beta) for beta in args.beta.points()]
+    shapes = args.shape_grid.points() if args.shape_grid is not None else None
+    surface = fit_surface(model, hist, kernels, shapes)
+    best = surface.best()
     sidecar = _sidecar_path(args.input)
     sidecar.write_text(
-        "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in profile), encoding="ascii"
+        "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile()),
+        encoding="ascii",
     )
-    print(json.dumps(best.to_dict(), indent=2))
+    print(json.dumps(best.to_dict(), indent=2, allow_nan=False))
     return 0
 
 

@@ -75,13 +75,22 @@ def _positive(name: str, key: str, value) -> float:
     return v
 
 
+def _gamma_norm(name: str, label: str, value: float) -> float:
+    try:
+        return math.gamma(value)
+    except OverflowError:
+        raise DomainError(
+            f"{name}: {label}={value!r} is too large, Gamma({label}) overflows a double"
+        ) from None
+
+
 def _exponential() -> dict:
     return dict(
         suff_stat=lambda x: -np.asarray(x, dtype=float),
         base_measure=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         natural_param=lambda th: th,
         natural_param_deriv=lambda th: 1.0,
-        log_normalizer=lambda th: -math.log(th),
+        log_normalizer=lambda th: -np.log(th),
         log_normalizer_deriv=lambda th: -1.0 / th,
         mean_inverse=lambda m: -1.0 / m,
         mean_deriv=lambda th: th ** -2.0,
@@ -95,7 +104,7 @@ def _weibull(a: float) -> dict:
         base_measure=lambda x: a * np.power(x, a - 1.0),
         natural_param=lambda th: th ** a,
         natural_param_deriv=lambda th: a * th ** (a - 1.0),
-        log_normalizer=lambda th: -a * math.log(th),
+        log_normalizer=lambda th: -a * np.log(th),
         log_normalizer_deriv=lambda th: -a / th,
         mean_inverse=lambda m: (-m) ** (-1.0 / a),
         mean_deriv=lambda th: a * th ** (-a - 1.0),
@@ -109,9 +118,9 @@ def _std_lognormal() -> dict:
         base_measure=lambda x: _INV_SQRT_2PI / np.asarray(x, dtype=float),
         natural_param=lambda th: 0.5 * th ** 2,
         natural_param_deriv=lambda th: th,
-        log_normalizer=lambda th: -math.log(th),
+        log_normalizer=lambda th: -np.log(th),
         log_normalizer_deriv=lambda th: -1.0 / th,
-        mean_inverse=lambda m: 1.0 / math.sqrt(-m),
+        mean_inverse=lambda m: 1.0 / np.sqrt(-m),
         mean_deriv=lambda th: 2.0 * th ** -3.0,
         zero_in_support=False,
     )
@@ -123,9 +132,9 @@ def _half_normal() -> dict:
         base_measure=lambda x: np.full_like(np.asarray(x, dtype=float), _SQRT_2_OVER_PI),
         natural_param=lambda th: 0.5 * th ** 2,
         natural_param_deriv=lambda th: th,
-        log_normalizer=lambda th: -math.log(th),
+        log_normalizer=lambda th: -np.log(th),
         log_normalizer_deriv=lambda th: -1.0 / th,
-        mean_inverse=lambda m: 1.0 / math.sqrt(-m),
+        mean_inverse=lambda m: 1.0 / np.sqrt(-m),
         mean_deriv=lambda th: 2.0 * th ** -3.0,
         zero_in_support=True,
     )
@@ -137,7 +146,7 @@ def _gen_half_normal(a: float) -> dict:
         base_measure=lambda x: _SQRT_2_OVER_PI * a * np.power(x, a - 1.0),
         natural_param=lambda th: 0.5 * th ** (2.0 * a),
         natural_param_deriv=lambda th: a * th ** (2.0 * a - 1.0),
-        log_normalizer=lambda th: -a * math.log(th),
+        log_normalizer=lambda th: -a * np.log(th),
         log_normalizer_deriv=lambda th: -a / th,
         mean_inverse=lambda m: (-m) ** (-0.5 / a),
         mean_deriv=lambda th: 2.0 * a * th ** (-2.0 * a - 1.0),
@@ -146,13 +155,13 @@ def _gen_half_normal(a: float) -> dict:
 
 
 def _gamma(k: float) -> dict:
-    norm = math.gamma(k)
+    norm = _gamma_norm("gamma", "k", k)
     return dict(
         suff_stat=lambda x: -np.asarray(x, dtype=float),
         base_measure=lambda x: np.power(x, k - 1.0) / norm,
         natural_param=lambda th: th,
         natural_param_deriv=lambda th: 1.0,
-        log_normalizer=lambda th: -k * math.log(th),
+        log_normalizer=lambda th: -k * np.log(th),
         log_normalizer_deriv=lambda th: -k / th,
         mean_inverse=lambda m: -k / m,
         mean_deriv=lambda th: k * th ** -2.0,
@@ -161,13 +170,13 @@ def _gamma(k: float) -> dict:
 
 
 def _inv_gamma(k: float) -> dict:
-    norm = math.gamma(k)
+    norm = _gamma_norm("inv-gamma", "k", k)
     return dict(
         suff_stat=lambda x: -1.0 / np.asarray(x, dtype=float),
         base_measure=lambda x: np.power(x, -k - 1.0) / norm,
         natural_param=lambda th: th,
         natural_param_deriv=lambda th: 1.0,
-        log_normalizer=lambda th: -k * math.log(th),
+        log_normalizer=lambda th: -k * np.log(th),
         log_normalizer_deriv=lambda th: -k / th,
         mean_inverse=lambda m: -k / m,
         mean_deriv=lambda th: k * th ** -2.0,
@@ -176,13 +185,13 @@ def _inv_gamma(k: float) -> dict:
 
 
 def _gen_gamma(a: float, b: float) -> dict:
-    norm = math.gamma(b / a)
+    norm = _gamma_norm("gen-gamma", "b/alpha", b / a)
     return dict(
         suff_stat=lambda x: -np.power(x, a),
         base_measure=lambda x: a * np.power(x, b - 1.0) / norm,
         natural_param=lambda th: th ** a,
         natural_param_deriv=lambda th: a * th ** (a - 1.0),
-        log_normalizer=lambda th: -b * math.log(th),
+        log_normalizer=lambda th: -b * np.log(th),
         log_normalizer_deriv=lambda th: -b / th,
         mean_inverse=lambda m: (b / (a * -m)) ** (1.0 / a),
         mean_deriv=lambda th: b * th ** (-a - 1.0),
@@ -228,12 +237,14 @@ def catalog(name: str, **hyper) -> FamilyModel:
     return FamilyModel(name=name, hyper=checked, **parts)
 
 
-def _checked_theta(model: FamilyModel, theta) -> float:
+def _checked_theta(model: FamilyModel, theta) -> np.float64:
+    # A numpy scalar, so that the theta-dependent catalog functions overflow
+    # to inf (like their array form) instead of raising OverflowError.
     th = float(theta)
     lo, hi = model.theta_domain
     if not (lo < th < hi) or not math.isfinite(th):
         raise DomainError(f"{model.name}: theta={theta!r} outside the open domain ({lo}, {hi})")
-    return th
+    return np.float64(th)
 
 
 def in_support(model: FamilyModel, x) -> np.ndarray:
@@ -273,11 +284,14 @@ def stat_mean_inverse(model: FamilyModel, m) -> float:
     """The unique ``theta`` with ``E_theta[T(x)] = m``.
 
     Every catalog model maps its theta domain onto the negative half-line,
-    so ``m`` must be finite and strictly negative.
+    so ``m`` must be finite and strictly negative; a ``theta`` that overflows
+    or underflows the open domain raises ``DomainError``.
     """
     mv = float(m)
     if not math.isfinite(mv) or mv >= 0.0:
         raise NoSolutionError(
             f"{model.name}: mean statistic {m!r} outside the attainable range (negative reals)"
         )
-    return float(model.mean_inverse(mv))
+    with np.errstate(all="ignore"):
+        theta = float(model.mean_inverse(np.float64(mv)))
+    return float(_checked_theta(model, theta))

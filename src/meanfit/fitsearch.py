@@ -5,7 +5,9 @@ frequency weights, and multiplying in the kernel weight ``u(center)``.  Fit
 quality is the mean squared difference between the empirical bin density
 ``count / (total * width)`` and the fitted density at the bin centers.
 Kernel exponents and shape hyperparameters are chosen by exhaustive grid
-search with deterministic tie-breaking.
+search with deterministic tie-breaking: ``fit_surface`` scores a whole
+(shape x kernel) grid in one pass, and the sweeps are views of it.  A fit
+is either finite or a typed failure.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from .wmle import WeightKernel, WeightedSeries, mle_closed_form
 
 __all__ = [
     "FitReport",
+    "FitSurface",
     "Histogram",
     "KernelComparison",
     "SweepGrid",
     "beta_mse_profile",
     "compare_kernels",
     "fit_histogram",
+    "fit_surface",
     "histogram_to_series",
     "mse_score",
     "sweep_beta",
@@ -162,6 +166,7 @@ def mse_score(model: FamilyModel, theta, hist: Histogram) -> float:
     The empirical density of bin b is ``count_b / (total * width_b)``; the
     comparison runs over every bin whose center lies in the model support
     (zero-count bins included: an empty bin is honest evidence of density 0).
+    A non-finite score raises ``DomainError``.
     """
     th = _checked_theta(model, theta)
     mask = in_support(model, hist.centers)
@@ -169,14 +174,18 @@ def mse_score(model: FamilyModel, theta, hist: Histogram) -> float:
         raise EmptyDataError("no histogram bin center lies in the model support")
     empirical = hist.counts / (hist.total * hist.widths)
     fitted = pdf(model, th, hist.centers[mask])
-    return float(np.mean((empirical[mask] - fitted) ** 2))
+    mse = float(np.mean((empirical[mask] - fitted) ** 2))
+    if not math.isfinite(mse):
+        raise DomainError(f"{model.name}: MSE {mse!r} at theta={float(th)!r} is not finite")
+    return mse
 
 
 def fit_histogram(model: FamilyModel, hist: Histogram, kernel: WeightKernel) -> FitReport:
     """Closed-form fit of one model/kernel pair, scored by MSE."""
-    series, dropped = histogram_to_series(hist, kernel)
-    est = mle_closed_form(model, series)
-    mse = mse_score(model, est.theta_hat, hist)
+    with np.errstate(all="ignore"):
+        series, dropped = histogram_to_series(hist, kernel)
+        est = mle_closed_form(model, series)
+        mse = mse_score(model, est.theta_hat, hist)
     return FitReport(
         model=model.name,
         kernel=kernel.kind,
@@ -196,23 +205,193 @@ def _report_key(report: FitReport, alpha_last: float = 0.0) -> tuple:
     return (report.mse, abs(beta), beta, alpha_last)
 
 
+@dataclass(frozen=True)
+class FitSurface:
+    """Closed-form fits of one model at every (shape, kernel) grid point.
+
+    Row ``i`` is the model at shape ``alphas[i]`` (one row, the model itself,
+    when no shapes are swept) and column ``j`` is ``kernels[j]``.  A failed
+    point is NaN in ``theta_hat``, ``mse`` and ``loglik``, and ``failures``
+    keeps the exception ``fit_histogram`` raises there, keyed ``(i, j)`` in
+    row-major order.  ``dropped_bins`` depends on the kernel only.
+    """
+
+    model: str
+    alphas: tuple
+    kernels: tuple
+    shape_swept: bool
+    theta_hat: np.ndarray
+    mse: np.ndarray
+    loglik: np.ndarray
+    dropped_bins: np.ndarray
+    failures: dict
+
+    def report(self, i: int, j: int) -> FitReport:
+        """The report of point ``(i, j)``; a failed point raises its exception."""
+        if (i, j) in self.failures:
+            raise self.failures[(i, j)]
+        kernel = self.kernels[j]
+        return FitReport(
+            model=self.model,
+            kernel=kernel.kind,
+            beta=kernel.beta,
+            alpha=self.alphas[i],
+            theta_hat=float(self.theta_hat[i, j]),
+            mse=float(self.mse[i, j]),
+            loglik=float(self.loglik[i, j]),
+            dropped_bins=int(self.dropped_bins[j]),
+        )
+
+    def best(self) -> FitReport:
+        """The minimal-MSE point, ties broken by ``_report_key``.
+
+        When every point failed, ``SweepError.causes`` holds one
+        ``(beta, exception)`` pair per point, or ``((shape, beta), exception)``
+        when shapes are swept.
+        """
+        ok = ~np.isnan(self.mse)
+        if not ok.any():
+            if self.shape_swept:
+                causes = [((self.alphas[i], self.kernels[j].beta), exc)
+                          for (i, j), exc in self.failures.items()]
+                raise SweepError("every point of the shape sweep failed", causes)
+            causes = [(self.kernels[j].beta, exc) for (_, j), exc in self.failures.items()]
+            raise SweepError("every exponent in the sweep failed", causes)
+        tied = np.argwhere(self.mse == self.mse[ok].min())
+        reports = (self.report(int(i), int(j)) for i, j in tied)
+        return min(reports, key=lambda r: _report_key(r, r.alpha if self.shape_swept else 0.0))
+
+    def profile(self) -> list[tuple[float, float]]:
+        """``(beta, mse)`` per kernel: the minimum over shapes, NaN where
+        every shape failed."""
+        lowest = np.fmin.reduce(self.mse, axis=0)
+        return [(kernel.beta, float(v)) for kernel, v in zip(self.kernels, lowest)]
+
+
+def fit_surface(model: FamilyModel, hist: Histogram, kernels,
+                shapes=None) -> FitSurface:
+    """Fit ``model`` to ``hist`` at every (shape, kernel) pair in one pass.
+
+    Each point equals ``fit_histogram`` on the shaped model and the kernel,
+    with the same checks and exception classes, but one shape row is a few
+    ``kernels x bins`` array reductions: ``m = W @ T / W.sum(1)`` and the
+    closed form over the vector of ``m``.  ``shapes`` sweeps the ``alpha``
+    hyperparameter with the other hyperparameters fixed; a shape that
+    ``catalog`` rejects fails its whole row.
+    """
+    kernels = tuple(kernels)
+    if not kernels:
+        raise EmptyDataError("a fit surface needs at least one kernel")
+    if shapes is None:
+        alphas = (model.hyper.get("alpha"),)
+    else:
+        if "alpha" not in model.hyper:
+            raise DomainError(f"{model.name} has no shape hyperparameter to sweep")
+        shapes = np.atleast_1d(np.asarray(shapes, dtype=float))
+        if shapes.ndim != 1 or shapes.size == 0 or not np.all(shapes > 0.0):
+            raise DomainError("shape grid values must be positive")
+        alphas = tuple(shapes.tolist())
+        fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
+
+    # Kernel weights as in histogram_to_series, one row per kernel.
+    centers = hist.centers
+    usable = centers > 0.0
+    x = centers[usable]
+    with np.errstate(all="ignore"):
+        w = hist.counts[usable] * np.array([k.weights(x) for k in kernels])
+        empirical = hist.counts / (hist.total * hist.widths)
+    keep = w > 0.0
+    w = np.where(keep, w, 0.0)
+    kernel_checks = (
+        (~keep.any(axis=1), lambda j: EmptyDataError("every histogram bin was dropped")),
+        (~np.isfinite(w).all(axis=1),
+         lambda j: DomainError("weights must be finite and strictly positive")),
+    )
+
+    theta_hat, mse, loglik = np.full((3, len(alphas), len(kernels)), np.nan)
+    failures = {}
+    for i, alpha in enumerate(alphas):
+        try:
+            row_model = model if shapes is None else catalog(model.name, alpha=alpha, **fixed)
+        except DomainError as exc:
+            failures.update(((i, j), exc) for j in range(len(kernels)))
+            continue
+        theta_hat[i], mse[i], loglik[i], row_failures = _fit_row(
+            row_model, x, w, keep, kernel_checks, centers, empirical)
+        failures.update(((i, j), exc) for j, exc in row_failures)
+    return FitSurface(
+        model=model.name,
+        alphas=alphas,
+        kernels=kernels,
+        shape_swept=shapes is not None,
+        theta_hat=theta_hat,
+        mse=mse,
+        loglik=loglik,
+        dropped_bins=hist.nbins - np.count_nonzero(keep, axis=1),
+        failures=failures,
+    )
+
+
+def _fit_row(model: FamilyModel, x, w, keep, kernel_checks, centers, empirical):
+    """One shape row of ``fit_surface``: every kernel row of ``w`` at once.
+
+    Returns theta, MSE and log-likelihood per kernel (NaN where failed) and
+    the ``(column, exception)`` failures, checked in ``fit_histogram``'s
+    order: the kernel checks (no kept bin, a non-finite kept weight), no
+    solution for ``m``, theta outside its domain, a non-finite
+    log-likelihood or MSE.
+    """
+    with np.errstate(all="ignore"):
+        t = model.suff_stat(x)
+        m = _row_dots(w, np.where(keep, t, 0.0)) / w.sum(axis=1)
+        theta = np.asarray(model.mean_inverse(m), dtype=float)
+        eta = np.asarray(model.natural_param(theta), dtype=float)[:, None]
+        h = np.asarray(model.log_normalizer(theta), dtype=float)[:, None]
+        per_point = np.log(model.base_measure(x)) + eta * t - h
+        loglik = _row_dots(w, np.where(keep, per_point, 0.0))
+        # Every kept center is positive, hence in the support: mse_score's
+        # empty-support error cannot occur once a bin is kept.
+        support = in_support(model, centers)
+        xs = centers[support]
+        fitted = model.base_measure(xs) * np.exp(eta * model.suff_stat(xs) - h)
+        mse = ((empirical[support] - fitted) ** 2).sum(axis=1) / xs.size
+        lo, hi = model.theta_domain
+        bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
+    name = model.name
+    checks = kernel_checks + (
+        (~(np.isfinite(m) & (m < 0.0)), lambda j: NoSolutionError(
+            f"{name}: mean statistic {float(m[j])!r} outside the attainable range "
+            f"(negative reals)")),
+        (bad_theta, lambda j: DomainError(
+            f"{name}: theta={float(theta[j])!r} outside the open domain ({lo}, {hi})")),
+        (~np.isfinite(loglik), lambda j: DomainError(
+            f"{name}: log-likelihood {float(loglik[j])!r} at theta={float(theta[j])!r} "
+            f"is not finite")),
+        (~np.isfinite(mse), lambda j: DomainError(
+            f"{name}: MSE {float(mse[j])!r} at theta={float(theta[j])!r} is not finite")),
+    )
+    failures = {}
+    for failed, error in checks:
+        for j in np.flatnonzero(failed):
+            failures.setdefault(int(j), error(j))   # the first failed check wins
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    return (np.where(failed, np.nan, theta), np.where(failed, np.nan, mse),
+            np.where(failed, np.nan, loglik), sorted(failures.items()))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[k] @ b[k] per row, through the BLAS dot that the scalar path's
+    # ``weights @ values`` uses, so both sum in the same order.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _power_kernels(grid: SweepGrid) -> list[WeightKernel]:
+    return [WeightKernel.power(beta) for beta in grid.points()]
+
+
 def sweep_beta(model: FamilyModel, hist: Histogram, grid: SweepGrid) -> FitReport:
     """Best power-kernel fit over an exponent grid (minimal MSE wins)."""
-    best = None
-    best_key = None
-    causes = []
-    for beta in grid.points():
-        try:
-            report = fit_histogram(model, hist, WeightKernel.power(beta))
-        except _FIT_ERRORS as exc:
-            causes.append((float(beta), exc))
-            continue
-        key = _report_key(report)
-        if best_key is None or key < best_key:
-            best, best_key = report, key
-    if best is None:
-        raise SweepError("every exponent in the sweep failed", causes)
-    return best
+    return fit_surface(model, hist, _power_kernels(grid)).best()
 
 
 def sweep_shape(model: FamilyModel, hist: Histogram, shape_grid: SweepGrid,
@@ -225,37 +404,11 @@ def sweep_shape(model: FamilyModel, hist: Histogram, shape_grid: SweepGrid,
     gen-gamma) can be swept.  When ``beta_grid`` is given the ``kernel``
     argument is ignored and power kernels from the grid are used instead.
     """
-    if "alpha" not in model.hyper:
-        raise DomainError(f"{model.name} has no shape hyperparameter to sweep")
-    shapes = shape_grid.points()
-    if np.any(shapes <= 0.0):
-        raise DomainError("shape grid values must be positive")
-    if kernel is None:
-        kernel = WeightKernel.unit()
-    fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
-
-    best = None
-    best_key = None
-    causes = []
-    for shape in shapes:
-        shaped = catalog(model.name, alpha=float(shape), **fixed)
-        kernels = (
-            [WeightKernel.power(b) for b in beta_grid.points()]
-            if beta_grid is not None
-            else [kernel]
-        )
-        for kern in kernels:
-            try:
-                report = fit_histogram(shaped, hist, kern)
-            except _FIT_ERRORS as exc:
-                causes.append(((float(shape), kern.beta), exc))
-                continue
-            key = _report_key(report, alpha_last=float(shape))
-            if best_key is None or key < best_key:
-                best, best_key = report, key
-    if best is None:
-        raise SweepError("every point of the shape sweep failed", causes)
-    return best
+    if beta_grid is not None:
+        kernels = _power_kernels(beta_grid)
+    else:
+        kernels = [kernel if kernel is not None else WeightKernel.unit()]
+    return fit_surface(model, hist, kernels, shape_grid.points()).best()
 
 
 def beta_mse_profile(model: FamilyModel, hist: Histogram, grid: SweepGrid,
@@ -265,18 +418,8 @@ def beta_mse_profile(model: FamilyModel, hist: Histogram, grid: SweepGrid,
     With ``shape_grid`` the reported MSE at each beta is the best over the
     shape grid, so the profile stays one row per exponent.
     """
-    rows = []
-    for beta in grid.points():
-        single = SweepGrid(float(beta), float(beta), 1.0)
-        try:
-            if shape_grid is not None:
-                report = sweep_shape(model, hist, shape_grid, beta_grid=single)
-            else:
-                report = fit_histogram(model, hist, WeightKernel.power(beta))
-            rows.append((float(beta), report.mse))
-        except (SweepError, *_FIT_ERRORS):
-            rows.append((float(beta), math.nan))
-    return rows
+    shapes = shape_grid.points() if shape_grid is not None else None
+    return fit_surface(model, hist, _power_kernels(grid), shapes).profile()
 
 
 def compare_kernels(models, hists, beta_grid: SweepGrid,

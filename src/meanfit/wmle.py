@@ -176,14 +176,18 @@ def mle_closed_form(model: FamilyModel, data: WeightedSeries) -> MleResult:
     At the maximizer the second derivative of the weighted log-likelihood
     reduces to ``-eta'(theta) * r'(theta) * sum(u)`` (with ``r`` the mean
     function, so ``eta' * r' = eta'^2 * Var[T]``), hence it is negative
-    whenever the estimate exists.
+    whenever the estimate exists.  A non-finite log-likelihood raises
+    ``DomainError``.
     """
     m = sufficient_mean(model, data)
     theta = stat_mean_inverse(model, m)
     loglik = weighted_loglik(model, theta, data)
+    if not math.isfinite(loglik):
+        raise DomainError(f"{model.name}: log-likelihood {loglik!r} at theta={theta!r} is not finite")
+    th = np.float64(theta)   # overflows to inf like the array form, never raises
     curvature = (
-        -float(model.natural_param_deriv(theta))
-        * float(model.mean_deriv(theta))
+        -float(model.natural_param_deriv(th))
+        * float(model.mean_deriv(th))
         * data.total_weight
     )
     return MleResult(theta_hat=theta, loglik=loglik, curvature=curvature)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import erf, gammainc, gammaincc
 
-from meanfit import build_histogram, catalog
+from meanfit import DomainError, EmptyDataError, NoSolutionError, build_histogram, catalog, \
+    fit_histogram
+from meanfit.fitsearch import _report_key
 
 
 def desk_models():
@@ -100,6 +102,33 @@ def dct_like_histogram(rng, n=20000, bins=80):
     hi = float(np.quantile(x, 0.995))
     hist, _ = build_histogram(x, bins=bins, value_range=(0.0, hi))
     return hist
+
+
+def loop_points(model, hist, kernels, shapes=None):
+    """Scalar reference for fit_surface: fit_histogram at every point,
+    shape-major, each value a FitReport or the exception it raised."""
+    fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
+    points = {}
+    for i, alpha in enumerate([None] if shapes is None else shapes):
+        try:
+            shaped = model if shapes is None else catalog(model.name, alpha=float(alpha), **fixed)
+        except DomainError as exc:
+            points.update(((i, j), exc) for j in range(len(kernels)))
+            continue
+        for j, kernel in enumerate(kernels):
+            try:
+                points[(i, j)] = fit_histogram(shaped, hist, kernel)
+            except (DomainError, EmptyDataError, NoSolutionError) as exc:
+                points[(i, j)] = exc
+    return points
+
+
+def loop_best(points, shape_swept):
+    """The first point of ``loop_points`` that is minimal under ``_report_key``."""
+    reports = [r for r in points.values() if not isinstance(r, Exception)]
+    if not reports:
+        return None
+    return min(reports, key=lambda r: _report_key(r, r.alpha if shape_swept else 0.0))
 
 
 @pytest.fixture

@@ -2,12 +2,17 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from meanfit import build_histogram, load_histogram_csv, save_histogram_csv
+from meanfit import SweepGrid, WeightKernel, build_histogram, catalog, load_histogram_csv, \
+    save_histogram_csv
+from meanfit import cli
 from meanfit.cli import main
+
+from conftest import dct_like_histogram, loop_best, loop_points
 
 
 @pytest.fixture
@@ -165,6 +170,21 @@ class TestFit:
         )
         assert code == 2
 
+    def test_nonfinite_fit_is_one_error_line(self, run, tmp_path):
+        path = tmp_path / "dct.csv"
+        save_histogram_csv(dct_like_histogram(np.random.default_rng(1)), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                "fit", "--model", "gamma", "--shape", "150", "--kernel", "unit",
+                "--input", str(path),
+            )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Warning" not in err
+        assert caught == []
+
 
 class TestSweep:
     def test_best_dominates_unit_and_writes_sidecar(self, run, expo_hist_csv, tmp_path):
@@ -202,6 +222,45 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["alpha"] == pytest.approx(1.0)
+
+    def test_shape_grid_matches_scalar_loop_with_one_surface(self, run, tmp_path, monkeypatch):
+        hist = dct_like_histogram(np.random.default_rng(1))
+        path = tmp_path / "dct.csv"
+        save_histogram_csv(hist, path)
+        built = []
+        real_surface = cli.fit_surface
+
+        def counting_surface(*args, **kwargs):
+            built.append(args)
+            return real_surface(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_surface", counting_surface)
+        code, out, _ = run(
+            "sweep", "--model", "weibull", "--shape-grid", "0.5:1.5:0.25", "--beta=-1:1:0.25",
+            "--input", str(path),
+        )
+        assert code == 0
+        assert len(built) == 1
+
+        shapes = SweepGrid(0.5, 1.5, 0.25).points()
+        betas = SweepGrid(-1.0, 1.0, 0.25).points()
+        points = loop_points(catalog("weibull", alpha=1.0), load_histogram_csv(path),
+                             [WeightKernel.power(b) for b in betas], shapes)
+        want = loop_best(points, shape_swept=True).to_dict()
+        got = json.loads(out)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key in ("theta_hat", "mse", "loglik"):
+                assert got[key] == pytest.approx(value, rel=1e-12)
+            else:
+                assert got[key] == value
+        rows = (tmp_path / "dct.sweep.csv").read_text().splitlines()
+        assert len(rows) == betas.size
+        for j, row in enumerate(rows):
+            beta, mse = (float(v) for v in row.split(","))
+            assert beta == betas[j]
+            assert mse == pytest.approx(min(points[(i, j)].mse for i in range(shapes.size)),
+                                        rel=1e-12)
 
     def test_shape_grid_on_exponential_is_usage_error(self, run, expo_hist_csv):
         code, _, _ = run(

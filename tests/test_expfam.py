@@ -103,6 +103,24 @@ class TestCatalog:
         series = WeightedSeries(rng.uniform(0.1, 10.0, 30), rng.uniform(0.5, 2.0, 30))
         assert mle_closed_form(g1, series).theta_hat == mle_closed_form(expo, series).theta_hat
 
+    @pytest.mark.parametrize("name, hyper, label", [
+        ("gamma", {"k": 200.0}, "k"),
+        ("inv-gamma", {"k": 200.0}, "k"),
+        ("gen-gamma", {"alpha": 0.5, "b": 100.0}, "b/alpha"),
+    ])
+    def test_gamma_function_overflow_is_domain_error(self, name, hyper, label):
+        with pytest.raises(DomainError, match=f"{label}="):
+            catalog(name, **hyper)
+
+    def test_theta_functions_take_arrays(self):
+        thetas = np.array([0.5, 2.0])
+        for model in desk_models():
+            np.testing.assert_array_equal(
+                model.log_normalizer(thetas), [model.log_normalizer(t) for t in thetas])
+            np.testing.assert_array_equal(
+                model.mean_inverse(-thetas), [model.mean_inverse(-t) for t in thetas])
+
+
 
 class TestPdf:
     def test_exponential_at_origin(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from meanfit import (
@@ -18,6 +20,7 @@ from meanfit import (
     catalog,
     compare_kernels,
     fit_histogram,
+    fit_surface,
     histogram_to_series,
     mse_score,
     pdf,
@@ -25,7 +28,7 @@ from meanfit import (
     sweep_shape,
 )
 
-from conftest import dct_like_histogram
+from conftest import dct_like_histogram, desk_models, loop_best, loop_points
 
 EXPO = catalog("exponential")
 
@@ -332,3 +335,131 @@ class TestConsistency:
                 errors.append(abs(report.theta_hat - 2.0))
             medians.append(float(np.median(errors)))
         assert medians[1] < medians[0]
+
+
+def close(got, want, rtol=1e-12):
+    return abs(got - want) <= rtol * abs(want)
+
+
+def assert_matches_loop(surface, points):
+    assert list(surface.failures) == [k for k, v in points.items() if isinstance(v, Exception)]
+    for (i, j), want in points.items():
+        if isinstance(want, Exception):
+            assert type(surface.failures[(i, j)]) is type(want), (i, j, want)
+            assert math.isnan(surface.mse[i, j])
+            continue
+        got = surface.report(i, j)
+        assert (got.model, got.kernel, got.beta, got.alpha, got.dropped_bins) == (
+            want.model, want.kernel, want.beta, want.alpha, want.dropped_bins)
+        for field in ("theta_hat", "mse", "loglik"):
+            assert close(getattr(got, field), getattr(want, field)), (i, j, field)
+
+
+@st.composite
+def surface_cases(draw):
+    model = draw(st.sampled_from(desk_models()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hist = dct_like_histogram(rng, n=2000, bins=draw(st.integers(2, 60)))
+    # Moderate exponents, and extreme ones whose weights underflow (dropped
+    # bins) or overflow (failed points).
+    lo = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-400.0, 400.0)))
+    step = draw(st.floats(0.01, 50.0))
+    kernels = [WeightKernel.power(lo + step * k) for k in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        kernels += [WeightKernel.unit(), WeightKernel.log_shift()]
+    shapes = None
+    if "alpha" in model.hyper and draw(st.booleans()):
+        shapes = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=5))
+    return model, hist, kernels, shapes
+
+
+class TestFitSurface:
+    @given(case=surface_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_loop(self, case):
+        model, hist, kernels, shapes = case
+        surface = fit_surface(model, hist, kernels, shapes)
+        points = loop_points(model, hist, kernels, shapes)
+        assert_matches_loop(surface, points)
+
+        want = loop_best(points, shapes is not None)
+        if want is None:
+            with pytest.raises(SweepError) as excinfo:
+                surface.best()
+            assert [type(e) for _, e in excinfo.value.causes] == [
+                type(e) for e in points.values()]
+            return
+        got = surface.best()
+        if (got.alpha, got.beta, got.kernel) != (want.alpha, want.beta, want.kernel):
+            assert close(got.mse, want.mse)
+
+    def test_catalog_overflow_fails_rows_instead_of_aborting(self):
+        hist = dct_like_histogram(np.random.default_rng(1))
+        model = catalog("gen-gamma", alpha=2.0, b=200.0)
+        with pytest.raises(SweepError) as excinfo:
+            sweep_shape(model, hist, SweepGrid(0.5, 2.0, 0.5))
+        causes = excinfo.value.causes
+        assert [key for key, _ in causes] == [(0.5, None), (1.0, None), (1.5, None), (2.0, None)]
+        assert all(isinstance(exc, DomainError) for _, exc in causes)
+        assert "b/alpha" in str(causes[0][1])
+
+    def test_first_point_nonfinite_later_point_wins(self):
+        # alpha 0.25 gives a NaN MSE and a -inf log-likelihood; a failure
+        # must never be reported, nor block the finite points after it
+        hist = dct_like_histogram(np.random.default_rng(1))
+        model = catalog("gen-gamma", alpha=1.0, b=40.0)
+        grid = SweepGrid(0.25, 1.25, 0.5)
+        surface = fit_surface(model, hist, [WeightKernel.unit()], grid.points())
+        assert isinstance(surface.failures[(0, 0)], DomainError)
+        best = sweep_shape(model, hist, grid)
+        assert best.alpha == 0.75
+        assert math.isfinite(best.mse) and math.isfinite(best.loglik)
+
+    def test_profile_is_per_beta_minimum_over_shapes(self, rng):
+        hist = dct_like_histogram(rng)
+        model = catalog("weibull", alpha=1.0)
+        betas, shapes = SweepGrid(-1.0, 1.0, 0.5), SweepGrid(0.5, 1.5, 0.25)
+        rows = beta_mse_profile(model, hist, betas, shapes)
+        for beta, mse in rows:
+            one = sweep_shape(model, hist, shapes, beta_grid=SweepGrid(beta, beta, 1.0))
+            assert mse == one.mse
+
+    def test_profile_nan_where_every_shape_failed(self):
+        hist = Histogram(edges=np.array([0.5, 1.5]), counts=np.array([3.0]))
+        surface = fit_surface(catalog("std-lognormal"), hist,
+                              [WeightKernel.power(b) for b in (-0.5, 0.0)])
+        assert [b for b, _ in surface.profile()] == [-0.5, 0.0]
+        assert all(math.isnan(m) for _, m in surface.profile())
+
+    def test_rejects_empty_kernels_and_bad_shapes(self, rng):
+        hist = dct_like_histogram(rng)
+        with pytest.raises(EmptyDataError):
+            fit_surface(EXPO, hist, [])
+        with pytest.raises(DomainError):
+            fit_surface(EXPO, hist, [WeightKernel.unit()], [1.0])
+        with pytest.raises(DomainError):
+            fit_surface(catalog("weibull", alpha=1.0), hist, [WeightKernel.unit()], [1.0, 0.0])
+
+
+class TestNonFiniteFits:
+    def test_gamma_150_fit_raises_domain_error(self):
+        hist = dct_like_histogram(np.random.default_rng(1))
+        with pytest.raises(DomainError, match="not finite"):
+            fit_histogram(catalog("gamma", k=150), hist, WeightKernel.unit())
+
+    @pytest.mark.parametrize("alpha, lo", [(2.0, 1e-155), (0.5, 1e-310)])
+    def test_theta_overflow_is_domain_error_on_both_paths(self, alpha, lo):
+        # theta**alpha (alpha 2) or theta itself (alpha 0.5) overflows a double
+        hist = Histogram(edges=np.array([lo, 2.0 * lo]), counts=np.array([1.0]))
+        model = catalog("weibull", alpha=alpha)
+        with pytest.raises(DomainError):
+            fit_histogram(model, hist, WeightKernel.unit())
+        surface = fit_surface(model, hist, [WeightKernel.unit()])
+        assert isinstance(surface.failures[(0, 0)], DomainError)
+
+    def test_curvature_overflow_does_not_abort_the_fit(self):
+        # theta ~ 5e-161, so the curvature theta**-2 overflows; the fit itself
+        # is finite and the scalar path agrees with the surface
+        hist = Histogram(edges=np.array([1e160, 2e160, 3e160]), counts=np.array([1.0, 2.0]))
+        report = fit_histogram(EXPO, hist, WeightKernel.unit())
+        assert fit_surface(EXPO, hist, [WeightKernel.unit()]).report(0, 0) == report
