@@ -52,6 +52,7 @@ from .means import (
     holder_mean,
     kolmogorov_mean,
     lehmer_mean,
+    mean_curve,
     v_weights,
 )
 from .wmle import (

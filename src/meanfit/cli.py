@@ -26,7 +26,7 @@ from .expfam import MODEL_NAMES, catalog
 from .fitsearch import SweepGrid, compare_kernels, fit_histogram, fit_surface
 from .ingest import block_dct8, build_histogram, format_histogram_csv, \
     load_histogram_csv, load_pgm, load_values_csv
-from .means import holder_mean, kolmogorov_mean, lehmer_mean, v_weights
+from .means import holder_mean, kolmogorov_mean, lehmer_mean, mean_curve, v_weights
 from .wmle import WeightKernel
 
 __all__ = ["build_parser", "main"]
@@ -128,14 +128,14 @@ def _cmd_mean(args) -> int:
             raise _UsageError("the kolmogorov f-mean is unweighted")
         print(_fmt(kolmogorov_mean(values, math.log, math.exp)))
         return 0
-    mean_fn = holder_mean if args.family == "holder" else lehmer_mean
     if args.alpha is None and args.alpha_grid is None:
         raise _UsageError("--alpha or --alpha-grid is required for holder/lehmer")
     if args.alpha is not None:
-        print(_fmt(mean_fn(values, args.alpha, weights)))
+        print(_fmt(mean_curve(values, (args.alpha,), args.family, weights)[0]))
     else:
-        for alpha in args.alpha_grid.points():
-            print(f"{_fmt(alpha)},{_fmt(mean_fn(values, alpha, weights))}")
+        alphas = args.alpha_grid.points()
+        means = mean_curve(values, alphas, args.family, weights)
+        sys.stdout.write("".join(f"{_fmt(a)},{_fmt(m)}\n" for a, m in zip(alphas, means)))
     return 0
 
 

@@ -242,23 +242,27 @@ class FitSurface:
             dropped_bins=int(self.dropped_bins[j]),
         )
 
-    def best(self) -> FitReport:
-        """The minimal-MSE point, ties broken by ``_report_key``.
+    def best(self, columns: slice = slice(None)) -> FitReport:
+        """The minimal-MSE point among the kernel ``columns`` (all of them by
+        default), ties broken by ``_report_key``.
 
-        When every point failed, ``SweepError.causes`` holds one
+        When every such point failed, ``SweepError.causes`` holds one
         ``(beta, exception)`` pair per point, or ``((shape, beta), exception)``
         when shapes are swept.
         """
-        ok = ~np.isnan(self.mse)
+        cols = np.arange(len(self.kernels))[columns]
+        mse = self.mse[:, cols]
+        ok = ~np.isnan(mse)
         if not ok.any():
+            chosen = set(cols.tolist())
+            failed = [(i, j, exc) for (i, j), exc in self.failures.items() if j in chosen]
             if self.shape_swept:
-                causes = [((self.alphas[i], self.kernels[j].beta), exc)
-                          for (i, j), exc in self.failures.items()]
+                causes = [((self.alphas[i], self.kernels[j].beta), exc) for i, j, exc in failed]
                 raise SweepError("every point of the shape sweep failed", causes)
-            causes = [(self.kernels[j].beta, exc) for (_, j), exc in self.failures.items()]
+            causes = [(self.kernels[j].beta, exc) for _, j, exc in failed]
             raise SweepError("every exponent in the sweep failed", causes)
-        tied = np.argwhere(self.mse == self.mse[ok].min())
-        reports = (self.report(int(i), int(j)) for i, j in tied)
+        tied = np.argwhere(mse == mse[ok].min())
+        reports = (self.report(int(i), int(cols[j])) for i, j in tied)
         return min(reports, key=lambda r: _report_key(r, r.alpha if self.shape_swept else 0.0))
 
     def profile(self) -> list[tuple[float, float]]:
@@ -439,6 +443,8 @@ def compare_kernels(models, hists, beta_grid: SweepGrid,
     if tie_epsilon < 0.0:
         raise DomainError("tie epsilon must be non-negative")
 
+    # Columns 0 and 1 are the unit and log1p kernels, the rest the power grid.
+    kernels = [WeightKernel.unit(), WeightKernel.log_shift(), *_power_kernels(beta_grid)]
     results = []
     for model in models:
         wins = {"unit": 0, "power": 0, "log1p": 0}
@@ -446,11 +452,12 @@ def compare_kernels(models, hists, beta_grid: SweepGrid,
         failures = []
         n_scored = 0
         for idx, hist in enumerate(hists):
+            surface = fit_surface(model, hist, kernels)
             scores = {}
             attempts = (
-                ("unit", lambda: fit_histogram(model, hist, WeightKernel.unit())),
-                ("power", lambda: sweep_beta(model, hist, beta_grid)),
-                ("log1p", lambda: fit_histogram(model, hist, WeightKernel.log_shift())),
+                ("unit", lambda: surface.report(0, 0)),
+                ("power", lambda: surface.best(slice(2, None))),
+                ("log1p", lambda: surface.report(0, 1)),
             )
             for label, attempt in attempts:
                 try:

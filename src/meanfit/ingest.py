@@ -3,6 +3,7 @@ PGM images, 8x8 block DCT extraction, and histogram construction."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -58,40 +59,96 @@ class CoefficientSet:
         object.__setattr__(self, "values", vals)
 
 
+# numpy takes these ASCII separators for whitespace around a field, float()
+# does not; a file holding one is left to the line scanner.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_table(data: bytes) -> np.ndarray | None:
+    """Every row of a numeric CSV as one float table, parsed in one numpy pass.
+
+    Returns None when numpy cannot read the file as ``float`` would: it has
+    no rows, is ragged or not ASCII, or holds a field numpy does not parse or
+    an ASCII separator byte.  The line scanner then runs on the same bytes;
+    it raises the error of the first bad line, or reads the few lines that
+    ``float`` accepts and numpy does not (whitespace-only lines, ``1_000``).
+    """
+    if not data or data.isspace() or not data.isascii() \
+            or any(sep in data for sep in _SEPARATORS):
+        return None
+    # A text stream, not the path: numpy opens a path through its DataSource,
+    # which fetches URLs and decompresses by file name.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    try:
+        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+
+
+def _read_bytes(path) -> bytes:
+    # Read once, so that a pipe works; open() names the path as given.
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _scan_lines(path, data: bytes):
+    """``(lineno, stripped line)`` for every non-blank line of an ASCII file."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+    for lineno, raw in enumerate(text, start=1):
+        if not raw.isascii():
+            raise FormatError(f"{path}: line {lineno}: not ASCII")
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
 def load_values_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read `value` or `value,weight` lines; formats must not be mixed.
 
     Returns ``(values, weights)`` with ``weights`` None for the one-column
     format.
     """
+    data = _read_bytes(path)
+    table = _read_table(data)
+    if table is None or table.shape[1] > 2:
+        return _scan_values(path, data)
+    # Contiguous columns, as the scanner builds them: a strided array would
+    # change how BLAS sums the power sums of the means.
+    columns = np.ascontiguousarray(table.T)
+    values = columns[0]
+    weights = columns[1] if len(columns) == 2 else None
+    if not np.all((values >= 0.0) & (values < np.inf)) or (
+            weights is not None and not np.all((weights > 0.0) & (weights < np.inf))):
+        return _scan_values(path, data)
+    return values, weights
+
+
+def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
+    """``load_values_csv`` line by line: the error of the first bad line."""
     values = []
     weights = []
     ncols = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if ncols is None:
-                ncols = len(parts)
-                if ncols not in (1, 2):
-                    raise FormatError(f"{path}: line {lineno}: expected 1 or 2 columns")
-            if len(parts) != ncols:
-                raise FormatError(f"{path}: line {lineno}: mixed column counts")
-            try:
-                fields = [float(p) for p in parts]
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: not a number") from None
-            if not math.isfinite(fields[0]) or fields[0] < 0.0:
-                raise FormatError(f"{path}: line {lineno}: values must be finite and non-negative")
-            values.append(fields[0])
-            if ncols == 2:
-                if not math.isfinite(fields[1]) or fields[1] <= 0.0:
-                    raise FormatError(
-                        f"{path}: line {lineno}: weights must be finite and positive"
-                    )
-                weights.append(fields[1])
+    for lineno, line in _scan_lines(path, data):
+        parts = line.split(",")
+        if ncols is None:
+            ncols = len(parts)
+            if ncols not in (1, 2):
+                raise FormatError(f"{path}: line {lineno}: expected 1 or 2 columns")
+        if len(parts) != ncols:
+            raise FormatError(f"{path}: line {lineno}: mixed column counts")
+        try:
+            fields = [float(p) for p in parts]
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: not a number") from None
+        if not math.isfinite(fields[0]) or fields[0] < 0.0:
+            raise FormatError(f"{path}: line {lineno}: values must be finite and non-negative")
+        values.append(fields[0])
+        if ncols == 2:
+            if not math.isfinite(fields[1]) or fields[1] <= 0.0:
+                raise FormatError(
+                    f"{path}: line {lineno}: weights must be finite and positive"
+                )
+            weights.append(fields[1])
     if not values:
         raise EmptyDataError(f"{path}: no data rows")
     return np.asarray(values), (np.asarray(weights) if ncols == 2 else None)
@@ -101,32 +158,28 @@ def load_histogram_csv(path) -> Histogram:
     """Read `bin_left,bin_right,count` rows with contiguous increasing bins."""
     edges = []
     counts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected bin_left,bin_right,count")
-            try:
-                left, right, count = (float(p) for p in parts)
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: not a number") from None
-            if not (math.isfinite(left) and math.isfinite(right) and right > left):
-                raise FormatError(f"{path}: line {lineno}: bin edges must increase")
-            if not math.isfinite(count) or count < 0.0:
-                raise FormatError(f"{path}: line {lineno}: counts must be non-negative")
-            if not edges:
-                edges.extend((left, right))
-            else:
-                if left != edges[-1]:
-                    raise FormatError(
-                        f"{path}: line {lineno}: bins must be contiguous "
-                        f"(expected left edge {edges[-1]!r}, got {left!r})"
-                    )
-                edges.append(right)
-            counts.append(count)
+    for lineno, line in _scan_lines(path, _read_bytes(path)):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise FormatError(f"{path}: line {lineno}: expected bin_left,bin_right,count")
+        try:
+            left, right, count = (float(p) for p in parts)
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: not a number") from None
+        if not (math.isfinite(left) and math.isfinite(right) and right > left):
+            raise FormatError(f"{path}: line {lineno}: bin edges must increase")
+        if not math.isfinite(count) or count < 0.0:
+            raise FormatError(f"{path}: line {lineno}: counts must be non-negative")
+        if not edges:
+            edges.extend((left, right))
+        else:
+            if left != edges[-1]:
+                raise FormatError(
+                    f"{path}: line {lineno}: bins must be contiguous "
+                    f"(expected left edge {edges[-1]!r}, got {left!r})"
+                )
+            edges.append(right)
+        counts.append(count)
     if not counts:
         raise EmptyDataError(f"{path}: no histogram rows")
     return Histogram(edges=np.asarray(edges), counts=np.asarray(counts))

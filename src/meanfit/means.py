@@ -29,6 +29,7 @@ __all__ = [
     "holder_mean",
     "kolmogorov_mean",
     "lehmer_mean",
+    "mean_curve",
     "v_weights",
 ]
 
@@ -71,20 +72,81 @@ def _checked_alpha(alpha) -> float:
     return a
 
 
-def _reject_zeros(xs: np.ndarray, alpha: float) -> None:
-    if np.any(xs == 0.0):
+def _reject_zeros(xmin: float, alpha: float) -> None:
+    if xmin == 0.0:
         raise DomainError(f"zero values are not admitted for exponent {alpha}")
 
 
-def _anchor(xs: np.ndarray, alpha: float) -> float | None:
+def _anchor(xmin: float, xmax: float, alpha: float) -> float | None:
     """Extreme value to factor out of the power sums, or None for the plain path."""
     if abs(alpha) <= _RESCALE_ALPHA:
         return None
-    xmin = float(xs.min())
-    xmax = float(xs.max())
     if xmin > 0.0 and xmax / xmin <= _RESCALE_SPREAD:
         return None
     return xmax if alpha > 0.0 else xmin
+
+
+class _PowerSums:
+    """Weighted power sums ``sum w (x / anchor)^p`` of one validated series,
+    each computed once per exponent and anchor."""
+
+    def __init__(self, xs: np.ndarray, ws: np.ndarray):
+        self.xs = xs
+        self.ws = ws
+        self.wsum = ws.sum()
+        self.xmin = float(xs.min())
+        self.xmax = float(xs.max())
+        self._sums = {}
+
+    def __call__(self, p: float, anchor: float | None) -> float:
+        key = (p, anchor)
+        if key not in self._sums:
+            if anchor is None:
+                self._sums[key] = np.power(self.xs, p) @ self.ws
+            else:
+                # Anchored at the minimum for a negative exponent, x / anchor
+                # may overflow to inf, whose power is then exactly 0.
+                with np.errstate(over="ignore"):
+                    self._sums[key] = np.power(self.xs / anchor, p) @ self.ws
+        return self._sums[key]
+
+
+def _holder_at(sums: _PowerSums, a: float) -> float:
+    if a == math.inf:
+        return sums.xmax
+    if a == -math.inf:
+        _reject_zeros(sums.xmin, a)
+        return sums.xmin
+    if abs(a) < GEOMETRIC_CUTOFF:
+        _reject_zeros(sums.xmin, a)
+        return float(np.exp(np.log(sums.xs) @ sums.ws / sums.wsum))
+    if a < 0.0:
+        _reject_zeros(sums.xmin, a)
+    anchor = _anchor(sums.xmin, sums.xmax, a)
+    mean = sums(a, anchor) / sums.wsum
+    if anchor is None:
+        return float(mean ** (1.0 / a))
+    return float(anchor * mean ** (1.0 / a))
+
+
+def _lehmer_at(sums: _PowerSums, a: float) -> float:
+    if a == math.inf:
+        return sums.xmax
+    if a == -math.inf:
+        _reject_zeros(sums.xmin, a)
+        return sums.xmin
+    if a < 1.0:
+        _reject_zeros(sums.xmin, a)
+    anchor = _anchor(sums.xmin, sums.xmax, a if a >= 1.0 else a - 1.0)
+    num = sums(a, anchor)
+    den = sums(a - 1.0, anchor)
+    if den == 0.0:
+        raise DomainError("Lehmer denominator vanished (all values zero)")
+    ratio = num / den
+    return float(ratio if anchor is None else anchor * ratio)
+
+
+_MEAN_AT = {"holder": _holder_at, "lehmer": _lehmer_at}
 
 
 def kolmogorov_mean(values, transform: Callable[[float], float],
@@ -107,6 +169,23 @@ def kolmogorov_mean(values, transform: Callable[[float], float],
     return float(inverse(fx.mean()))
 
 
+def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
+    """Holder or Lehmer means of one series at every exponent of ``alphas``.
+
+    ``values`` and ``weights`` are validated once, and each weighted power
+    sum is computed once, so on a grid of step ``1/k`` the Lehmer numerator
+    at ``a`` is the denominator at ``a + 1``.  Every exponent takes the
+    branches of ``holder_mean`` or ``lehmer_mean``, in grid order; the first
+    exponent that fails raises its ``DomainError``.
+    """
+    mean_at = _MEAN_AT.get(family.lower())
+    if mean_at is None:
+        raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
+    xs = _as_values(values)
+    sums = _PowerSums(xs, _as_weights(weights, xs.size))
+    return [mean_at(sums, _checked_alpha(alpha)) for alpha in alphas]
+
+
 def holder_mean(values, alpha, weights=None) -> float:
     """Weighted Holder (power) mean ``(sum w x^a / sum w)^(1/a)``.
 
@@ -114,24 +193,7 @@ def holder_mean(values, alpha, weights=None) -> float:
     weighted geometric mean analytically; ``+/-inf`` return max/min.
     Non-positive exponents require strictly positive values.
     """
-    xs = _as_values(values)
-    a = _checked_alpha(alpha)
-    ws = _as_weights(weights, xs.size)
-    if a == math.inf:
-        return float(xs.max())
-    if a == -math.inf:
-        _reject_zeros(xs, a)
-        return float(xs.min())
-    if abs(a) < GEOMETRIC_CUTOFF:
-        _reject_zeros(xs, a)
-        return float(np.exp(np.log(xs) @ ws / ws.sum()))
-    if a < 0.0:
-        _reject_zeros(xs, a)
-    anchor = _anchor(xs, a)
-    if anchor is None:
-        return float((np.power(xs, a) @ ws / ws.sum()) ** (1.0 / a))
-    scaled = xs / anchor
-    return float(anchor * (np.power(scaled, a) @ ws / ws.sum()) ** (1.0 / a))
+    return mean_curve(values, (alpha,), "holder", weights)[0]
 
 
 def lehmer_mean(values, alpha, weights=None) -> float:
@@ -140,24 +202,7 @@ def lehmer_mean(values, alpha, weights=None) -> float:
     ``+/-inf`` return max/min.  Exponents below 1 require strictly positive
     values so that ``x^(a-1)`` stays finite.
     """
-    xs = _as_values(values)
-    a = _checked_alpha(alpha)
-    ws = _as_weights(weights, xs.size)
-    if a == math.inf:
-        return float(xs.max())
-    if a == -math.inf:
-        _reject_zeros(xs, a)
-        return float(xs.min())
-    if a < 1.0:
-        _reject_zeros(xs, a)
-    anchor = _anchor(xs, a) if a >= 1.0 else _anchor(xs, a - 1.0)
-    scaled = xs if anchor is None else xs / anchor
-    num = np.power(scaled, a) @ ws
-    den = np.power(scaled, a - 1.0) @ ws
-    if den == 0.0:
-        raise DomainError("Lehmer denominator vanished (all values zero)")
-    ratio = num / den
-    return float(ratio if anchor is None else anchor * ratio)
+    return mean_curve(values, (alpha,), "lehmer", weights)[0]
 
 
 def v_weights(values, alpha, family: str) -> np.ndarray:
@@ -175,7 +220,7 @@ def v_weights(values, alpha, family: str) -> np.ndarray:
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
     if a < 1.0:
-        _reject_zeros(xs, a)
+        _reject_zeros(float(xs.min()), a)
     powers = np.power(xs, a - 1.0)
     if kind == "holder":
         return powers / xs.size
@@ -195,7 +240,7 @@ def holder_lehmer_link(values, alpha) -> tuple[float, float]:
     if not math.isfinite(a) or a == 0.0:
         raise DomainError("the rescaled-weight identity needs a finite nonzero exponent")
     if a < 1.0:
-        _reject_zeros(xs, a)
+        _reject_zeros(float(xs.min()), a)
     num = float(np.power(xs, a).sum())
     den = float(np.power(xs, a - 1.0).sum())
     rescaled_holder = (num / den) ** (1.0 / a)

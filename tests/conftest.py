@@ -4,6 +4,9 @@ The samplers are test-only oracles (inverse-CDF / standard transforms); their
 own correctness is pinned by the Kolmogorov-Smirnov suite in test_expfam.py.
 """
 
+import math
+import os
+
 import numpy as np
 import pytest
 from scipy.special import erf, gammainc, gammaincc
@@ -11,6 +14,7 @@ from scipy.special import erf, gammainc, gammaincc
 from meanfit import DomainError, EmptyDataError, NoSolutionError, build_histogram, catalog, \
     fit_histogram
 from meanfit.fitsearch import _report_key
+from meanfit.means import GEOMETRIC_CUTOFF
 
 
 def desk_models():
@@ -131,6 +135,69 @@ def loop_best(points, shape_swept):
     return min(reports, key=lambda r: _report_key(r, r.alpha if shape_swept else 0.0))
 
 
+def reference_means(values, alphas, family, weights=None):
+    """Per-exponent reference for ``mean_curve``: every mean from its own
+    power sums, as documented in ``meanfit.means`` (the max/min limits, the
+    geometric branch, no zero where a power of it is infinite, one extreme
+    factored out when ``|exponent| > 30`` and the spread exceeds 1e6).  The
+    first exponent that fails raises its ``DomainError``."""
+    xs = np.asarray(values, dtype=float)
+    ws = np.ones(xs.size) if weights is None else np.asarray(weights, dtype=float)
+    means = []
+    for alpha in alphas:
+        a = float(alpha)
+        if math.isnan(a):
+            raise DomainError("exponent must not be NaN")
+        zero_floor = 0.0 if family == "holder" else 1.0
+        if (a < zero_floor or (family == "holder" and abs(a) < GEOMETRIC_CUTOFF)) \
+                and np.any(xs == 0.0):
+            raise DomainError(f"zero values are not admitted for exponent {a}")
+        if a == math.inf:
+            means.append(float(xs.max()))
+            continue
+        if a == -math.inf:
+            means.append(float(xs.min()))
+            continue
+        if family == "holder" and abs(a) < GEOMETRIC_CUTOFF:
+            means.append(float(np.exp(np.log(xs) @ ws / ws.sum())))
+            continue
+        steering = a if family == "holder" or a >= 1.0 else a - 1.0
+        anchor = None
+        if abs(steering) > 30.0 and not (xs.min() > 0.0 and xs.max() / xs.min() <= 1e6):
+            anchor = float(xs.max() if steering > 0.0 else xs.min())
+        with np.errstate(over="ignore"):
+            scaled = xs if anchor is None else xs / anchor
+            if family == "holder":
+                mean = (np.power(scaled, a) @ ws / ws.sum()) ** (1.0 / a)
+            else:
+                den = np.power(scaled, a - 1.0) @ ws
+                if den == 0.0:
+                    raise DomainError("Lehmer denominator vanished (all values zero)")
+                mean = (np.power(scaled, a) @ ws) / den
+        means.append(float(mean if anchor is None else anchor * mean))
+    return means
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def pipe():
+    """Makes the ``/dev/fd`` path of a pipe that holds ``data``, as a shell
+    passes ``/dev/stdin``; a second open of it reads nothing."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    read_ends = []
+
+    def make(data):
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        read_ends.append(read_end)
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for fd in read_ends:
+        os.close(fd)

@@ -12,7 +12,7 @@ from meanfit import SweepGrid, WeightKernel, build_histogram, catalog, load_hist
 from meanfit import cli
 from meanfit.cli import main
 
-from conftest import dct_like_histogram, loop_best, loop_points
+from conftest import dct_like_histogram, loop_best, loop_points, reference_means
 
 
 @pytest.fixture
@@ -70,6 +70,12 @@ class TestMean:
         assert code == 0
         assert float(out) == pytest.approx(2.5)
 
+    def test_reads_values_from_a_pipe(self, run, pipe):
+        # `--input /dev/stdin` in a shell pipeline; `1_000` needs the line scanner.
+        code, out, _ = run("mean", "--family", "holder", "--alpha", "1", "--weights",
+                           "--input", pipe(b"1_000,1\n3,3\n"))
+        assert (code, out) == (0, "252.25\n")
+
     def test_grid_rows_non_decreasing(self, run, pair_csv):
         code, out, _ = run(
             "mean", "--family", "holder", "--alpha-grid=-3:3:0.5", "--input", pair_csv
@@ -108,6 +114,51 @@ class TestMean:
             "--input", str(tmp_path / "nope.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("family", ["holder", "lehmer"])
+    def test_weighted_grid_is_one_curve_matching_reference(self, run, tmp_path, monkeypatch,
+                                                           family):
+        rng = np.random.default_rng(404)
+        values = 10.0 ** rng.uniform(-3.0, 1.0, 500)
+        weights = rng.uniform(0.5, 2.0, 500)
+        path = tmp_path / "vw.csv"
+        rows = zip(values.tolist(), weights.tolist())
+        path.write_text("".join(f"{v!r},{w!r}\n" for v, w in rows))
+        curves = []
+        real_curve = cli.mean_curve
+
+        def counting_curve(*args, **kwargs):
+            curves.append(args)
+            return real_curve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mean_curve", counting_curve)
+        code, out, err = run(
+            "mean", "--family", family, "--alpha-grid=-3:3:0.25", "--weights",
+            "--input", str(path),
+        )
+        assert (code, err) == (0, "")
+        assert len(curves) == 1
+        alphas = SweepGrid(-3.0, 3.0, 0.25).points()
+        want = reference_means(values, alphas, family, weights)
+        assert out == "".join(f"{float(a)!r},{m!r}\n" for a, m in zip(alphas, want))
+
+    def test_failing_alpha_prints_no_partial_rows(self, run, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("0\n0\n")
+        code, out, err = run(
+            "mean", "--family", "lehmer", "--alpha-grid=1:2:1", "--input", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: Lehmer denominator vanished (all values zero)\n"
+
+    def test_non_ascii_byte_is_one_error_line(self, run, tmp_path):
+        path = tmp_path / "nbsp.csv"
+        path.write_bytes(b"1\xc2\xa0,2\n")
+        code, out, err = run(
+            "mean", "--family", "lehmer", "--alpha", "1", "--input", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: line 1: not ASCII\n"
 
 
 class TestFit:

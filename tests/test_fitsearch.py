@@ -27,6 +27,7 @@ from meanfit import (
     sweep_beta,
     sweep_shape,
 )
+from meanfit import fitsearch
 
 from conftest import dct_like_histogram, desk_models, loop_best, loop_points
 
@@ -320,6 +321,40 @@ class TestCompareKernels:
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyDataError):
             compare_kernels([], [single_bin_hist()], SweepGrid(0.0, 1.0, 0.5))
+
+    def test_one_surface_per_pair_matches_scalar_fits(self, rng, monkeypatch):
+        hists = [dct_like_histogram(rng) for _ in range(3)]
+        models = [EXPO, catalog("weibull", alpha=1.3)]
+        grid = SweepGrid(-1.0, 1.0, 0.25)
+        powers = [WeightKernel.power(b) for b in grid.points()]
+        want = []
+        for model in models:
+            wins, gains = np.zeros(3), []
+            for hist in hists:
+                mses = np.array([
+                    fit_histogram(model, hist, WeightKernel.unit()).mse,
+                    loop_best(loop_points(model, hist, powers), shape_swept=False).mse,
+                    fit_histogram(model, hist, WeightKernel.log_shift()).mse,
+                ])
+                wins += mses <= mses.min() * (1.0 + 1e-3)
+                gains.append(abs(mses[0] - mses[1]) / mses[0])
+            want.append((*(100.0 * wins / len(hists)), np.mean(gains)))
+
+        built = []
+        real_surface = fitsearch.fit_surface
+
+        def counting_surface(*args):
+            built.append(args)
+            return real_surface(*args)
+
+        monkeypatch.setattr(fitsearch, "fit_surface", counting_surface)
+        monkeypatch.setattr(fitsearch, "fit_histogram", None)   # no scalar fit either
+        rows = compare_kernels(models, hists, grid)
+        assert len(built) == len(models) * len(hists)
+        for row, (unit, power, log1p, gain) in zip(rows, want):
+            assert (row.pct_unit, row.pct_power, row.pct_log1p) == (unit, power, log1p)
+            assert row.mean_improvement == pytest.approx(gain, rel=1e-12)
+            assert (row.n_scored, row.failures) == (len(hists), ())
 
 
 class TestConsistency:

@@ -1,9 +1,14 @@
 """File formats, the block DCT, and histogram construction."""
 
+import gzip
 import json
+import os
+import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanfit import (
     CoefficientSet,
@@ -22,6 +27,7 @@ from meanfit import (
     save_histogram_csv,
     save_report_json,
 )
+from meanfit.ingest import _scan_values
 
 
 class TestValuesCsv:
@@ -70,6 +76,53 @@ class TestValuesCsv:
             load_values_csv(path)
 
 
+    def test_non_ascii_byte_located(self, tmp_path):
+        path = tmp_path / "nbsp.csv"
+        path.write_bytes(b"1,2\n1\xc2\xa0,2\n")
+        with pytest.raises(FormatError, match="line 2: not ASCII"):
+            load_values_csv(path)
+
+    def test_lines_numpy_rejects_still_read(self, tmp_path):
+        # float() takes digit underscores, and a whitespace-only line is
+        # blank; numpy's reader rejects both, so the line scanner reads them.
+        path = tmp_path / "odd.csv"
+        path.write_text("1_000,2\n \t \n3,4\n")
+        values, weights = load_values_csv(path)
+        np.testing.assert_array_equal(values, [1000.0, 3.0])
+        np.testing.assert_array_equal(weights, [2.0, 4.0])
+
+    def test_reads_a_pipe(self, pipe):
+        # A pipe can be read once; the line scanner (here for `1_000`) must
+        # work on the bytes already read.
+        values, weights = load_values_csv(pipe(b"1_000,2\n3,4\n"))
+        np.testing.assert_array_equal(values, [1000.0, 3.0])
+        np.testing.assert_array_equal(weights, [2.0, 4.0])
+
+    def test_compressed_file_not_unpacked(self, tmp_path):
+        path = tmp_path / "v.csv.gz"
+        path.write_bytes(gzip.compress(b"1\n2\n"))
+        with pytest.raises(FormatError, match="not ASCII"):
+            load_values_csv(path)
+
+    def test_url_is_a_local_file_name(self, tmp_path, monkeypatch):
+        # Never fetched, and no copy or sibling file is looked up or written.
+        def no_network(*args, **kwargs):
+            raise AssertionError("network access")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("1\n")
+        with pytest.raises(FileNotFoundError):
+            load_values_csv("http://localhost/values.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["values.csv"]
+
+
+@pytest.mark.parametrize("load", [load_values_csv, load_histogram_csv])
+def test_missing_file_named_as_given(load):
+    with pytest.raises(FileNotFoundError, match="''"):
+        load("")
+
+
 class TestHistogramCsv:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -96,6 +149,23 @@ class TestHistogramCsv:
         with pytest.raises(FormatError):
             load_histogram_csv(path)
 
+    def test_non_ascii_byte_located(self, tmp_path):
+        path = tmp_path / "nbsp.csv"
+        path.write_bytes(b"0,1,3\n1,2,\xe9\n")
+        with pytest.raises(FormatError, match="line 2: not ASCII"):
+            load_histogram_csv(path)
+
+    def test_reads_a_pipe(self, pipe):
+        hist = load_histogram_csv(pipe(b"0,1,3\n1,2,1\n"))
+        np.testing.assert_array_equal(hist.edges, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(hist.counts, [3.0, 1.0])
+
+    def test_blank_file_rejected(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\n")
+        with pytest.raises(EmptyDataError):
+            load_histogram_csv(path)
+
     def test_round_trip_exact(self, tmp_path, rng):
         draws = rng.exponential(1.0, 500)
         hist, _ = build_histogram(draws, bins=17, value_range=(0.0, 4.7))
@@ -104,6 +174,82 @@ class TestHistogramCsv:
         back = load_histogram_csv(path)
         np.testing.assert_array_equal(back.edges, hist.edges)
         np.testing.assert_array_equal(back.counts, hist.counts)
+
+
+_PADS = ["", "", "", "", " ", "\t", "  "]
+_ODD_PADS = ["\x0b", "\x0c", "\x1c", "\x1f"]
+_ODD_FIELDS = ["", "0", "-1", "-0", "1_000", "1_0.5", "inf", "-inf", "nan", "#1", "abc",
+               "1e400", ".5", "5.", "+2", "0x10", "1 2", "1\x00", "\u00a01"]
+_ODD_LINES = [" ", "\t", " \t ", "#", "# note", "\x0c", "\x1c", ",", "1,2,3,4"]
+_FORMATS = [repr, "{:g}".format, "{:.3e}".format]
+
+
+@st.composite
+def _field(draw, value, fmt, noisy):
+    """One CSV field for ``value``, padded with whitespace; a noisy file also
+    gets odd tokens, digit underscores and ASCII control padding."""
+    pads = _PADS + _ODD_PADS if noisy else _PADS
+    text = fmt(value)
+    if noisy and draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from(_ODD_FIELDS))
+    elif noisy and value == int(value) and value < 1e15 and draw(st.booleans()):
+        text = f"{int(value):_}"
+    return draw(st.sampled_from(pads)) + text + draw(st.sampled_from(pads))
+
+
+@st.composite
+def _csv_bytes(draw, rows):
+    """``rows`` of floats as CSV text, LF, CRLF or CR, blank lines mixed in.  Half
+    the files are noisy: odd fields, whitespace-only, comment and ragged
+    lines, trailing commas and dropped fields."""
+    noisy = draw(st.booleans())
+    fmt = draw(st.sampled_from(_FORMATS))
+    lines = []
+    for row in rows:
+        fields = [draw(_field(v, fmt, noisy)) for v in row]
+        edit = draw(st.integers(0, 19)) if noisy else None
+        if edit == 0:
+            fields.append("")
+        elif edit == 1 and len(fields) > 1:
+            fields.pop()
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(_ODD_LINES)) if noisy else "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text.encode("utf-8")
+
+
+@st.composite
+def values_csv(draw):
+    ncols = draw(st.sampled_from([1, 1, 2, 2, 2, 3]))
+    row = st.tuples(st.floats(0.0, 1e6), *[st.floats(1e-3, 1e3)] * (ncols - 1))
+    return draw(_csv_bytes(draw(st.lists(row, max_size=8))))
+
+
+def _outcome(load, path):
+    """The arrays ``load`` returns, bit for bit, or its error class and message."""
+    try:
+        arrays = load(path)
+    except (FormatError, EmptyDataError, DomainError) as exc:
+        return type(exc), str(exc)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle") / "data.csv"
+
+
+class TestLoaderMatchesLineScanner:
+    """The numpy reader of values CSVs against the line scanner it falls back on."""
+
+    @given(data=values_csv())
+    @settings(max_examples=200, deadline=None)
+    def test_values(self, csv_path, data):
+        csv_path.write_bytes(data)
+        assert _outcome(load_values_csv, csv_path) == \
+            _outcome(lambda path: _scan_values(path, data), csv_path)
 
 
 class TestReportJson:

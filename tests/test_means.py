@@ -13,10 +13,11 @@ from meanfit import (
     holder_mean,
     kolmogorov_mean,
     lehmer_mean,
+    mean_curve,
     v_weights,
 )
 
-from conftest import random_series
+from conftest import random_series, reference_means
 
 PAIR = [0.6, 2.0]
 GEOMETRIC_PAIR = math.sqrt(1.2)  # oracle: exp((ln 0.6 + ln 2)/2) = sqrt(0.6*2)
@@ -129,6 +130,53 @@ class TestLehmerMean:
     def test_all_zero_denominator_rejected(self):
         with pytest.raises(DomainError):
             lehmer_mean([0.0, 0.0], 2.0)
+
+
+class TestMeanCurve:
+    @given(
+        family=st.sampled_from(["holder", "lehmer"]),
+        values=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=12),
+        weighted=st.booleans(),
+        alphas=st.lists(st.one_of(
+            st.floats(-40.0, 40.0),
+            st.sampled_from([0.0, 1e-10, -1e-10, 0.5, 1.0, -1.0, 2.0, 30.5, -30.5,
+                             math.inf, -math.inf, math.nan]),
+        ), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_alpha_reference(self, family, values, weighted, alphas, data):
+        # An all-zero series has no extreme to factor out of |alpha| > 30.
+        assume(any(values) or all(abs(a) <= 30.0 or not math.isfinite(a) for a in alphas))
+        weights = None
+        if weighted:
+            weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(values),
+                                         max_size=len(values)))
+
+        def outcome(means):
+            try:
+                return means(values, alphas, family, weights)
+            except DomainError as exc:
+                return str(exc)
+
+        assert outcome(mean_curve) == outcome(reference_means)
+
+    def test_error_names_first_failing_alpha(self):
+        with pytest.raises(DomainError, match="exponent 0.5$"):
+            mean_curve([0.0, 2.0], [2.0, 1.0, 0.5, -1.0], "lehmer")
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError):
+            mean_curve(PAIR, [1.0], "stolarsky")
+
+    @pytest.mark.parametrize("mean, expected", [
+        (holder_mean, 1e-300 * 2.0 ** 0.001),
+        (lehmer_mean, 1e-300),
+    ])
+    def test_extreme_spread_rescale_leaks_no_warning(self, mean, expected):
+        # x / min overflows to inf for 1e300, whose -1000th power is 0;
+        # a leaked overflow warning fails under the suite's warning filter.
+        assert mean([1e300, 1e-300], -1000.0) == pytest.approx(expected, rel=1e-15)
 
 
 class TestVWeights:
