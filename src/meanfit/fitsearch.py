@@ -304,8 +304,14 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     with np.errstate(all="ignore"):
         w = hist.counts[usable] * np.array([k.weights(x) for k in kernels])
         empirical = hist.counts / (hist.total * hist.widths)
-    keep = w > 0.0
-    w = np.where(keep, w, 0.0)
+        keep = w > 0.0
+        dropped_bins = hist.nbins - np.count_nonzero(keep, axis=1)
+        if dropped_bins.any():
+            w = np.where(keep, w, 0.0)
+            row_keep = keep
+        else:
+            row_keep = None
+        wsum = w.sum(axis=1)
     kernel_checks = (
         (~keep.any(axis=1), lambda j: EmptyDataError("every histogram bin was dropped")),
         (~np.isfinite(w).all(axis=1),
@@ -321,7 +327,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             failures.update(((i, j), exc) for j in range(len(kernels)))
             continue
         theta_hat[i], mse[i], loglik[i], row_failures = _fit_row(
-            row_model, x, w, keep, kernel_checks, centers, empirical)
+            row_model, x, w, wsum, row_keep, kernel_checks, centers, empirical)
         failures.update(((i, j), exc) for j, exc in row_failures)
     return FitSurface(
         model=model.name,
@@ -331,13 +337,19 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         theta_hat=theta_hat,
         mse=mse,
         loglik=loglik,
-        dropped_bins=hist.nbins - np.count_nonzero(keep, axis=1),
+        dropped_bins=dropped_bins,
         failures=failures,
     )
 
 
-def _fit_row(model: FamilyModel, x, w, keep, kernel_checks, centers, empirical):
+def _fit_row(model: FamilyModel, x, w, wsum, keep, kernel_checks, centers, empirical):
     """One shape row of ``fit_surface``: every kernel row of ``w`` at once.
+
+    ``keep`` is None when every kernel keeps every bin; otherwise the
+    row dots mask out the dropped bins.  When every center is positive,
+    ``x`` is every center, all in the support, and the log-likelihood and
+    the fitted density share ``T(x)``, ``a(x)`` and ``eta T(x)``.  Each
+    point's arithmetic is the same in every case.
 
     Returns theta, MSE and log-likelihood per kernel (NaN where failed) and
     the ``(column, exception)`` failures, checked in ``fit_histogram``'s
@@ -347,18 +359,25 @@ def _fit_row(model: FamilyModel, x, w, keep, kernel_checks, centers, empirical):
     """
     with np.errstate(all="ignore"):
         t = model.suff_stat(x)
-        m = _row_dots(w, np.where(keep, t, 0.0)) / w.sum(axis=1)
+        m = _row_dots(w, t[None] if keep is None else np.where(keep, t, 0.0)) / wsum
         theta = np.asarray(model.mean_inverse(m), dtype=float)
         eta = np.asarray(model.natural_param(theta), dtype=float)[:, None]
         h = np.asarray(model.log_normalizer(theta), dtype=float)[:, None]
-        per_point = np.log(model.base_measure(x)) + eta * t - h
-        loglik = _row_dots(w, np.where(keep, per_point, 0.0))
-        # Every kept center is positive, hence in the support: mse_score's
-        # empty-support error cannot occur once a bin is kept.
-        support = in_support(model, centers)
-        xs = centers[support]
-        fitted = model.base_measure(xs) * np.exp(eta * model.suff_stat(xs) - h)
-        mse = ((empirical[support] - fitted) ** 2).sum(axis=1) / xs.size
+        if x.size == centers.size:     # every center is positive
+            base = model.base_measure(x)
+            et = eta * t
+            per_point = np.log(base) + et - h
+            fitted = base * np.exp(et - h)
+        else:
+            per_point = np.log(model.base_measure(x)) + eta * t - h
+            # Every kept center is positive, hence in the support: mse_score's
+            # empty-support error cannot occur once a bin is kept.
+            support = in_support(model, centers)
+            xs = centers[support]
+            fitted = model.base_measure(xs) * np.exp(eta * model.suff_stat(xs) - h)
+            empirical = empirical[support]
+        loglik = _row_dots(w, per_point if keep is None else np.where(keep, per_point, 0.0))
+        mse = ((empirical - fitted) ** 2).sum(axis=1) / fitted.shape[1]
         lo, hi = model.theta_domain
         bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
     name = model.name
@@ -374,18 +393,21 @@ def _fit_row(model: FamilyModel, x, w, keep, kernel_checks, centers, empirical):
         (~np.isfinite(mse), lambda j: DomainError(
             f"{name}: MSE {float(mse[j])!r} at theta={float(theta[j])!r} is not finite")),
     )
-    failures = {}
-    for failed, error in checks:
-        for j in np.flatnonzero(failed):
-            failures.setdefault(int(j), error(j))   # the first failed check wins
     failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if not failed.any():
+        return theta, mse, loglik, []
+    failures = {}
+    for mask, error in checks:
+        for j in np.flatnonzero(mask):
+            failures.setdefault(int(j), error(j))   # the first failed check wins
     return (np.where(failed, np.nan, theta), np.where(failed, np.nan, mse),
             np.where(failed, np.nan, loglik), sorted(failures.items()))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a[k] @ b[k] per row, through the BLAS dot that the scalar path's
-    # ``weights @ values`` uses, so both sum in the same order.
+    # a[k] @ b[k] per row (b may be one row, shared by every row of a),
+    # through the BLAS dot that the scalar path's ``weights @ values`` uses,
+    # so both sum in the same order.
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 

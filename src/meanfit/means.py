@@ -41,6 +41,8 @@ GEOMETRIC_CUTOFF = 1e-9
 # rounding when overflow is actually in reach.
 _RESCALE_ALPHA = 30.0
 _RESCALE_SPREAD = 1e6
+# A plain power sum below the smallest normal double has lost precision.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _as_values(values) -> np.ndarray:
@@ -77,15 +79,6 @@ def _reject_zeros(xmin: float, alpha: float) -> None:
         raise DomainError(f"zero values are not admitted for exponent {alpha}")
 
 
-def _anchor(xmin: float, xmax: float, alpha: float) -> float | None:
-    """Extreme value to factor out of the power sums, or None for the plain path."""
-    if abs(alpha) <= _RESCALE_ALPHA:
-        return None
-    if xmin > 0.0 and xmax / xmin <= _RESCALE_SPREAD:
-        return None
-    return xmax if alpha > 0.0 else xmin
-
-
 class _PowerSums:
     """Weighted power sums ``sum w (x / anchor)^p`` of one validated series,
     each computed once per exponent and anchor."""
@@ -101,14 +94,33 @@ class _PowerSums:
     def __call__(self, p: float, anchor: float | None) -> float:
         key = (p, anchor)
         if key not in self._sums:
-            if anchor is None:
-                self._sums[key] = np.power(self.xs, p) @ self.ws
-            else:
-                # Anchored at the minimum for a negative exponent, x / anchor
-                # may overflow to inf, whose power is then exactly 0.
-                with np.errstate(over="ignore"):
-                    self._sums[key] = np.power(self.xs / anchor, p) @ self.ws
+            # A plain power may overflow; anchored at the minimum for a
+            # negative exponent, x / anchor may overflow to inf, whose power
+            # is then exactly 0.
+            with np.errstate(over="ignore"):
+                scaled = self.xs if anchor is None else self.xs / anchor
+                self._sums[key] = np.power(scaled, p) @ self.ws
         return self._sums[key]
+
+    def anchored(self, exponents, steering: float) -> tuple[float | None, list]:
+        """The sums at ``exponents`` over one shared anchor, None for plain sums.
+
+        The extreme value that dominates at exponent ``steering`` (the
+        maximum for a positive one, the minimum otherwise) is factored out
+        up front when ``|steering| > 30`` and the spread exceeds 1e6, and
+        after the fact when a plain sum overflows to inf or underflows below
+        the smallest normal double; its own term is then ``w * 1``.  An
+        all-zero series keeps its plain sums.
+        """
+        extreme = self.xmax if steering > 0.0 else self.xmin
+        up_front = abs(steering) > _RESCALE_ALPHA and not (
+            self.xmin > 0.0 and self.xmax / self.xmin <= _RESCALE_SPREAD)
+        anchor = extreme if up_front and self.xmax > 0.0 else None
+        sums = [self(p, anchor) for p in exponents]
+        if anchor is None and self.xmax > 0.0 and not all(_TINY <= s < math.inf for s in sums):
+            anchor = extreme
+            sums = [self(p, anchor) for p in exponents]
+        return anchor, sums
 
 
 def _holder_at(sums: _PowerSums, a: float) -> float:
@@ -122,8 +134,8 @@ def _holder_at(sums: _PowerSums, a: float) -> float:
         return float(np.exp(np.log(sums.xs) @ sums.ws / sums.wsum))
     if a < 0.0:
         _reject_zeros(sums.xmin, a)
-    anchor = _anchor(sums.xmin, sums.xmax, a)
-    mean = sums(a, anchor) / sums.wsum
+    anchor, (total,) = sums.anchored((a,), a)
+    mean = total / sums.wsum
     if anchor is None:
         return float(mean ** (1.0 / a))
     return float(anchor * mean ** (1.0 / a))
@@ -137,9 +149,7 @@ def _lehmer_at(sums: _PowerSums, a: float) -> float:
         return sums.xmin
     if a < 1.0:
         _reject_zeros(sums.xmin, a)
-    anchor = _anchor(sums.xmin, sums.xmax, a if a >= 1.0 else a - 1.0)
-    num = sums(a, anchor)
-    den = sums(a - 1.0, anchor)
+    anchor, (num, den) = sums.anchored((a, a - 1.0), a if a >= 1.0 else a - 1.0)
     if den == 0.0:
         raise DomainError("Lehmer denominator vanished (all values zero)")
     ratio = num / den

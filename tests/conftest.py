@@ -138,11 +138,14 @@ def loop_best(points, shape_swept):
 def reference_means(values, alphas, family, weights=None):
     """Per-exponent reference for ``mean_curve``: every mean from its own
     power sums, as documented in ``meanfit.means`` (the max/min limits, the
-    geometric branch, no zero where a power of it is infinite, one extreme
-    factored out when ``|exponent| > 30`` and the spread exceeds 1e6).  The
-    first exponent that fails raises its ``DomainError``."""
+    geometric branch, no zero where a power of it is infinite).  One extreme
+    value is factored out of the sums when ``|exponent| > 30`` and the spread
+    exceeds 1e6, or when a plain sum overflows or falls below the smallest
+    normal double while a value is positive; an all-zero series keeps its
+    plain sums.  The first exponent that fails raises its ``DomainError``."""
     xs = np.asarray(values, dtype=float)
     ws = np.ones(xs.size) if weights is None else np.asarray(weights, dtype=float)
+    tiny = np.finfo(float).tiny
     means = []
     for alpha in alphas:
         a = float(alpha)
@@ -161,19 +164,29 @@ def reference_means(values, alphas, family, weights=None):
         if family == "holder" and abs(a) < GEOMETRIC_CUTOFF:
             means.append(float(np.exp(np.log(xs) @ ws / ws.sum())))
             continue
+        exponents = (a,) if family == "holder" else (a, a - 1.0)
         steering = a if family == "holder" or a >= 1.0 else a - 1.0
+        extreme = float(xs.max() if steering > 0.0 else xs.min())
+
+        def power_sums(anchor):
+            with np.errstate(over="ignore"):
+                scaled = xs if anchor is None else xs / anchor
+                return [np.power(scaled, p) @ ws for p in exponents]
+
         anchor = None
-        if abs(steering) > 30.0 and not (xs.min() > 0.0 and xs.max() / xs.min() <= 1e6):
-            anchor = float(xs.max() if steering > 0.0 else xs.min())
-        with np.errstate(over="ignore"):
-            scaled = xs if anchor is None else xs / anchor
-            if family == "holder":
-                mean = (np.power(scaled, a) @ ws / ws.sum()) ** (1.0 / a)
-            else:
-                den = np.power(scaled, a - 1.0) @ ws
-                if den == 0.0:
-                    raise DomainError("Lehmer denominator vanished (all values zero)")
-                mean = (np.power(scaled, a) @ ws) / den
+        if xs.max() > 0.0 and abs(steering) > 30.0 \
+                and not (xs.min() > 0.0 and xs.max() / xs.min() <= 1e6):
+            anchor = extreme
+        sums = power_sums(anchor)
+        if anchor is None and xs.max() > 0.0 and not all(tiny <= s < math.inf for s in sums):
+            anchor = extreme
+            sums = power_sums(anchor)
+        if family == "holder":
+            mean = (sums[0] / ws.sum()) ** (1.0 / a)
+        else:
+            if sums[1] == 0.0:
+                raise DomainError("Lehmer denominator vanished (all values zero)")
+            mean = sums[0] / sums[1]
         means.append(float(mean if anchor is None else anchor * mean))
     return means
 

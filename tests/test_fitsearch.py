@@ -29,7 +29,7 @@ from meanfit import (
 )
 from meanfit import fitsearch
 
-from conftest import dct_like_histogram, desk_models, loop_best, loop_points
+from conftest import dct_like_histogram, desk_models, loop_best, loop_points, model_ids
 
 EXPO = catalog("exponential")
 
@@ -408,9 +408,31 @@ def surface_cases(draw):
     return model, hist, kernels, shapes
 
 
+def assert_matches_loop_and_messages(model, hist, kernels, shapes=None):
+    """``assert_matches_loop`` plus the same failure messages; the surface."""
+    surface = fit_surface(model, hist, kernels, shapes)
+    points = loop_points(model, hist, kernels, shapes)
+    assert_matches_loop(surface, points)
+    assert {key: (type(exc), str(exc)) for key, exc in surface.failures.items()} == {
+        key: (type(exc), str(exc)) for key, exc in points.items() if isinstance(exc, Exception)}
+    return surface
+
+
+# Every one of its 80 counts is positive.
+KEPT_HIST = dct_like_histogram(np.random.default_rng(1))
+# x^-400 overflows below x = 1, so the first kernel fails on every row while
+# the others fit.
+MIXED_KERNELS = [WeightKernel.power(b) for b in (-400.0, -1.0, 0.0, 0.5, 2.0)] + [
+    WeightKernel.unit(), WeightKernel.log_shift()]
+
+
+def shapes_of(model):
+    return (0.5, 1.7) if "alpha" in model.hyper else None
+
+
 class TestFitSurface:
     @given(case=surface_cases())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_scalar_loop(self, case):
         model, hist, kernels, shapes = case
         surface = fit_surface(model, hist, kernels, shapes)
@@ -427,6 +449,41 @@ class TestFitSurface:
         got = surface.best()
         if (got.alpha, got.beta, got.kernel) != (want.alpha, want.beta, want.kernel):
             assert close(got.mse, want.mse)
+
+    @pytest.mark.parametrize("model", desk_models(), ids=model_ids())
+    def test_every_bin_kept_matches_loop(self, model):
+        surface = assert_matches_loop_and_messages(model, KEPT_HIST, MIXED_KERNELS, shapes_of(model))
+        assert not surface.dropped_bins.any()
+        assert sorted(surface.failures) == [(i, 0) for i in range(len(surface.alphas))]
+
+    @pytest.mark.parametrize("model", desk_models(), ids=model_ids())
+    @pytest.mark.parametrize("drop", ["zero count", "beta 400", "negative centers"])
+    def test_dropped_bins_match_loop(self, model, drop):
+        hist, kernels = KEPT_HIST, MIXED_KERNELS
+        if drop == "zero count":
+            counts = hist.counts.copy()
+            counts[3] = 0.0
+            hist = Histogram(hist.edges, counts)
+        elif drop == "beta 400":
+            # x^400 underflows to 0 at the two smallest centers
+            kernels = kernels + [WeightKernel.power(400.0)]
+        else:
+            # the first two centers are negative, outside every support
+            hist = Histogram(hist.edges - hist.edges[2], hist.counts)
+        surface = assert_matches_loop_and_messages(model, hist, kernels, shapes_of(model))
+        assert surface.dropped_bins.any()
+        assert all((i, 0) in surface.failures for i in range(len(surface.alphas)))
+
+    def test_row_mixing_failed_checks_matches_loop(self):
+        # At shape 0.25 the first kernel fails its weight check, the next six
+        # give a -inf log-likelihood and x^400 fits.
+        model = catalog("gen-gamma", alpha=1.0, b=40.0)
+        kernels = MIXED_KERNELS + [WeightKernel.power(400.0)]
+        surface = assert_matches_loop_and_messages(model, KEPT_HIST, kernels, [0.25, 1.7])
+        row = [surface.failures.get((0, j)) for j in range(len(kernels))]
+        assert "weights" in str(row[0])
+        assert all("log-likelihood" in str(exc) for exc in row[1:-1])
+        assert row[-1] is None
 
     def test_catalog_overflow_fails_rows_instead_of_aborting(self):
         hist = dct_like_histogram(np.random.default_rng(1))

@@ -23,6 +23,28 @@ PAIR = [0.6, 2.0]
 GEOMETRIC_PAIR = math.sqrt(1.2)  # oracle: exp((ln 0.6 + ln 2)/2) = sqrt(0.6*2)
 HARMONIC_PAIR = 2.0 / (1.0 / 0.6 + 1.0 / 2.0)
 
+# alpha * log(x) reaches 7e5 in magnitude at |alpha| = 1000 and x = 1e+-305,
+# so a log-space reference in doubles is good to about 1e-10 only; extended
+# precision, where the platform has it, is good to 1e-13.
+LOG_SPACE_RTOL = 1e-12 if np.finfo(np.longdouble).eps < 1e-18 else 1e-9
+
+
+def log_space_mean(values, weights, alpha, family):
+    """Holder or Lehmer mean from log-sum-exp over ``a log x + log w``."""
+    x = np.asarray(values, dtype=np.longdouble)
+    w = np.asarray(weights, dtype=np.longdouble)
+
+    def log_sum(p):
+        z = p * np.log(x) + np.log(w)
+        top = z.max()
+        return top + np.log(np.exp(z - top).sum())
+
+    if family == "lehmer":
+        return float(np.exp(log_sum(alpha) - log_sum(alpha - 1.0)))
+    if alpha == 0.0:
+        return float(np.exp((w * np.log(x)).sum() / w.sum()))
+    return float(np.exp((log_sum(alpha) - np.log(w.sum())) / alpha))
+
 
 class TestKolmogorovMean:
     def test_constant_series_is_idempotent(self):
@@ -146,8 +168,6 @@ class TestMeanCurve:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_per_alpha_reference(self, family, values, weighted, alphas, data):
-        # An all-zero series has no extreme to factor out of |alpha| > 30.
-        assume(any(values) or all(abs(a) <= 30.0 or not math.isfinite(a) for a in alphas))
         weights = None
         if weighted:
             weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(values),
@@ -176,7 +196,48 @@ class TestMeanCurve:
     def test_extreme_spread_rescale_leaks_no_warning(self, mean, expected):
         # x / min overflows to inf for 1e300, whose -1000th power is 0;
         # a leaked overflow warning fails under the suite's warning filter.
-        assert mean([1e300, 1e-300], -1000.0) == pytest.approx(expected, rel=1e-15)
+        assert mean([1e300, 1e-300], -1000.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("mean, values, alpha, expected", [
+        (holder_mean, [5.0, 6.0], 1000.0, 6.0 * ((1.0 + (5.0 / 6.0) ** 1000) / 2.0) ** 0.001),
+        (lehmer_mean, [1e300, 2e300], 2.0, 5e300 / 3.0),
+        (holder_mean, [1e-200, 2e-200], 2.0, math.sqrt(2.5) * 1e-200),
+        (lehmer_mean, [1e-200, 2e-200], 3.0, 1.8e-200),
+    ])
+    def test_plain_sum_out_of_range_is_rescaled(self, mean, values, alpha, expected):
+        # the plain power sums overflow to inf or underflow to 0; a leaked
+        # overflow warning fails under the suite's warning filter
+        assert mean(values, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_all_zero_series_at_large_exponent(self):
+        assert holder_mean([0.0, 0.0], 40.0) == 0.0
+        with pytest.raises(DomainError, match="Lehmer denominator vanished"):
+            lehmer_mean([0.0, 0.0], 40.0)
+
+    @given(
+        family=st.sampled_from(["holder", "lehmer"]),
+        values=st.lists(st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                                  st.one_of(st.integers(-305, -295), st.integers(-5, 5),
+                                            st.integers(295, 305))),
+                        min_size=1, max_size=12),
+        alphas=st.lists(st.one_of(
+            st.floats(-1000.0, 1000.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-3),
+            st.sampled_from([1000.0, -1000.0, 30.5, -30.5, 2.0, 1.0, 0.5, -1.0]),
+        ), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_values_match_log_space_reference(self, family, values, alphas, data):
+        # Holder exponents in (0, 1e-3) amplify the sum's rounding by 1/alpha.
+        # Weights within [0.1, 10] keep the largest power in a sum above the
+        # smallest normal double within a factor 120 of it, where a
+        # subnormal power still has 13 digits.
+        weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(values),
+                                     max_size=len(values)))
+        got = mean_curve(values, alphas, family, weights)
+        for alpha, mean in zip(alphas, got):
+            want = log_space_mean(values, weights, alpha, family)
+            assert mean == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=0.0), (alpha, mean, want)
 
 
 class TestVWeights:
