@@ -44,7 +44,6 @@ from .ingest import (
     load_pgm,
     load_values_csv,
     save_histogram_csv,
-    save_report_json,
 )
 from .means import (
     GEOMETRIC_CUTOFF,

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import DomainError, EmptyDataError, FormatError, NoSolutionError, SweepError
-from .expfam import MODEL_NAMES, catalog
+from .expfam import HYPERPARAMETERS, MODEL_NAMES, catalog
 from .fitsearch import SweepGrid, compare_kernels, fit_histogram, fit_surface
 from .ingest import block_dct8, build_histogram, format_histogram_csv, \
     load_histogram_csv, load_pgm, load_values_csv
@@ -30,9 +30,6 @@ from .means import holder_mean, kolmogorov_mean, lehmer_mean, mean_curve, v_weig
 from .wmle import WeightKernel
 
 __all__ = ["build_parser", "main"]
-
-_SHAPELESS = ("exponential", "std-lognormal", "half-normal")
-
 
 class _UsageError(Exception):
     """Post-parse invocation problem; reported like an argparse error."""
@@ -90,28 +87,27 @@ def _range_type(text: str) -> tuple[float, float]:
 
 
 def _build_model(name: str, shape_text: str | None):
-    """Instantiate a catalog model from the --shape flag (defaults to 1)."""
-    if name in _SHAPELESS:
+    """Instantiate a catalog model from the --shape flag: one comma-separated
+    value per hyperparameter of the model, each defaulting to 1."""
+    keys = HYPERPARAMETERS[name]
+    if not keys:
         if shape_text:
             raise _UsageError(f"{name} takes no --shape")
         return catalog(name)
-    if name == "gen-gamma":
-        parts = (shape_text or "1").split(",")
-        if len(parts) not in (1, 2):
-            raise _UsageError("gen-gamma --shape must be ALPHA or ALPHA,B")
-        try:
-            alpha = float(parts[0])
-            b = float(parts[1]) if len(parts) == 2 else 1.0
-        except ValueError:
-            raise _UsageError(f"bad --shape {shape_text!r}") from None
-        return catalog("gen-gamma", alpha=alpha, b=b)
+    parts = (shape_text or "1").split(",")
+    if len(parts) > len(keys) > 1:
+        forms = " or ".join(",".join(keys[:n]).upper() for n in range(1, len(keys) + 1))
+        raise _UsageError(f"{name} --shape must be {forms}")
     try:
-        value = float(shape_text) if shape_text else 1.0
+        values = parts + ["1"] * (len(keys) - len(parts))
+        hyper = {key: float(value) for key, value in zip(keys, values, strict=True)}
     except ValueError:
         raise _UsageError(f"bad --shape {shape_text!r}") from None
-    if name in ("weibull", "gen-half-normal"):
-        return catalog(name, alpha=value)
-    return catalog(name, k=value)
+    return catalog(name, **hyper)
+
+
+def _report_json(report) -> str:
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False)
 
 
 def _cmd_mean(args) -> int:
@@ -143,7 +139,7 @@ def _cmd_fit(args) -> int:
     model = _build_model(args.model, args.shape)
     hist = load_histogram_csv(args.input)
     report = fit_histogram(model, hist, args.kernel)
-    payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    payload = _report_json(report)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="ascii")
     else:
@@ -170,7 +166,7 @@ def _cmd_sweep(args) -> int:
         "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile()),
         encoding="ascii",
     )
-    print(json.dumps(best.to_dict(), indent=2, allow_nan=False))
+    print(_report_json(best))
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError, SweepError
 from .expfam import FamilyModel, catalog, in_support, pdf, _checked_theta
-from .wmle import WeightKernel, WeightedSeries, mle_closed_form
+from .wmle import WeightKernel, WeightedSeries, apply_kernel, mle_closed_form
 
 __all__ = [
     "FitReport",
@@ -147,17 +147,12 @@ def histogram_to_series(hist: Histogram, kernel: WeightKernel) -> tuple[Weighted
     Bins with non-positive centers, zero counts, or zero kernel weight are
     dropped; the dropped-bin count is returned with the series.
     """
-    centers = hist.centers
-    counts = hist.counts
-    usable = centers > 0.0
-    combined = np.zeros_like(counts)
-    if usable.any():
-        combined[usable] = counts[usable] * kernel.weights(centers[usable])
-    keep = usable & (combined > 0.0)
-    dropped = int(hist.nbins - np.count_nonzero(keep))
-    if not keep.any():
-        raise EmptyDataError("every histogram bin was dropped")
-    return WeightedSeries(centers[keep], combined[keep]), dropped
+    positive = hist.centers > 0.0
+    try:
+        series, dropped = apply_kernel(hist.centers[positive], kernel, hist.counts[positive])
+    except EmptyDataError:
+        raise EmptyDataError("every histogram bin was dropped") from None
+    return series, dropped + int(hist.nbins - np.count_nonzero(positive))
 
 
 def mse_score(model: FamilyModel, theta, hist: Histogram) -> float:
@@ -297,20 +292,26 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         alphas = tuple(shapes.tolist())
         fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
 
-    # Kernel weights as in histogram_to_series, one row per kernel.
+    # Kernel weights as in histogram_to_series, one row per kernel.  The bins
+    # that every kernel drops are left out here, so that a kernel keeping all
+    # the others sums the same bins as the scalar ``weights @ values``.
     centers = hist.centers
-    usable = centers > 0.0
-    x = centers[usable]
+    positive = centers > 0.0
+    x = centers[positive]
     with np.errstate(all="ignore"):
-        w = hist.counts[usable] * np.array([k.weights(x) for k in kernels])
+        w = hist.counts[positive] * np.array([k.weights(x) for k in kernels])
         empirical = hist.counts / (hist.total * hist.widths)
         keep = w > 0.0
         dropped_bins = hist.nbins - np.count_nonzero(keep, axis=1)
-        if dropped_bins.any():
+        # compress, not w[:, used], which is strided: a strided row sums in
+        # another order than the scalar path's contiguous one.
+        used = keep.any(axis=0)
+        x, w, keep = x[used], np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
+        if keep.all():
+            row_keep = None
+        else:
             w = np.where(keep, w, 0.0)
             row_keep = keep
-        else:
-            row_keep = None
         wsum = w.sum(axis=1)
     kernel_checks = (
         (~keep.any(axis=1), lambda j: EmptyDataError("every histogram bin was dropped")),
@@ -345,11 +346,9 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
 def _fit_row(model: FamilyModel, x, w, wsum, keep, kernel_checks, centers, empirical):
     """One shape row of ``fit_surface``: every kernel row of ``w`` at once.
 
-    ``keep`` is None when every kernel keeps every bin; otherwise the
-    row dots mask out the dropped bins.  When every center is positive,
-    ``x`` is every center, all in the support, and the log-likelihood and
-    the fitted density share ``T(x)``, ``a(x)`` and ``eta T(x)``.  Each
-    point's arithmetic is the same in every case.
+    ``keep`` is None when every kernel keeps every bin of ``x``; otherwise
+    the row dots mask out the dropped bins.  The log-likelihood terms and
+    the fitted density come from ``model.log_pdf``, as on the scalar path.
 
     Returns theta, MSE and log-likelihood per kernel (NaN where failed) and
     the ``(column, exception)`` failures, checked in ``fit_histogram``'s
@@ -360,24 +359,18 @@ def _fit_row(model: FamilyModel, x, w, wsum, keep, kernel_checks, centers, empir
     with np.errstate(all="ignore"):
         t = model.suff_stat(x)
         m = _row_dots(w, t[None] if keep is None else np.where(keep, t, 0.0)) / wsum
-        theta = np.asarray(model.mean_inverse(m), dtype=float)
-        eta = np.asarray(model.natural_param(theta), dtype=float)[:, None]
-        h = np.asarray(model.log_normalizer(theta), dtype=float)[:, None]
-        if x.size == centers.size:     # every center is positive
-            base = model.base_measure(x)
-            et = eta * t
-            per_point = np.log(base) + et - h
-            fitted = base * np.exp(et - h)
-        else:
-            per_point = np.log(model.base_measure(x)) + eta * t - h
-            # Every kept center is positive, hence in the support: mse_score's
-            # empty-support error cannot occur once a bin is kept.
-            support = in_support(model, centers)
-            xs = centers[support]
-            fitted = model.base_measure(xs) * np.exp(eta * model.suff_stat(xs) - h)
-            empirical = empirical[support]
+        theta = model.mean_inverse(m)
+        # Every center of x is positive, hence in the support: x is a subset
+        # of xs, and mse_score's empty-support error cannot occur once a bin
+        # is kept.
+        support = in_support(model, centers)
+        xs = centers[support]
+        log_f = model.log_pdf(theta[:, None], xs)
+        # np.take keeps the rows contiguous, so the row dots sum in order.
+        per_point = log_f if x.size == xs.size else np.take(log_f, np.searchsorted(xs, x), axis=1)
         loglik = _row_dots(w, per_point if keep is None else np.where(keep, per_point, 0.0))
-        mse = ((empirical - fitted) ** 2).sum(axis=1) / fitted.shape[1]
+        fitted = np.exp(log_f)
+        mse = ((empirical[support] - fitted) ** 2).sum(axis=1) / fitted.shape[1]
         lo, hi = model.theta_domain
         bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
     name = model.name

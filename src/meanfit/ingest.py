@@ -1,10 +1,9 @@
-"""File ingestion and serialization: value/histogram CSV, report JSON, binary
-PGM images, 8x8 block DCT extraction, and histogram construction."""
+"""File ingestion and serialization: value/histogram CSV, binary PGM images,
+8x8 block DCT extraction, and histogram construction."""
 
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, FormatError
-from .fitsearch import FitReport, Histogram
+from .fitsearch import Histogram
 
 __all__ = [
     "CoefficientSet",
@@ -26,7 +25,6 @@ __all__ = [
     "load_pgm",
     "load_values_csv",
     "save_histogram_csv",
-    "save_report_json",
 ]
 
 
@@ -197,13 +195,6 @@ def save_histogram_csv(hist: Histogram, path) -> None:
     Path(path).write_text(format_histogram_csv(hist), encoding="ascii")
 
 
-def save_report_json(report: FitReport, path) -> None:
-    """Serialize a fit report as a flat JSON object (missing sweeps are null)."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
@@ -265,20 +256,25 @@ def _dct_matrix() -> np.ndarray:
 _DCT8 = _dct_matrix()
 
 
-def dct8(block) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of one 8x8 block.
+def _dct_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DCT-II of a stack of 8x8 blocks.
 
-    The block mean is removed before the transform and its DC contribution
-    (8 * mean) is restored afterwards, so constant blocks produce exactly
-    zero AC coefficients instead of rounding noise.
+    Each block's mean is removed before the transform and its DC
+    contribution (8 * mean) is restored afterwards, so constant blocks
+    produce exactly zero AC coefficients instead of rounding noise.
     """
+    means = blocks.mean(axis=(1, 2), keepdims=True)
+    spectra = _DCT8 @ (blocks - means) @ _DCT8.T
+    spectra[:, 0, 0] += 8.0 * means[:, 0, 0]
+    return spectra
+
+
+def dct8(block) -> np.ndarray:
+    """Orthonormal 2-D DCT-II of one 8x8 block (see ``_dct_blocks``)."""
     arr = np.asarray(block, dtype=float)
     if arr.shape != (8, 8):
         raise DomainError("dct8 expects an 8x8 block")
-    mean = arr.mean()
-    out = _DCT8 @ (arr - mean) @ _DCT8.T
-    out[0, 0] += 8.0 * mean
-    return out
+    return _dct_blocks(arr[None])[0]
 
 
 def idct8(coeffs) -> np.ndarray:
@@ -302,10 +298,7 @@ def block_dct8(img: GrayImage, exclude_dc: bool = False) -> CoefficientSet:
         raise DomainError("image smaller than one 8x8 block")
     px = img.pixels[:h8, :w8].astype(float)
     blocks = px.reshape(h8 // 8, 8, w8 // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    means = blocks.mean(axis=(1, 2), keepdims=True)
-    spectra = _DCT8 @ (blocks - means) @ _DCT8.T
-    spectra[:, 0, 0] += 8.0 * means[:, 0, 0]
-    coeffs = np.abs(spectra).reshape(-1, 64)
+    coeffs = np.abs(_dct_blocks(blocks)).reshape(-1, 64)
     if exclude_dc:
         coeffs = coeffs[:, 1:]
     return CoefficientSet(values=coeffs.reshape(-1).copy(), dc_excluded=exclude_dc)

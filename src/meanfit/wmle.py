@@ -156,12 +156,7 @@ def weighted_loglik(model: FamilyModel, theta, data: WeightedSeries) -> float:
     """Weighted log-likelihood sum u (ln a + eta(theta) T - H(theta))."""
     th = _checked_theta(model, theta)
     _check_support(model, data.values)
-    per_point = (
-        np.log(model.base_measure(data.values))
-        + model.natural_param(th) * model.suff_stat(data.values)
-        - model.log_normalizer(th)
-    )
-    return float(data.weights @ per_point)
+    return float(data.weights @ model.log_pdf(th, data.values))
 
 
 def sufficient_mean(model: FamilyModel, data: WeightedSeries) -> float:
@@ -174,22 +169,18 @@ def mle_closed_form(model: FamilyModel, data: WeightedSeries) -> MleResult:
     """Closed-form weighted MLE: invert the mean function at the data mean.
 
     At the maximizer the second derivative of the weighted log-likelihood
-    reduces to ``-eta'(theta) * r'(theta) * sum(u)`` (with ``r`` the mean
-    function, so ``eta' * r' = eta'^2 * Var[T]``), hence it is negative
-    whenever the estimate exists.  A non-finite log-likelihood raises
-    ``DomainError``.
+    reduces to ``-eta'(theta) * r'(theta) * sum(u) = -q h sum(u) / theta^2``
+    (with ``r`` the mean function, so ``eta' * r' = eta'^2 * Var[T]``), hence
+    it is negative whenever the estimate exists.  A non-finite
+    log-likelihood raises ``DomainError``.
     """
     m = sufficient_mean(model, data)
     theta = stat_mean_inverse(model, m)
     loglik = weighted_loglik(model, theta, data)
     if not math.isfinite(loglik):
         raise DomainError(f"{model.name}: log-likelihood {loglik!r} at theta={theta!r} is not finite")
-    th = np.float64(theta)   # overflows to inf like the array form, never raises
-    curvature = (
-        -float(model.natural_param_deriv(th))
-        * float(model.mean_deriv(th))
-        * data.total_weight
-    )
+    # A numpy scalar, so that theta^-2 overflows to inf instead of raising.
+    curvature = float(-model.q * model.h * data.total_weight * np.power(np.float64(theta), -2.0))
     return MleResult(theta_hat=theta, loglik=loglik, curvature=curvature)
 
 

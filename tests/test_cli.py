@@ -171,9 +171,12 @@ class TestFit:
         assert code == 0
         assert out == ""
         report = json.loads(out_path.read_text())
+        assert list(report) == ["model", "kernel", "beta", "alpha", "theta_hat", "mse", "loglik",
+                                "dropped_bins"]
         assert abs(report["theta_hat"] - 2.0) / 2.0 < 0.05
         assert report["kernel"] == "unit"
         assert report["beta"] is None
+        assert report["alpha"] is None
 
     def test_power_zero_matches_unit(self, run, expo_hist_csv):
         code1, out1, _ = run(
@@ -222,12 +225,13 @@ class TestFit:
         assert code == 2
 
     def test_nonfinite_fit_is_one_error_line(self, run, tmp_path):
-        path = tmp_path / "dct.csv"
-        save_histogram_csv(dct_like_histogram(np.random.default_rng(1)), path)
+        # x^2 is 2.25e-310 at the bin center, so 1 / x^2 and theta overflow
+        path = tmp_path / "tiny.csv"
+        path.write_text("1e-155,2e-155,1\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(
-                "fit", "--model", "gamma", "--shape", "150", "--kernel", "unit",
+                "fit", "--model", "weibull", "--shape", "2", "--kernel", "unit",
                 "--input", str(path),
             )
         assert code == 1

@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -27,7 +28,7 @@ class TestCatalog:
         assert m.suff_stat(2.0) == -2.0
         assert m.natural_param(3.0) == 3.0
         assert m.log_normalizer(2.0) == pytest.approx(-math.log(2.0))
-        assert m.base_measure(5.0) == 1.0
+        assert (m.p, m.q, m.s, m.h, m.d, m.c0) == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
 
     def test_weibull_row(self):
         m = catalog("weibull", alpha=2.0)
@@ -104,13 +105,30 @@ class TestCatalog:
         assert mle_closed_form(g1, series).theta_hat == mle_closed_form(expo, series).theta_hat
 
     @pytest.mark.parametrize("name, hyper, label", [
-        ("gamma", {"k": 200.0}, "k"),
-        ("inv-gamma", {"k": 200.0}, "k"),
-        ("gen-gamma", {"alpha": 0.5, "b": 100.0}, "b/alpha"),
+        ("gamma", {"k": 1e308}, "k"),
+        ("inv-gamma", {"k": 1e308}, "k"),
+        ("gen-gamma", {"alpha": 1e-300, "b": 1e300}, "b/alpha"),
     ])
     def test_gamma_function_overflow_is_domain_error(self, name, hyper, label):
+        # ln Gamma overflows a double past about 2.6e305, and b/alpha is inf
         with pytest.raises(DomainError, match=f"{label}="):
             catalog(name, **hyper)
+
+    @pytest.mark.parametrize("name, hyper, reference", [
+        ("gamma", {"k": 200.0}, lambda th: stats.gamma(200.0, scale=1.0 / th)),
+        ("inv-gamma", {"k": 200.0}, lambda th: stats.invgamma(200.0, scale=th)),
+        ("gen-gamma", {"alpha": 0.5, "b": 100.0},
+         lambda th: stats.gengamma(200.0, 0.5, scale=1.0 / th)),
+    ])
+    def test_large_gamma_orders_match_scipy_logpdf(self, name, hyper, reference):
+        # Gamma(200) overflows a double; the log-space normalizer does not
+        model = catalog(name, **hyper)
+        for theta in (0.5, 2.0):
+            xs = reference(theta).ppf(np.linspace(0.01, 0.99, 25))
+            np.testing.assert_allclose(model.log_pdf(theta, xs), reference(theta).logpdf(xs),
+                                       rtol=1e-11)
+            np.testing.assert_allclose(pdf(model, theta, xs), reference(theta).pdf(xs),
+                                       rtol=1e-10)
 
     def test_theta_functions_take_arrays(self):
         thetas = np.array([0.5, 2.0])

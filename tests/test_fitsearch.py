@@ -12,6 +12,7 @@ from meanfit import (
     DomainError,
     EmptyDataError,
     Histogram,
+    NoSolutionError,
     SweepError,
     SweepGrid,
     WeightKernel,
@@ -22,6 +23,7 @@ from meanfit import (
     fit_histogram,
     fit_surface,
     histogram_to_series,
+    mle_numeric,
     mse_score,
     pdf,
     sweep_beta,
@@ -475,36 +477,49 @@ class TestFitSurface:
         assert all((i, 0) in surface.failures for i in range(len(surface.alphas)))
 
     def test_row_mixing_failed_checks_matches_loop(self):
-        # At shape 0.25 the first kernel fails its weight check, the next six
-        # give a -inf log-likelihood and x^400 fits.
+        # At shape 1.7, x^-400 fails the weight check, the statistic of x^404
+        # overflows to -inf (no solution) and x^2 fits.
         model = catalog("gen-gamma", alpha=1.0, b=40.0)
-        kernels = MIXED_KERNELS + [WeightKernel.power(400.0)]
-        surface = assert_matches_loop_and_messages(model, KEPT_HIST, kernels, [0.25, 1.7])
+        kernels = [WeightKernel.power(b) for b in (-400.0, 404.0, 2.0)]
+        surface = assert_matches_loop_and_messages(model, KEPT_HIST, kernels, [1.7, 0.25])
         row = [surface.failures.get((0, j)) for j in range(len(kernels))]
         assert "weights" in str(row[0])
-        assert all("log-likelihood" in str(exc) for exc in row[1:-1])
-        assert row[-1] is None
+        assert isinstance(row[1], NoSolutionError)
+        assert row[2] is None
+
+    @pytest.mark.parametrize("seed", [26, 297])
+    def test_small_shape_matches_loop_exactly(self, seed):
+        # The surface sums the same kept bins, in the same order, as the
+        # scalar path: these log-likelihoods were 1.2e-12 and 7.6e-11 apart
+        # while the surface summed zero-count bins too.
+        hist = dct_like_histogram(np.random.default_rng(seed), n=2000, bins=60)
+        assert not hist.counts.all()
+        assert_matches_loop_and_messages(catalog("gen-gamma", alpha=1.5, b=2.2), hist,
+                                         [WeightKernel.unit()], [0.05])
 
     def test_catalog_overflow_fails_rows_instead_of_aborting(self):
+        # b/alpha >= 3.3e305 overflows ln Gamma at every shape of the grid
         hist = dct_like_histogram(np.random.default_rng(1))
-        model = catalog("gen-gamma", alpha=2.0, b=200.0)
+        model = catalog("gen-gamma", alpha=2.0, b=1e300)
+        grid = SweepGrid(1e-6, 3e-6, 1e-6)
         with pytest.raises(SweepError) as excinfo:
-            sweep_shape(model, hist, SweepGrid(0.5, 2.0, 0.5))
+            sweep_shape(model, hist, grid)
         causes = excinfo.value.causes
-        assert [key for key, _ in causes] == [(0.5, None), (1.0, None), (1.5, None), (2.0, None)]
+        assert [key for key, _ in causes] == [(alpha, None) for alpha in grid.points()]
         assert all(isinstance(exc, DomainError) for _, exc in causes)
         assert "b/alpha" in str(causes[0][1])
 
     def test_first_point_nonfinite_later_point_wins(self):
-        # alpha 0.25 gives a NaN MSE and a -inf log-likelihood; a failure
-        # must never be reported, nor block the finite points after it
-        hist = dct_like_histogram(np.random.default_rng(1))
+        # At shape 1.7 the statistic of x^404 is -inf and x^-400 fails the
+        # weight check; a failure must never be reported, nor block the
+        # finite point after them
         model = catalog("gen-gamma", alpha=1.0, b=40.0)
-        grid = SweepGrid(0.25, 1.25, 0.5)
-        surface = fit_surface(model, hist, [WeightKernel.unit()], grid.points())
-        assert isinstance(surface.failures[(0, 0)], DomainError)
-        best = sweep_shape(model, hist, grid)
-        assert best.alpha == 0.75
+        kernels = [WeightKernel.power(b) for b in (404.0, -400.0, 2.0)]
+        surface = fit_surface(model, KEPT_HIST, kernels, [1.7])
+        assert isinstance(surface.failures[(0, 0)], NoSolutionError)
+        assert isinstance(surface.failures[(0, 1)], DomainError)
+        best = surface.best()
+        assert (best.alpha, best.beta) == (1.7, 2.0)
         assert math.isfinite(best.mse) and math.isfinite(best.loglik)
 
     def test_profile_is_per_beta_minimum_over_shapes(self, rng):
@@ -534,10 +549,17 @@ class TestFitSurface:
 
 
 class TestNonFiniteFits:
-    def test_gamma_150_fit_raises_domain_error(self):
+    def test_gamma_150_fit_matches_mle_numeric(self):
+        # x^149 / Gamma(150) underflows to 0; its logarithm does not
         hist = dct_like_histogram(np.random.default_rng(1))
-        with pytest.raises(DomainError, match="not finite"):
-            fit_histogram(catalog("gamma", k=150), hist, WeightKernel.unit())
+        model = catalog("gamma", k=150)
+        report = fit_histogram(model, hist, WeightKernel.unit())
+        assert math.isfinite(report.mse) and math.isfinite(report.loglik)
+        series, _ = histogram_to_series(hist, WeightKernel.unit())
+        numeric = mle_numeric(model, series)
+        assert report.theta_hat == pytest.approx(numeric.theta_hat, rel=1e-7)
+        assert report.loglik == pytest.approx(numeric.loglik, rel=1e-12)
+        assert fit_surface(model, hist, [WeightKernel.unit()]).report(0, 0) == report
 
     @pytest.mark.parametrize("alpha, lo", [(2.0, 1e-155), (0.5, 1e-310)])
     def test_theta_overflow_is_domain_error_on_both_paths(self, alpha, lo):

@@ -25,8 +25,8 @@ from meanfit import (
     load_pgm,
     load_values_csv,
     save_histogram_csv,
-    save_report_json,
 )
+from meanfit.cli import _report_json
 from meanfit.ingest import _scan_values
 
 
@@ -253,13 +253,15 @@ class TestLoaderMatchesLineScanner:
 
 
 class TestReportJson:
+    """The JSON report file the CLI writes for `fit --out` and prints for `sweep`."""
+
     def test_round_trip_with_nulls(self, tmp_path):
         report = FitReport(
             model="exponential", kernel="unit", beta=None, alpha=None,
             theta_hat=0.4129, mse=1.25e-4, loglik=-531.75, dropped_bins=2,
         )
         path = tmp_path / "report.json"
-        save_report_json(report, path)
+        path.write_text(_report_json(report))
         back = json.loads(path.read_text())
         assert back == {
             "model": "exponential", "kernel": "unit", "beta": None, "alpha": None,
@@ -272,7 +274,7 @@ class TestReportJson:
             theta_hat=2.0, mse=0.5, loglik=-1.0, dropped_bins=0,
         )
         path = tmp_path / "report.json"
-        save_report_json(report, path)
+        path.write_text(_report_json(report))
         back = json.loads(path.read_text())
         assert back["beta"] == -0.55
         assert back["alpha"] == 1.3
