@@ -26,7 +26,7 @@ from .expfam import HYPERPARAMETERS, MODEL_NAMES, catalog
 from .fitsearch import SweepGrid, compare_kernels, fit_histogram, fit_surface
 from .ingest import block_dct8, build_histogram, format_histogram_csv, \
     load_histogram_csv, load_pgm, load_values_csv
-from .means import holder_mean, kolmogorov_mean, lehmer_mean, mean_curve, v_weights
+from .means import kolmogorov_mean, mean_curve, v_weights
 from .wmle import WeightKernel
 
 __all__ = ["build_parser", "main"]
@@ -205,13 +205,14 @@ def _cmd_curves(args) -> int:
     if x1 <= 0.0 or x2 <= 0.0:
         raise DomainError("both pair values must be positive")
     pair = [x1, x2]
-    print("alpha,holder,lehmer,vh_x1,vl_x1,vh_x2,vl_x2")
-    for alpha in args.alpha_grid.points():
-        h = holder_mean(pair, alpha)
-        le = lehmer_mean(pair, alpha)
+    alphas = args.alpha_grid.points()
+    columns = zip(alphas, mean_curve(pair, alphas, "holder"), mean_curve(pair, alphas, "lehmer"))
+    rows = []
+    for alpha, h, le in columns:
         vh = v_weights(pair, alpha, "holder")
         vl = v_weights(pair, alpha, "lehmer")
-        print(",".join(_fmt(v) for v in (alpha, h, le, vh[0], vl[0], vh[1], vl[1])))
+        rows.append(",".join(_fmt(v) for v in (alpha, h, le, vh[0], vl[0], vh[1], vl[1])) + "\n")
+    sys.stdout.write("alpha,holder,lehmer,vh_x1,vl_x1,vh_x2,vl_x2\n" + "".join(rows))
     return 0
 
 

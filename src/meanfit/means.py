@@ -9,9 +9,9 @@ families accept optional relevance weights, are bounded by the data extremes,
 and are non-decreasing in ``alpha``.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
-must be finite and strictly positive.  Exponents may be ``+/-math.inf``
-(max/min limits); NaN is rejected.  Zero values are admitted only where the
-exponent applied to them keeps every power finite.
+must be finite and strictly positive, with a finite sum.  Exponents may be
+``+/-math.inf`` (max/min limits); NaN is rejected.  Zero values are admitted
+only where the exponent applied to them keeps every power finite.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ __all__ = [
 #: geometric-mean branch; x**alpha loses its signal that close to zero.
 GEOMETRIC_CUTOFF = 1e-9
 
-# Factoring an extreme value out of the power sums is only worth the extra
-# rounding when overflow is actually in reach.
-_RESCALE_ALPHA = 30.0
-_RESCALE_SPREAD = 1e6
-# A plain power sum below the smallest normal double has lost precision.
+# A power sum below the smallest normal double has lost precision.
 _TINY = float(np.finfo(float).tiny)
+
+
+def _normal(s) -> bool:
+    return _TINY <= s < math.inf
 
 
 def _as_values(values) -> np.ndarray:
@@ -62,8 +62,9 @@ def _as_weights(weights, n: int) -> np.ndarray:
     ws = np.atleast_1d(np.asarray(weights, dtype=float))
     if ws.shape != (n,):
         raise DomainError(f"expected {n} weights, got {ws.size}")
-    if not np.all(np.isfinite(ws)) or np.any(ws <= 0.0):
-        raise DomainError("weights must be finite and strictly positive")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(ws.sum()) or np.any(ws <= 0.0):
+            raise DomainError("weights must be finite and strictly positive, with a finite sum")
     return ws
 
 
@@ -74,14 +75,16 @@ def _checked_alpha(alpha) -> float:
     return a
 
 
-def _reject_zeros(xmin: float, alpha: float) -> None:
-    if xmin == 0.0:
-        raise DomainError(f"zero values are not admitted for exponent {alpha}")
-
-
 class _PowerSums:
-    """Weighted power sums ``sum w (x / anchor)^p`` of one validated series,
-    each computed once per exponent and anchor."""
+    """Weighted power sums of one validated series, each computed once per
+    exponent and anchor.
+
+    Anchored at ``anchor``, a term is ``(x / anchor)^p``: ``x^p / anchor^p``
+    while ``anchor^p`` is a normal double, so that no term is lost to a ratio
+    beyond the double range, and the power of the ratio otherwise.  Callers
+    ignore overflow: a plain power may overflow, and so may ``x / anchor``,
+    whose power is then exactly 0.
+    """
 
     def __init__(self, xs: np.ndarray, ws: np.ndarray):
         self.xs = xs
@@ -91,72 +94,60 @@ class _PowerSums:
         self.xmax = float(xs.max())
         self._sums = {}
 
-    def __call__(self, p: float, anchor: float | None) -> float:
+    def extreme(self, p: float) -> float:
+        """The value whose power dominates at exponent ``p``."""
+        return self.xmax if p >= 0.0 else self.xmin
+
+    def terms(self, p: float, anchor: float | None = None) -> np.ndarray:
+        if anchor is None:
+            return np.power(self.xs, p)
+        scale = np.power(anchor, p)
+        if _normal(scale):
+            return np.power(self.xs, p) / scale
+        return np.power(self.xs / anchor, p)
+
+    def __call__(self, p: float, anchor: float | None = None) -> float:
+        """``sum w (x / anchor)^p``, plain for no anchor."""
         key = (p, anchor)
         if key not in self._sums:
-            # A plain power may overflow; anchored at the minimum for a
-            # negative exponent, x / anchor may overflow to inf, whose power
-            # is then exactly 0.
             with np.errstate(over="ignore"):
-                scaled = self.xs if anchor is None else self.xs / anchor
-                self._sums[key] = np.power(scaled, p) @ self.ws
+                self._sums[key] = self.terms(p, anchor) @ self.ws
         return self._sums[key]
 
-    def anchored(self, exponents, steering: float) -> tuple[float | None, list]:
-        """The sums at ``exponents`` over one shared anchor, None for plain sums.
-
-        The extreme value that dominates at exponent ``steering`` (the
-        maximum for a positive one, the minimum otherwise) is factored out
-        up front when ``|steering| > 30`` and the spread exceeds 1e6, and
-        after the fact when a plain sum overflows to inf or underflows below
-        the smallest normal double; its own term is then ``w * 1``.  An
-        all-zero series keeps its plain sums.
-        """
-        extreme = self.xmax if steering > 0.0 else self.xmin
-        up_front = abs(steering) > _RESCALE_ALPHA and not (
-            self.xmin > 0.0 and self.xmax / self.xmin <= _RESCALE_SPREAD)
-        anchor = extreme if up_front and self.xmax > 0.0 else None
-        sums = [self(p, anchor) for p in exponents]
-        if anchor is None and self.xmax > 0.0 and not all(_TINY <= s < math.inf for s in sums):
-            anchor = extreme
-            sums = [self(p, anchor) for p in exponents]
-        return anchor, sums
+    def anchored(self, p: float) -> tuple[float | None, float]:
+        """``(anchor, sum)`` with ``sum w x^p = anchor^p * sum``: no anchor
+        and the plain sum while that is a normal finite double, else the
+        extreme that dominates at ``p``, whose own term is then ``w * 1``.
+        An all-zero series keeps its plain sums."""
+        total = self(p)
+        if _normal(total) or self.xmax == 0.0:
+            return None, total
+        return self.extreme(p), self(p, self.extreme(p))
 
 
-def _holder_at(sums: _PowerSums, a: float) -> float:
-    if a == math.inf:
-        return sums.xmax
-    if a == -math.inf:
-        _reject_zeros(sums.xmin, a)
-        return sums.xmin
-    if abs(a) < GEOMETRIC_CUTOFF:
-        _reject_zeros(sums.xmin, a)
-        return float(np.exp(np.log(sums.xs) @ sums.ws / sums.wsum))
-    if a < 0.0:
-        _reject_zeros(sums.xmin, a)
-    anchor, (total,) = sums.anchored((a,), a)
-    mean = total / sums.wsum
-    if anchor is None:
-        return float(mean ** (1.0 / a))
-    return float(anchor * mean ** (1.0 / a))
-
-
-def _lehmer_at(sums: _PowerSums, a: float) -> float:
-    if a == math.inf:
-        return sums.xmax
-    if a == -math.inf:
-        _reject_zeros(sums.xmin, a)
-        return sums.xmin
-    if a < 1.0:
-        _reject_zeros(sums.xmin, a)
-    anchor, (num, den) = sums.anchored((a, a - 1.0), a if a >= 1.0 else a - 1.0)
+def _mean_at(sums: _PowerSums, a: float, lehmer: bool) -> float:
+    geometric = not lehmer and abs(a) < GEOMETRIC_CUTOFF
+    if sums.xmin == 0.0 and (a < (1.0 if lehmer else 0.0) or geometric):
+        raise DomainError(f"zero values are not admitted for exponent {a}")
+    if math.isinf(a):
+        return sums.xmax if a > 0.0 else sums.xmin
+    if geometric:
+        return float(np.exp(np.log(sums.xs) @ (sums.ws / sums.wsum)))
+    if not lehmer:
+        anchor, total = sums.anchored(a)
+        mean = (total / sums.wsum) ** (1.0 / a)
+        return float(mean if anchor is None else anchor * mean)
+    (top, num), (bottom, den) = sums.anchored(a), sums.anchored(a - 1.0)
+    if top is not None or bottom is not None:
+        top, bottom = sums.extreme(a), sums.extreme(a - 1.0)
+        num, den = sums(a, top), sums(a - 1.0, bottom)
     if den == 0.0:
         raise DomainError("Lehmer denominator vanished (all values zero)")
-    ratio = num / den
-    return float(ratio if anchor is None else anchor * ratio)
-
-
-_MEAN_AT = {"holder": _holder_at, "lehmer": _lehmer_at}
+    if top == bottom:
+        return float(num / den if top is None else top * (num / den))
+    # For 0 <= a < 1 the extremes differ, and the scale x_max^a x_min^(1-a)
+    # lies between them; in log space no factor leaves the double range.
+    return math.exp(a * math.log(top) + (1.0 - a) * math.log(bottom) + math.log(num / den))
 
 
 def kolmogorov_mean(values, transform: Callable[[float], float],
@@ -188,12 +179,12 @@ def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     branches of ``holder_mean`` or ``lehmer_mean``, in grid order; the first
     exponent that fails raises its ``DomainError``.
     """
-    mean_at = _MEAN_AT.get(family.lower())
-    if mean_at is None:
+    kind = family.lower()
+    if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
     xs = _as_values(values)
     sums = _PowerSums(xs, _as_weights(weights, xs.size))
-    return [mean_at(sums, _checked_alpha(alpha)) for alpha in alphas]
+    return [_mean_at(sums, _checked_alpha(alpha), kind == "lehmer") for alpha in alphas]
 
 
 def holder_mean(values, alpha, weights=None) -> float:
@@ -219,8 +210,9 @@ def v_weights(values, alpha, family: str) -> np.ndarray:
     """Per-value relevance weights ``x^(alpha-1)`` of the chosen family.
 
     Holder weights are normalized by ``n`` (they sum to the (alpha-1)-power
-    mean raised to ``alpha-1``); Lehmer weights are normalized by their own
-    sum and therefore always sum to one.
+    mean raised to ``alpha-1``).  Lehmer weights are the terms
+    ``(x / x*)^(alpha-1)`` relative to the dominant value ``x*``, normalized
+    by their own sum.  Weights that are not finite raise ``DomainError``.
     """
     xs = _as_values(values)
     a = _checked_alpha(alpha)
@@ -229,30 +221,38 @@ def v_weights(values, alpha, family: str) -> np.ndarray:
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
-    if a < 1.0:
-        _reject_zeros(float(xs.min()), a)
-    powers = np.power(xs, a - 1.0)
-    if kind == "holder":
-        return powers / xs.size
-    return powers / powers.sum()
+    sums = _PowerSums(xs, np.ones(xs.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind == "holder":
+            v = sums.terms(a - 1.0) / xs.size
+        else:
+            terms = sums.terms(a - 1.0, sums.extreme(a - 1.0))
+            v = terms / terms.sum()
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{kind} v-weights are not finite at exponent {a}")
+    return v
 
 
 def holder_lehmer_link(values, alpha) -> tuple[float, float]:
     """Two routes to one number: sum-normalized Holder vs ``lehmer^(1/alpha)``.
 
-    Renormalizing the Holder v-weights by their own sum collapses the Holder
-    mean onto ``(sum x^a / sum x^(a-1))^(1/a)``, which is exactly the Lehmer
-    mean raised to ``1/alpha``.  Both evaluations are returned so callers can
-    check the identity to floating tolerance.
+    Renormalizing the Holder v-weights by their own sum gives the Lehmer
+    v-weights ``v``, so the Holder mean becomes ``(v . x)^(1/a)``, which is
+    exactly the Lehmer mean raised to ``1/alpha``.  Both evaluations are
+    returned so callers can check the identity to floating tolerance; where
+    either leaves the normal doubles, ``DomainError`` is raised.
     """
     xs = _as_values(values)
     a = _checked_alpha(alpha)
     if not math.isfinite(a) or a == 0.0:
         raise DomainError("the rescaled-weight identity needs a finite nonzero exponent")
-    if a < 1.0:
-        _reject_zeros(float(xs.min()), a)
-    num = float(np.power(xs, a).sum())
-    den = float(np.power(xs, a - 1.0).sum())
-    rescaled_holder = (num / den) ** (1.0 / a)
-    via_lehmer = lehmer_mean(xs, a) ** (1.0 / a)
-    return rescaled_holder, via_lehmer
+    v = v_weights(xs, a, "lehmer")
+    with np.errstate(divide="ignore", over="ignore"):
+        # A v-weight below the normal doubles has lost its digits, so its
+        # value's share of the mean must be below one ulp of the dominant's.
+        shares = a * (np.log(xs[v < _TINY]) - np.log(xs.max() if a >= 1.0 else xs.min()))
+        bases = [v @ xs, lehmer_mean(xs, a)]
+        routes = np.power(bases, 1.0 / a)
+    if np.any(shares > math.log(np.finfo(float).eps)) or not all(map(_normal, [*bases, *routes])):
+        raise DomainError(f"the rescaled-weight identity leaves the normal doubles at exponent {a}")
+    return float(routes[0]), float(routes[1])

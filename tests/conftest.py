@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import erf, gammainc, gammaincc
 
 from meanfit import DomainError, EmptyDataError, NoSolutionError, build_histogram, catalog, \
@@ -86,6 +87,15 @@ def model_cdf(model, theta):
     raise AssertionError(f"no cdf for {name}")
 
 
+#: Magnitudes from the subnormal 5e-324 through the largest doubles.
+EXTREME_VALUES = st.one_of(
+    st.just(5e-324),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+              st.one_of(st.integers(-323, -306), st.integers(-305, -295),
+                        st.integers(-5, 5), st.integers(295, 305))),
+)
+
+
 def random_series(rng, n=50, lo=0.1, hi=10.0):
     """Positive test data, uniform on (lo, hi]."""
     return hi - rng.random(n) * (hi - lo)
@@ -138,14 +148,32 @@ def loop_best(points, shape_swept):
 def reference_means(values, alphas, family, weights=None):
     """Per-exponent reference for ``mean_curve``: every mean from its own
     power sums, as documented in ``meanfit.means`` (the max/min limits, the
-    geometric branch, no zero where a power of it is infinite).  One extreme
-    value is factored out of the sums when ``|exponent| > 30`` and the spread
-    exceeds 1e6, or when a plain sum overflows or falls below the smallest
-    normal double while a value is positive; an all-zero series keeps its
-    plain sums.  The first exponent that fails raises its ``DomainError``."""
+    geometric branch, no zero where a power of it is infinite).  A plain sum
+    is kept while it is a normal double.  Otherwise the extreme that
+    dominates at its exponent (the maximum for a non-negative one) is
+    factored out, each term ``(x / anchor)^p`` taken as ``x^p / anchor^p``
+    while ``anchor^p`` is normal; a Lehmer quotient then factors both sums,
+    each at its own extreme.  An all-zero series keeps its plain sums.  The
+    first exponent that fails raises its ``DomainError``."""
     xs = np.asarray(values, dtype=float)
     ws = np.ones(xs.size) if weights is None else np.asarray(weights, dtype=float)
     tiny = np.finfo(float).tiny
+
+    def extreme(p):
+        return float(xs.max() if p >= 0.0 else xs.min())
+
+    def power_sum(p, anchor=None):
+        with np.errstate(over="ignore"):
+            if anchor is None:
+                return np.power(xs, p) @ ws
+            scale = np.power(anchor, p)
+            if tiny <= scale < math.inf:
+                return (np.power(xs, p) / scale) @ ws
+            return np.power(xs / anchor, p) @ ws
+
+    def needs_anchor(p):
+        return xs.max() > 0.0 and not tiny <= power_sum(p) < math.inf
+
     means = []
     for alpha in alphas:
         a = float(alpha)
@@ -157,37 +185,30 @@ def reference_means(values, alphas, family, weights=None):
             raise DomainError(f"zero values are not admitted for exponent {a}")
         if a == math.inf:
             means.append(float(xs.max()))
-            continue
-        if a == -math.inf:
+        elif a == -math.inf:
             means.append(float(xs.min()))
-            continue
-        if family == "holder" and abs(a) < GEOMETRIC_CUTOFF:
-            means.append(float(np.exp(np.log(xs) @ ws / ws.sum())))
-            continue
-        exponents = (a,) if family == "holder" else (a, a - 1.0)
-        steering = a if family == "holder" or a >= 1.0 else a - 1.0
-        extreme = float(xs.max() if steering > 0.0 else xs.min())
-
-        def power_sums(anchor):
-            with np.errstate(over="ignore"):
-                scaled = xs if anchor is None else xs / anchor
-                return [np.power(scaled, p) @ ws for p in exponents]
-
-        anchor = None
-        if xs.max() > 0.0 and abs(steering) > 30.0 \
-                and not (xs.min() > 0.0 and xs.max() / xs.min() <= 1e6):
-            anchor = extreme
-        sums = power_sums(anchor)
-        if anchor is None and xs.max() > 0.0 and not all(tiny <= s < math.inf for s in sums):
-            anchor = extreme
-            sums = power_sums(anchor)
-        if family == "holder":
-            mean = (sums[0] / ws.sum()) ** (1.0 / a)
+        elif family == "holder" and abs(a) < GEOMETRIC_CUTOFF:
+            means.append(float(np.exp(np.log(xs) @ (ws / ws.sum()))))
+        elif family == "holder":
+            if needs_anchor(a):
+                anchor = extreme(a)
+                means.append(float(anchor * (power_sum(a, anchor) / ws.sum()) ** (1.0 / a)))
+            else:
+                means.append(float((power_sum(a) / ws.sum()) ** (1.0 / a)))
         else:
-            if sums[1] == 0.0:
+            top = bottom = None
+            if needs_anchor(a) or needs_anchor(a - 1.0):
+                top, bottom = extreme(a), extreme(a - 1.0)
+            num, den = power_sum(a, top), power_sum(a - 1.0, bottom)
+            if den == 0.0:
                 raise DomainError("Lehmer denominator vanished (all values zero)")
-            mean = sums[0] / sums[1]
-        means.append(float(mean if anchor is None else anchor * mean))
+            if top is None:
+                means.append(float(num / den))
+            elif top == bottom:
+                means.append(float(top * (num / den)))
+            else:
+                means.append(math.exp(a * math.log(top) + (1.0 - a) * math.log(bottom)
+                                      + math.log(num / den)))
     return means
 
 

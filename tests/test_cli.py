@@ -1,18 +1,29 @@
 """End-to-end subcommand tests driving meanfit.cli.main directly."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanfit import SweepGrid, WeightKernel, build_histogram, catalog, load_histogram_csv, \
     save_histogram_csv
+import meanfit
 from meanfit import cli
 from meanfit.cli import main
 
-from conftest import dct_like_histogram, loop_best, loop_points, reference_means
+from conftest import EXTREME_VALUES, dct_like_histogram, loop_best, loop_points, \
+    reference_means
 
 
 @pytest.fixture
@@ -463,6 +474,84 @@ class TestCurves:
         code, _, _ = run("curves", "--pair", "0,2", "--alpha-grid", "0:1:0.5")
         assert code == 1
 
+    def test_failing_exponent_prints_no_rows(self):
+        # the Holder v-weight (1e-300)^-3 overflows at alpha = -2; the header
+        # and inf/nan rows were printed before the error
+        proc = run_warnings_as_errors("curves", "--pair", "1e-300,1", "--alpha-grid=-2:2:1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: holder v-weights are not finite at exponent -2.0\n"
+
     def test_missing_subcommand_is_usage_error(self, run):
         code, _, _ = run()
         assert code == 2
+
+
+def run_warnings_as_errors(*argv):
+    """``python -W error -m meanfit.cli`` with this checkout's package first on the path."""
+    env = dict(os.environ)
+    src = str(Path(meanfit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "meanfit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_in_process(*argv):
+    """``main(argv)`` with every warning an error; the exit code and stdout."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+FUZZ_NUMBERS = st.one_of(EXTREME_VALUES, st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+FUZZ_EXPONENTS = st.one_of(st.floats(-1000.0, 1000.0), st.floats(-1.0, 1.0),
+                           st.sampled_from([0.0, 1e-10, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def fuzz_grids(draw):
+    lo = draw(st.floats(-1000.0, 1000.0))
+    step = draw(st.floats(1e-3, 300.0))
+    return f"--alpha-grid={lo!r}:{lo + step * draw(st.integers(0, 6))!r}:{step!r}"
+
+
+class TestFuzz:
+    """Every run exits 0, 1 or 2 with no traceback, and prints no inf or nan."""
+
+    @staticmethod
+    def check(code, out):
+        assert code in (0, 1, 2)
+        assert not re.search(r"nan|inf", out, re.IGNORECASE), out
+        if code:
+            assert out == ""
+
+    @given(
+        rows=st.lists(st.tuples(FUZZ_NUMBERS, st.floats(1e-300, 1e300)
+                                | st.sampled_from([5e-324, 1.7e308, 0.0, -1.0])),
+                      min_size=1, max_size=8),
+        family=st.sampled_from(["holder", "lehmer", "kolmogorov"]),
+        exponent=st.one_of(FUZZ_EXPONENTS.map(lambda a: f"--alpha={a!r}"), fuzz_grids()),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mean(self, tmp_path_factory, rows, family, exponent, weighted):
+        path = tmp_path_factory.getbasetemp() / "fuzz-values.csv"
+        path.write_text("".join(f"{x!r},{w!r}\n" for x, w in rows))
+        argv = ["mean", "--family", family, "--input", str(path)]
+        argv += [exponent] if family != "kolmogorov" else []
+        argv += ["--weights"] if weighted else []
+        self.check(*run_in_process(*argv))
+
+    @given(x1=FUZZ_NUMBERS, x2=FUZZ_NUMBERS, grid=fuzz_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_curves(self, x1, x2, grid):
+        self.check(*run_in_process("curves", f"--pair={x1!r},{x2!r}", grid))
+
+    def test_subnormal_lehmer_mean_under_w_error(self, tmp_path):
+        path = tmp_path / "values.csv"
+        path.write_text("5e-324\n1\n")
+        proc = run_warnings_as_errors("mean", "--family", "lehmer", "--alpha", "0.01",
+                                      "--input", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8.453e-321\n", "")

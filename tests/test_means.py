@@ -17,7 +17,7 @@ from meanfit import (
     v_weights,
 )
 
-from conftest import random_series, reference_means
+from conftest import EXTREME_VALUES, random_series, reference_means
 
 PAIR = [0.6, 2.0]
 GEOMETRIC_PAIR = math.sqrt(1.2)  # oracle: exp((ln 0.6 + ln 2)/2) = sqrt(0.6*2)
@@ -27,6 +27,9 @@ HARMONIC_PAIR = 2.0 / (1.0 / 0.6 + 1.0 / 2.0)
 # so a log-space reference in doubles is good to about 1e-10 only; extended
 # precision, where the platform has it, is good to 1e-13.
 LOG_SPACE_RTOL = 1e-12 if np.finfo(np.longdouble).eps < 1e-18 else 1e-9
+# A subnormal mean carries only the digits above the smallest subnormal, so
+# it and the rounded reference may each be one such unit off.
+SUBNORMAL_ATOL = 2 * math.ulp(0.0)
 
 
 def log_space_mean(values, weights, alpha, family):
@@ -153,6 +156,14 @@ class TestLehmerMean:
         with pytest.raises(DomainError):
             lehmer_mean([0.0, 0.0], 2.0)
 
+    def test_subnormal_minimum_below_one_matches_log_space_reference(self):
+        # x^(a-1) of the subnormal overflows; factored at the minimum, the
+        # numerator's 1 / 5e-324 overflowed too, and the mean read inf.
+        got = lehmer_mean([5e-324, 1.0], 0.01)
+        want = log_space_mean([5e-324, 1.0], [1.0, 1.0], 0.01, "lehmer")
+        assert 5e-324 <= got <= 1.0
+        assert got == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=SUBNORMAL_ATOL)
+
 
 class TestMeanCurve:
     @given(
@@ -161,7 +172,7 @@ class TestMeanCurve:
         weighted=st.booleans(),
         alphas=st.lists(st.one_of(
             st.floats(-40.0, 40.0),
-            st.sampled_from([0.0, 1e-10, -1e-10, 0.5, 1.0, -1.0, 2.0, 30.5, -30.5,
+            st.sampled_from([0.0, 1e-10, -1e-10, 0.5, 1.0, -1.0, 2.0, 30.5, -30.5, 60.5, -60.5,
                              math.inf, -math.inf, math.nan]),
         ), min_size=1, max_size=12),
         data=st.data(),
@@ -209,6 +220,16 @@ class TestMeanCurve:
         # overflow warning fails under the suite's warning filter
         assert mean(values, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("values, alpha", [
+        ([1e-300, 1.7e305], 1.01),  # x^1.01 overflows; (1e-300 / 1.7e305)^0.01 ~ 9e-7
+        ([1e-312, 1e305], 0.01),    # x^-0.99 overflows; (1e-312 / 1e305)^0.01 ~ 7e-7
+    ])
+    def test_partner_sum_keeps_terms_of_out_of_range_ratios(self, values, alpha):
+        # a sum factored only because the other Lehmer sum overflows keeps
+        # the terms whose ratio to the anchor leaves the double range
+        want = log_space_mean(values, [1.0, 1.0], alpha, "lehmer")
+        assert lehmer_mean(values, alpha) == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=0.0)
+
     def test_all_zero_series_at_large_exponent(self):
         assert holder_mean([0.0, 0.0], 40.0) == 0.0
         with pytest.raises(DomainError, match="Lehmer denominator vanished"):
@@ -216,10 +237,7 @@ class TestMeanCurve:
 
     @given(
         family=st.sampled_from(["holder", "lehmer"]),
-        values=st.lists(st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
-                                  st.one_of(st.integers(-305, -295), st.integers(-5, 5),
-                                            st.integers(295, 305))),
-                        min_size=1, max_size=12),
+        values=st.lists(EXTREME_VALUES, min_size=1, max_size=12),
         alphas=st.lists(st.one_of(
             st.floats(-1000.0, 1000.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-3),
             st.sampled_from([1000.0, -1000.0, 30.5, -30.5, 2.0, 1.0, 0.5, -1.0]),
@@ -231,13 +249,15 @@ class TestMeanCurve:
         # Holder exponents in (0, 1e-3) amplify the sum's rounding by 1/alpha.
         # Weights within [0.1, 10] keep the largest power in a sum above the
         # smallest normal double within a factor 120 of it, where a
-        # subnormal power still has 13 digits.
+        # subnormal power still has 13 digits.  A subnormal mean is held to
+        # the digits it carries.
         weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(values),
                                      max_size=len(values)))
         got = mean_curve(values, alphas, family, weights)
         for alpha, mean in zip(alphas, got):
             want = log_space_mean(values, weights, alpha, family)
-            assert mean == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=0.0), (alpha, mean, want)
+            assert mean == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=SUBNORMAL_ATOL), \
+                (alpha, mean, want)
 
 
 class TestVWeights:
@@ -276,6 +296,30 @@ class TestVWeights:
         with pytest.raises(DomainError):
             v_weights(PAIR, math.inf, "holder")
 
+    def test_holder_overflow_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            v_weights([1e-300, 1.0], -2.0, "holder")
+
+    @pytest.mark.parametrize("values, alpha, expected", [
+        ([1e-300, 1.0], -2.0, [1.0, 0.0]),
+        ([1e-300, 1e300], 3.0, [0.0, 1.0]),
+        ([0.0, 0.0], 1.0, [0.5, 0.5]),
+    ])
+    def test_lehmer_weights_stay_finite(self, values, alpha, expected):
+        # the plain powers (1e-300)^-3 and (1e300)^2 overflow, and the
+        # weights normalized from them read nan
+        assert v_weights(values, alpha, "lehmer").tolist() == expected
+
+    def test_lehmer_weight_of_out_of_range_ratio_is_kept(self):
+        # 1e305 / 1e-300 overflows, but its power (1e605)^-0.01 is about 9e-7
+        share = math.exp((0.99 - 1.0) * (math.log(1e305) - math.log(1e-300)))
+        np.testing.assert_allclose(v_weights([1e-300, 1e305], 0.99, "lehmer"),
+                                   [1.0 / (1.0 + share), share / (1.0 + share)], rtol=1e-12)
+
+    def test_lehmer_all_zero_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            v_weights([0.0, 0.0], 2.0, "lehmer")
+
 
 class TestHolderLehmerLink:
     def test_pair_at_alpha_two(self):
@@ -304,6 +348,39 @@ class TestHolderLehmerLink:
     def test_alpha_zero_rejected(self):
         with pytest.raises(DomainError):
             holder_lehmer_link(PAIR, 0.0)
+
+    def test_extreme_spread_routes_agree(self):
+        # the plain sums overflow: the first route read nan
+        assert holder_lehmer_link([1e-200, 1.0], -2.0) == (1e100, 1e100)
+
+    @pytest.mark.parametrize("values, alpha", [
+        ([1e-305, 1e305], 0.48),    # the large value's v-weight is subnormal
+        ([5e-324, 1.0], 0.01),      # the Lehmer mean is subnormal
+        ([1e-300, 1.0], 0.1),       # the routes underflow
+    ])
+    def test_routes_beyond_normal_doubles_rejected(self, values, alpha):
+        with pytest.raises(DomainError, match="normal doubles"):
+            holder_lehmer_link(values, alpha)
+
+    @given(
+        values=st.lists(EXTREME_VALUES, min_size=1, max_size=12),
+        alpha=st.one_of(st.floats(-1000.0, 1000.0), st.floats(0.1, 2.0),
+                        st.sampled_from([1000.0, -1000.0, 0.5, 1.0, 2.0, -1.0]))
+        .filter(lambda a: abs(a) >= 0.1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_routes_agree_or_raise_on_extreme_values(self, values, alpha):
+        # The first route multiplies x^(a-1) by x, which is x^a only to the
+        # rounding of a - 1 (about 1e-13 of the base for |log x| near 700),
+        # and the 1/a root amplifies that by 1/|a|; hence |a| >= 0.1.
+        weights = v_weights(values, alpha, "lehmer")
+        assert np.all(np.isfinite(weights))
+        assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+        try:
+            rescaled, via_lehmer = holder_lehmer_link(values, alpha)
+        except DomainError:
+            return
+        assert rescaled == pytest.approx(via_lehmer, rel=1e-12, abs=0.0)
 
 
 class TestFamilyProperties:
