@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError, SweepError
 from .expfam import FamilyModel, catalog, in_support, pdf, _checked_theta
-from .wmle import WeightKernel, WeightedSeries, apply_kernel, mle_closed_form
+from .wmle import WeightKernel, WeightedSeries, _kernel_weights, _loglik_at_max, mle_closed_form
 
 __all__ = [
     "FitReport",
@@ -147,12 +147,12 @@ def histogram_to_series(hist: Histogram, kernel: WeightKernel) -> tuple[Weighted
     Bins with non-positive centers, zero counts, or zero kernel weight are
     dropped; the dropped-bin count is returned with the series.
     """
-    positive = hist.centers > 0.0
-    try:
-        series, dropped = apply_kernel(hist.centers[positive], kernel, hist.counts[positive])
-    except EmptyDataError:
-        raise EmptyDataError("every histogram bin was dropped") from None
-    return series, dropped + int(hist.nbins - np.count_nonzero(positive))
+    centers = hist.centers
+    weights = _kernel_weights((kernel,), centers, np.where(centers > 0.0, hist.counts, 0.0))[0]
+    keep = weights > 0.0
+    if not keep.any():
+        raise EmptyDataError("every histogram bin was dropped")
+    return WeightedSeries(centers[keep], weights[keep]), int(hist.nbins - np.count_nonzero(keep))
 
 
 def mse_score(model: FamilyModel, theta, hist: Histogram) -> float:
@@ -273,10 +273,10 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
 
     Each point equals ``fit_histogram`` on the shaped model and the kernel,
     with the same checks and exception classes, but one shape row is a few
-    ``kernels x bins`` array reductions: ``m = W @ T / W.sum(1)`` and the
-    closed form over the vector of ``m``.  ``shapes`` sweeps the ``alpha``
-    hyperparameter with the other hyperparameters fixed; a shape that
-    ``catalog`` rejects fails its whole row.
+    ``kernels x bins`` array reductions: ``m = V @ T`` with the v-weights
+    ``V = W / W.sum(1)``, and the closed forms over the vector of ``m``.
+    ``shapes`` sweeps the ``alpha`` hyperparameter with the other
+    hyperparameters fixed; a shape that ``catalog`` rejects fails its row.
     """
     kernels = tuple(kernels)
     if not kernels:
@@ -294,30 +294,22 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
 
     # Kernel weights as in histogram_to_series, one row per kernel.  The bins
     # that every kernel drops are left out here, so that a kernel keeping all
-    # the others sums the same bins as the scalar ``weights @ values``.
+    # the others sums the same bins as the scalar path.
     centers = hist.centers
-    positive = centers > 0.0
-    x = centers[positive]
+    w = _kernel_weights(kernels, centers, np.where(centers > 0.0, hist.counts, 0.0))
+    keep = w > 0.0
+    dropped_bins = hist.nbins - np.count_nonzero(keep, axis=1)
+    # compress, not w[:, used], which is strided: a strided row sums in
+    # another order than the scalar path's contiguous one.
+    used = keep.any(axis=0)
+    x, w, keep = centers[used], np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
+    row_keep = None if keep.all() else keep
     with np.errstate(all="ignore"):
-        w = hist.counts[positive] * np.array([k.weights(x) for k in kernels])
         empirical = hist.counts / (hist.total * hist.widths)
-        keep = w > 0.0
-        dropped_bins = hist.nbins - np.count_nonzero(keep, axis=1)
-        # compress, not w[:, used], which is strided: a strided row sums in
-        # another order than the scalar path's contiguous one.
-        used = keep.any(axis=0)
-        x, w, keep = x[used], np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
-        if keep.all():
-            row_keep = None
-        else:
-            w = np.where(keep, w, 0.0)
-            row_keep = keep
         wsum = w.sum(axis=1)
-    kernel_checks = (
-        (~keep.any(axis=1), lambda j: EmptyDataError("every histogram bin was dropped")),
-        (~np.isfinite(w).all(axis=1),
-         lambda j: DomainError("weights must be finite and strictly positive")),
-    )
+        v = w / wsum[:, None]
+        # Every x is positive, so ln x is finite; and it is shape-free.
+        mean_log = _row_dots(v, np.log(x)[None])
 
     theta_hat, mse, loglik = np.full((3, len(alphas), len(kernels)), np.nan)
     failures = {}
@@ -328,7 +320,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             failures.update(((i, j), exc) for j in range(len(kernels)))
             continue
         theta_hat[i], mse[i], loglik[i], row_failures = _fit_row(
-            row_model, x, w, wsum, row_keep, kernel_checks, centers, empirical)
+            row_model, x, v, wsum, mean_log, row_keep, centers, empirical)
         failures.update(((i, j), exc) for j, exc in row_failures)
     return FitSurface(
         model=model.name,
@@ -343,38 +335,34 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     )
 
 
-def _fit_row(model: FamilyModel, x, w, wsum, keep, kernel_checks, centers, empirical):
-    """One shape row of ``fit_surface``: every kernel row of ``w`` at once.
+def _fit_row(model: FamilyModel, x, v, wsum, mean_log, keep, centers, empirical):
+    """One shape row of ``fit_surface``: every kernel's v-weights ``v`` at once.
 
-    ``keep`` is None when every kernel keeps every bin of ``x``; otherwise
-    the row dots mask out the dropped bins.  The log-likelihood terms and
-    the fitted density come from ``model.log_pdf``, as on the scalar path.
+    ``wsum`` holds the total weights (0 where no bin is kept), ``mean_log``
+    ``sum v ln x``.  ``keep`` is None when every kernel keeps every bin of
+    ``x``; otherwise the row dots mask out the dropped bins.  The fitted
+    density comes from ``model.log_pdf``, as on the scalar path.
 
     Returns theta, MSE and log-likelihood per kernel (NaN where failed) and
     the ``(column, exception)`` failures, checked in ``fit_histogram``'s
-    order: the kernel checks (no kept bin, a non-finite kept weight), no
-    solution for ``m``, theta outside its domain, a non-finite
-    log-likelihood or MSE.
+    order: no kept bin, no solution for ``m``, theta outside its domain, a
+    non-finite log-likelihood or MSE.
     """
     with np.errstate(all="ignore"):
         t = model.suff_stat(x)
-        m = _row_dots(w, t[None] if keep is None else np.where(keep, t, 0.0)) / wsum
+        m = _row_dots(v, t[None] if keep is None else np.where(keep, t, 0.0))
         theta = model.mean_inverse(m)
-        # Every center of x is positive, hence in the support: x is a subset
-        # of xs, and mse_score's empty-support error cannot occur once a bin
-        # is kept.
+        loglik = _loglik_at_max(model, np.log(theta), wsum, mean_log)
+        # Every center of x is positive, hence in the support, so
+        # mse_score's empty-support error cannot occur once a bin is kept.
         support = in_support(model, centers)
-        xs = centers[support]
-        log_f = model.log_pdf(theta[:, None], xs)
-        # np.take keeps the rows contiguous, so the row dots sum in order.
-        per_point = log_f if x.size == xs.size else np.take(log_f, np.searchsorted(xs, x), axis=1)
-        loglik = _row_dots(w, per_point if keep is None else np.where(keep, per_point, 0.0))
-        fitted = np.exp(log_f)
+        fitted = np.exp(model.log_pdf(theta[:, None], centers[support]))
         mse = ((empirical[support] - fitted) ** 2).sum(axis=1) / fitted.shape[1]
         lo, hi = model.theta_domain
         bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
     name = model.name
-    checks = kernel_checks + (
+    checks = (
+        (wsum == 0.0, lambda j: EmptyDataError("every histogram bin was dropped")),
         (~(np.isfinite(m) & (m < 0.0)), lambda j: NoSolutionError(
             f"{name}: mean statistic {float(m[j])!r} outside the attainable range "
             f"(negative reals)")),

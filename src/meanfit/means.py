@@ -80,8 +80,8 @@ class _PowerSums:
     exponent and anchor.
 
     Anchored at ``anchor``, a term is ``(x / anchor)^p``: ``x^p / anchor^p``
-    while ``anchor^p`` is a normal double, so that no term is lost to a ratio
-    beyond the double range, and the power of the ratio otherwise.  Callers
+    where both powers are normal doubles, so that no term is lost to a ratio
+    beyond the double range, and the power of the ratio elsewhere.  Callers
     ignore overflow: a plain power may overflow, and so may ``x / anchor``,
     whose power is then exactly 0.
     """
@@ -99,12 +99,14 @@ class _PowerSums:
         return self.xmax if p >= 0.0 else self.xmin
 
     def terms(self, p: float, anchor: float | None = None) -> np.ndarray:
+        powers = np.power(self.xs, p)
         if anchor is None:
-            return np.power(self.xs, p)
+            return powers
         scale = np.power(anchor, p)
-        if _normal(scale):
-            return np.power(self.xs, p) / scale
-        return np.power(self.xs / anchor, p)
+        ratios = np.power(self.xs / anchor, p)
+        if not _normal(scale):
+            return ratios
+        return np.where(powers < _TINY, ratios, powers / scale)
 
     def __call__(self, p: float, anchor: float | None = None) -> float:
         """``sum w (x / anchor)^p``, plain for no anchor."""
@@ -135,7 +137,15 @@ def _mean_at(sums: _PowerSums, a: float, lehmer: bool) -> float:
         return float(np.exp(np.log(sums.xs) @ (sums.ws / sums.wsum)))
     if not lehmer:
         anchor, total = sums.anchored(a)
-        mean = (total / sums.wsum) ** (1.0 / a)
+        share = total / sums.wsum
+        if total > 0.0 and not _normal(share):
+            # A share below the normal doubles has lost digits; its logarithm has not.
+            log_mean = math.log(anchor or 1.0) + (math.log(total) - math.log(sums.wsum)) / a
+            low = math.log(sums.xmin) if sums.xmin > 0.0 else -math.inf
+            if not low <= log_mean <= math.log(sums.xmax):
+                raise DomainError(f"the Holder mean leaves the data range at exponent {a}")
+            return math.exp(log_mean)
+        mean = share ** (1.0 / a)
         return float(mean if anchor is None else anchor * mean)
     (top, num), (bottom, den) = sums.anchored(a), sums.anchored(a - 1.0)
     if top is not None or bottom is not None:

@@ -5,9 +5,9 @@ The weighted log-likelihood of a catalog model is
 
     sum_i u_i * (ln a(x_i) + eta(theta) * T(x_i) - H(theta))
 
-whose unique critical point is ``theta = mean_inverse(sum u T / sum u)`` --
-a weighted generalized mean of the data.  ``mle_closed_form`` evaluates that
-expression; ``mle_numeric`` maximizes the likelihood directly and serves as
+whose unique critical point is ``theta = mean_inverse(sum v T)`` with the
+v-weights ``v = u / sum u``: a weighted generalized mean.  ``mle_closed_form``
+evaluates it; ``mle_numeric`` maximizes the likelihood directly and serves as
 an independent cross-check.  The weighted least-squares functional
 ``sum u (T(x) - O(theta))^2`` has the same critical point when ``O`` is the
 model mean function, which ``lse_critical`` exposes.
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError
 from .expfam import FamilyModel, _check_support, _checked_theta, stat_mean_inverse
+from .means import _PowerSums, _normal
 
 __all__ = [
     "KERNEL_KINDS",
@@ -122,12 +123,27 @@ class MleResult:
     curvature: float
 
 
+def _kernel_weights(kernels, xs: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``base * u(x)``, one row per kernel; a power kernel whose plain sum is not
+    a normal finite double takes ``base * (x / x*)^beta``, ``x*`` the value that
+    dominates at ``beta`` among the points of positive base weight."""
+    positive = base > 0.0
+    with np.errstate(all="ignore"):
+        w = np.where(positive, base * np.array([kernel.weights(xs) for kernel in kernels]), 0.0)
+        for row, kernel, total in zip(w, kernels, w.sum(axis=1)):
+            if kernel.kind == "power" and not _normal(total) and positive.any():
+                sums = _PowerSums(xs[positive], base[positive])
+                anchor, _ = sums.anchored(kernel.beta)
+                row[positive] = sums.ws * sums.terms(kernel.beta, anchor)
+    return w
+
+
 def apply_kernel(values, kernel: WeightKernel, base_weights=None) -> tuple[WeightedSeries, int]:
     """Attach kernel weights to a value series.
 
-    Each point receives ``u(x) * base_weight`` (base weights default to 1).
-    Points whose combined weight is zero are dropped; the count of dropped
-    points is returned alongside the series.
+    Each point receives ``u(x) * base_weight`` (base weights default to 1),
+    up to a scale ``_kernel_weights`` may factor out.  Points whose combined
+    weight is zero are dropped; their count is returned alongside the series.
     """
     xs = np.atleast_1d(np.asarray(values, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
@@ -144,7 +160,7 @@ def apply_kernel(values, kernel: WeightKernel, base_weights=None) -> tuple[Weigh
             raise DomainError("base weights must be finite and non-negative")
     if kernel.kind == "power" and kernel.beta < 0.0 and np.any(xs == 0.0):
         raise DomainError("power kernel with negative exponent requires strictly positive values")
-    combined = base * kernel.weights(xs)
+    combined = _kernel_weights((kernel,), xs, base)[0]
     keep = combined > 0.0
     dropped = int(xs.size - np.count_nonzero(keep))
     if not keep.any():
@@ -160,13 +176,21 @@ def weighted_loglik(model: FamilyModel, theta, data: WeightedSeries) -> float:
 
 
 def sufficient_mean(model: FamilyModel, data: WeightedSeries) -> float:
-    """Weight-averaged sufficient statistic ``sum u T(x) / sum u``."""
+    """Weight-averaged sufficient statistic ``sum v T(x)``, ``v = u / sum u``."""
     _check_support(model, data.values)
-    return float(data.weights @ model.suff_stat(data.values) / data.weights.sum())
+    return float(data.weights / data.total_weight @ model.suff_stat(data.values))
+
+
+def _loglik_at_max(model: FamilyModel, log_theta, total, mean_log):
+    """``sum u ln f`` at the maximizer theta, where ``eta(theta) m = -h/q``:
+    ``W (c0 + (d - 1) sum v ln x + h (ln theta - 1/q))`` with ``W = sum u``.
+    ``mean_log`` is ``sum v ln x``, or 0 where ``d == 1`` admits ``x = 0``."""
+    return total * (model.c0 + (model.d - 1.0) * mean_log
+                    + model.h * (log_theta - 1.0 / model.q))
 
 
 def mle_closed_form(model: FamilyModel, data: WeightedSeries) -> MleResult:
-    """Closed-form weighted MLE: invert the mean function at the data mean.
+    """Closed-form weighted MLE and maximum: invert the mean function at ``m``.
 
     At the maximizer the second derivative of the weighted log-likelihood
     reduces to ``-eta'(theta) * r'(theta) * sum(u) = -q h sum(u) / theta^2``
@@ -176,11 +200,13 @@ def mle_closed_form(model: FamilyModel, data: WeightedSeries) -> MleResult:
     """
     m = sufficient_mean(model, data)
     theta = stat_mean_inverse(model, m)
-    loglik = weighted_loglik(model, theta, data)
+    v = data.weights / data.total_weight
+    mean_log = 0.0 if model.d == 1.0 else float(v @ np.log(data.values))
+    loglik = _loglik_at_max(model, math.log(theta), data.total_weight, mean_log)
     if not math.isfinite(loglik):
         raise DomainError(f"{model.name}: log-likelihood {loglik!r} at theta={theta!r} is not finite")
-    # A numpy scalar, so that theta^-2 overflows to inf instead of raising.
-    curvature = float(-model.q * model.h * data.total_weight * np.power(np.float64(theta), -2.0))
+    # Divided twice, not by theta**2, so that it overflows to inf without raising.
+    curvature = -model.q * model.h * data.total_weight / theta / theta
     return MleResult(theta_hat=theta, loglik=loglik, curvature=curvature)
 
 

@@ -152,7 +152,9 @@ def reference_means(values, alphas, family, weights=None):
     is kept while it is a normal double.  Otherwise the extreme that
     dominates at its exponent (the maximum for a non-negative one) is
     factored out, each term ``(x / anchor)^p`` taken as ``x^p / anchor^p``
-    while ``anchor^p`` is normal; a Lehmer quotient then factors both sums,
+    while ``anchor^p`` and ``x^p`` are normal.  A Holder share ``sum / sum w``
+    below the normal doubles is raised in log space, and a mean so found
+    outside the data range raises; a Lehmer quotient then factors both sums,
     each at its own extreme.  An all-zero series keeps its plain sums.  The
     first exponent that fails raises its ``DomainError``."""
     xs = np.asarray(values, dtype=float)
@@ -167,9 +169,10 @@ def reference_means(values, alphas, family, weights=None):
             if anchor is None:
                 return np.power(xs, p) @ ws
             scale = np.power(anchor, p)
-            if tiny <= scale < math.inf:
-                return (np.power(xs, p) / scale) @ ws
-            return np.power(xs / anchor, p) @ ws
+            if not tiny <= scale < math.inf:
+                return np.power(xs / anchor, p) @ ws
+            powers = np.power(xs, p)
+            return np.where(powers >= tiny, powers / scale, np.power(xs / anchor, p)) @ ws
 
     def needs_anchor(p):
         return xs.max() > 0.0 and not tiny <= power_sum(p) < math.inf
@@ -190,11 +193,18 @@ def reference_means(values, alphas, family, weights=None):
         elif family == "holder" and abs(a) < GEOMETRIC_CUTOFF:
             means.append(float(np.exp(np.log(xs) @ (ws / ws.sum()))))
         elif family == "holder":
-            if needs_anchor(a):
-                anchor = extreme(a)
-                means.append(float(anchor * (power_sum(a, anchor) / ws.sum()) ** (1.0 / a)))
+            anchor = extreme(a) if needs_anchor(a) else None
+            total = power_sum(a, anchor)
+            if total > 0.0 and not tiny <= total / ws.sum() < math.inf:
+                log_mean = math.log(anchor or 1.0) + (math.log(total) - math.log(ws.sum())) / a
+                low = math.log(xs.min()) if xs.min() > 0.0 else -math.inf
+                if not low <= log_mean <= math.log(xs.max()):
+                    raise DomainError(f"the Holder mean leaves the data range at exponent {a}")
+                means.append(math.exp(log_mean))
+            elif anchor is None:
+                means.append(float((total / ws.sum()) ** (1.0 / a)))
             else:
-                means.append(float((power_sum(a) / ws.sum()) ** (1.0 / a)))
+                means.append(float(anchor * (total / ws.sum()) ** (1.0 / a)))
         else:
             top = bottom = None
             if needs_anchor(a) or needs_anchor(a - 1.0):

@@ -25,6 +25,7 @@ from meanfit import (
     catalog,
     dct8,
     fit_histogram,
+    fit_surface,
     holder_lehmer_link,
     holder_mean,
     idct8,
@@ -186,6 +187,24 @@ def test_criterion_06_table_mean_correspondences():
             theta = mle_closed_form(half_normal, unit_series).theta_hat
             expected = holder_mean(xs, 2.0) ** 2
             assert abs(1.0 / theta**2 - expected) <= 1e-10 * expected
+        # The same identities on fit_surface's own code path, with the bin
+        # counts as weights, at exponents whose plain weights leave the doubles.
+        betas = np.arange(-1000.0, 1001.0, 25.0)
+        shapes = np.array([0.5, 1.0, 1.7, 2.0, 3.0])
+        for seed in range(20):
+            hist = dct_like_histogram(np.random.default_rng(seed))
+            kept = hist.counts > 0.0
+            centers, counts = hist.centers[kept], hist.counts[kept]
+            surface = fit_surface(catalog("exponential"), hist,
+                                  [WeightKernel.power(b) for b in betas])
+            for beta, theta in zip(betas, surface.theta_hat[0]):
+                expected = lehmer_mean(centers, beta + 1.0, weights=counts)
+                assert abs(1.0 / theta - expected) <= 1e-12 * expected
+            surface = fit_surface(catalog("weibull", alpha=1.0), hist, [WeightKernel.unit()],
+                                  shapes)
+            for shape, theta in zip(shapes, surface.theta_hat[:, 0]):
+                expected = holder_mean(centers, shape, weights=counts) ** shape
+                assert abs(1.0 / theta**shape - expected) <= 1e-12 * expected
 
 
 def test_criterion_07_synthetic_recovery():

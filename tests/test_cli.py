@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfit import SweepGrid, WeightKernel, build_histogram, catalog, load_histogram_csv, \
-    save_histogram_csv
+from meanfit import MODEL_NAMES, SweepGrid, WeightKernel, build_histogram, catalog, \
+    load_histogram_csv, save_histogram_csv
 import meanfit
 from meanfit import cli
 from meanfit.cli import main
+from meanfit.expfam import HYPERPARAMETERS
 
 from conftest import EXTREME_VALUES, dct_like_histogram, loop_best, loop_points, \
     reference_means
@@ -511,10 +512,43 @@ FUZZ_EXPONENTS = st.one_of(st.floats(-1000.0, 1000.0), st.floats(-1.0, 1.0),
 
 
 @st.composite
-def fuzz_grids(draw):
-    lo = draw(st.floats(-1000.0, 1000.0))
+def fuzz_grids(draw, flag="--alpha-grid", lo=st.floats(-1000.0, 1000.0)):
+    lo = draw(lo)
     step = draw(st.floats(1e-3, 300.0))
-    return f"--alpha-grid={lo!r}:{lo + step * draw(st.integers(0, 6))!r}:{step!r}"
+    return f"{flag}={lo!r}:{lo + step * draw(st.integers(0, 6))!r}:{step!r}"
+
+
+@st.composite
+def fuzz_histograms(draw):
+    """Histogram CSV text on a tiny or huge scale, of either sign, with zero,
+    subnormal and huge counts."""
+    scale = draw(st.one_of(EXTREME_VALUES, st.floats(1e-3, 1e3)))
+    left = scale * draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.0]))
+    counts = st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 5e-324, 1e300, 1.7e308]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        odd = draw(st.integers(0, 19)) == 0
+        right = left + (draw(EXTREME_VALUES) if odd else draw(st.floats(0.01, 10.0)) * scale)
+        rows.append(f"{left!r},{right!r},{draw(counts)!r}\n")
+        left = right
+    return "".join(rows)
+
+
+@st.composite
+def fuzz_models(draw, shape_flag=True):
+    """``--model NAME`` and, mostly for shaped models, a ``--shape`` value."""
+    name = draw(st.sampled_from(MODEL_NAMES))
+    argv = ["--model", name]
+    if shape_flag and draw(st.integers(0, 9)) < (8 if HYPERPARAMETERS[name] else 1):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            shape = draw(st.sampled_from(["0", "-1", "inf", "nan", "1,2,3"]))
+        elif kind == 1 or name == "gen-gamma":
+            shape = f"{draw(EXTREME_VALUES)!r},{draw(st.floats(0.1, 10.0))!r}"
+        else:
+            shape = repr(draw(st.floats(1e-3, 50.0)))
+        argv.append(f"--shape={shape}")
+    return argv
 
 
 class TestFuzz:
@@ -548,6 +582,37 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     def test_curves(self, x1, x2, grid):
         self.check(*run_in_process("curves", f"--pair={x1!r},{x2!r}", grid))
+
+    @given(model=fuzz_models(), hist=fuzz_histograms(),
+           kernel=st.one_of(st.sampled_from(["unit", "log1p"]),
+                            st.floats(-1000.0, 1000.0).map(lambda b: f"power:{b!r}")))
+    @settings(max_examples=200, deadline=None)
+    def test_fit(self, tmp_path_factory, model, hist, kernel):
+        path = tmp_path_factory.getbasetemp() / "fuzz-fit.csv"
+        path.write_text(hist)
+        code, out = run_in_process("fit", *model, f"--kernel={kernel}", "--input", str(path))
+        self.check(code, out)
+        if code == 0:
+            assert list(json.loads(out)) == ["model", "kernel", "beta", "alpha", "theta_hat",
+                                             "mse", "loglik", "dropped_bins"]
+
+    @given(model=fuzz_models(shape_flag=False), hist=fuzz_histograms(),
+           beta=fuzz_grids("--beta"),
+           shapes=st.none() | fuzz_grids("--shape-grid", st.floats(1e-3, 10.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep(self, tmp_path_factory, model, hist, beta, shapes):
+        path = tmp_path_factory.getbasetemp() / "fuzz-sweep.csv"
+        path.write_text(hist)
+        sidecar = path.with_name("fuzz-sweep.sweep.csv")
+        sidecar.unlink(missing_ok=True)
+        argv = ["sweep", *model, beta, "--input", str(path)]
+        code, out = run_in_process(*argv + ([] if shapes is None else [shapes]))
+        self.check(code, out)
+        if code == 0:
+            assert json.loads(out)["model"] == model[1]
+            for row in sidecar.read_text().splitlines():
+                beta_text, mse_text = row.split(",")
+                float(beta_text), float(mse_text)
 
     def test_subnormal_lehmer_mean_under_w_error(self, tmp_path):
         path = tmp_path / "values.csv"

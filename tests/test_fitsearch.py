@@ -397,11 +397,11 @@ def surface_cases(draw):
     model = draw(st.sampled_from(desk_models()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hist = dct_like_histogram(rng, n=2000, bins=draw(st.integers(2, 60)))
-    # Moderate exponents, and extreme ones whose weights underflow (dropped
-    # bins) or overflow (failed points).
-    lo = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-400.0, 400.0)))
-    step = draw(st.floats(0.01, 50.0))
-    kernels = [WeightKernel.power(lo + step * k) for k in range(draw(st.integers(1, 8)))]
+    # Moderate exponents, and extreme ones whose plain weights leave the
+    # double range, so that the weights are anchored at the dominant center
+    # and the others underflow (dropped bins).
+    betas = st.one_of(st.floats(-3.0, 3.0), st.floats(-1000.0, 1000.0))
+    kernels = [WeightKernel.power(b) for b in draw(st.lists(betas, min_size=1, max_size=8))]
     if draw(st.booleans()):
         kernels += [WeightKernel.unit(), WeightKernel.log_shift()]
     shapes = None
@@ -420,12 +420,32 @@ def assert_matches_loop_and_messages(model, hist, kernels, shapes=None):
     return surface
 
 
-# Every one of its 80 counts is positive.
+# Every one of its 80 counts is positive, and its centers span 0.036 to 5.7.
 KEPT_HIST = dct_like_histogram(np.random.default_rng(1))
-# x^-400 overflows below x = 1, so the first kernel fails on every row while
-# the others fit.
-MIXED_KERNELS = [WeightKernel.power(b) for b in (-400.0, -1.0, 0.0, 0.5, 2.0)] + [
+# Every kernel keeps every bin of KEPT_HIST.
+MIXED_KERNELS = [WeightKernel.power(b) for b in (-1.0, 0.0, 0.5, 2.0)] + [
     WeightKernel.unit(), WeightKernel.log_shift()]
+
+
+# (model, edges, counts, kernel, error, words): every class of failure a
+# fit_surface point can still have, each in a histogram where the unit fits.
+ROW_FAILURES = [
+    # log1p(x) times a subnormal count rounds to 0 in both bins
+    (EXPO, [0.0, 0.4, 0.8], [5e-324, 5e-324], WeightKernel.log_shift(),
+     EmptyDataError, "dropped"),
+    # x^1000 underflows at 0.25, so only T(1) = 0 is left
+    (catalog("std-lognormal"), [0.0, 0.5, 1.5], [1.0, 1.0], WeightKernel.power(1000.0),
+     NoSolutionError, "mean statistic"),
+    # the anchor 1e-310 leaves m = -1e-310, and theta = 1 / -m overflows
+    (EXPO, [0.0, 2e-310, 2.0], [1e-300, 1.0], WeightKernel.power(-1000.0),
+     DomainError, "outside the open domain"),
+    # sum u = 6e307 is a normal double; times ln(1000) - 1 it is not
+    (EXPO, [0.0, 2e-3, 1.998], [1.0, 1.0], WeightKernel.power(-102.6),
+     DomainError, "log-likelihood"),
+    # theta = 1e200, so the fitted density at 1e-200 squares to inf
+    (EXPO, [0.0, 2e-200, 2.0], [1e-250, 1.0], WeightKernel.power(-1000.0),
+     DomainError, "MSE"),
+]
 
 
 def shapes_of(model):
@@ -456,10 +476,10 @@ class TestFitSurface:
     def test_every_bin_kept_matches_loop(self, model):
         surface = assert_matches_loop_and_messages(model, KEPT_HIST, MIXED_KERNELS, shapes_of(model))
         assert not surface.dropped_bins.any()
-        assert sorted(surface.failures) == [(i, 0) for i in range(len(surface.alphas))]
+        assert not surface.failures
 
     @pytest.mark.parametrize("model", desk_models(), ids=model_ids())
-    @pytest.mark.parametrize("drop", ["zero count", "beta 400", "negative centers"])
+    @pytest.mark.parametrize("drop", ["zero count", "beta 400", "beta -400", "negative centers"])
     def test_dropped_bins_match_loop(self, model, drop):
         hist, kernels = KEPT_HIST, MIXED_KERNELS
         if drop == "zero count":
@@ -469,23 +489,51 @@ class TestFitSurface:
         elif drop == "beta 400":
             # x^400 underflows to 0 at the two smallest centers
             kernels = kernels + [WeightKernel.power(400.0)]
+        elif drop == "beta -400":
+            # the sum of x^-400 overflows, so the weights are (x / x_min)^-400,
+            # which underflow at all but the three smallest centers
+            kernels = [WeightKernel.power(-400.0)] + kernels
         else:
             # the first two centers are negative, outside every support
             hist = Histogram(hist.edges - hist.edges[2], hist.counts)
         surface = assert_matches_loop_and_messages(model, hist, kernels, shapes_of(model))
         assert surface.dropped_bins.any()
-        assert all((i, 0) in surface.failures for i in range(len(surface.alphas)))
+        assert not surface.failures
+
+    @pytest.mark.parametrize("model", desk_models(), ids=model_ids())
+    def test_extreme_exponents_fit_everywhere(self, model):
+        # Only the v-weights u / sum u enter an estimate, so no exponent whose
+        # plain weights leave the double range fails a point.
+        kernels = [WeightKernel.power(b) for b in np.arange(-1000.0, 1001.0, 25.0)]
+        surface = assert_matches_loop_and_messages(model, KEPT_HIST, kernels)
+        assert not surface.failures
+
+    @pytest.mark.filterwarnings("error")
+    def test_anchor_skips_an_empty_extreme_bin(self):
+        # The smallest center holds no count, so the weights of power -1100
+        # are anchored at the second center, not the first, and x = 4e-3
+        # underflows: two bins dropped, theta = 1 / 2e-3.
+        hist = Histogram(np.linspace(0.5e-3, 4.5e-3, 5), np.array([0.0, 1.0, 2.0, 3.0]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.power(-1100.0)])
+        report = surface.report(0, 0)
+        assert report.dropped_bins == 2
+        assert report.theta_hat == pytest.approx(500.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_center_is_dropped_under_negative_power(self):
+        hist = Histogram(np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.power(-1.0)])
+        assert surface.report(0, 0).theta_hat == 1.0 / 1.5
 
     def test_row_mixing_failed_checks_matches_loop(self):
-        # At shape 1.7, x^-400 fails the weight check, the statistic of x^404
-        # overflows to -inf (no solution) and x^2 fits.
-        model = catalog("gen-gamma", alpha=1.0, b=40.0)
-        kernels = [WeightKernel.power(b) for b in (-400.0, 404.0, 2.0)]
-        surface = assert_matches_loop_and_messages(model, KEPT_HIST, kernels, [1.7, 0.25])
-        row = [surface.failures.get((0, j)) for j in range(len(kernels))]
-        assert "weights" in str(row[0])
-        assert isinstance(row[1], NoSolutionError)
-        assert row[2] is None
+        # One failure class each, in a row where the unit kernel fits.
+        for model, edges, counts, kernel, error, words in ROW_FAILURES:
+            hist = Histogram(np.array(edges), np.array(counts))
+            surface = assert_matches_loop_and_messages(model, hist, [kernel, WeightKernel.unit()])
+            assert type(surface.failures[(0, 0)]) is error
+            assert words in str(surface.failures[(0, 0)])
+            assert list(surface.failures) == [(0, 0)]
+            assert surface.best() == surface.report(0, 1)
 
     @pytest.mark.parametrize("seed", [26, 297])
     def test_small_shape_matches_loop_exactly(self, seed):
@@ -510,16 +558,16 @@ class TestFitSurface:
         assert "b/alpha" in str(causes[0][1])
 
     def test_first_point_nonfinite_later_point_wins(self):
-        # At shape 1.7 the statistic of x^404 is -inf and x^-400 fails the
-        # weight check; a failure must never be reported, nor block the
-        # finite point after them
-        model = catalog("gen-gamma", alpha=1.0, b=40.0)
-        kernels = [WeightKernel.power(b) for b in (404.0, -400.0, 2.0)]
-        surface = fit_surface(model, KEPT_HIST, kernels, [1.7])
+        # x^1000 underflows at 0.25, leaving the statistic T(1) = 0 (no
+        # solution); x^530 is subnormal there, so theta overflows.  A failure
+        # must never be reported, nor block the finite point after them.
+        hist = Histogram(np.array([0.0, 0.5, 1.5]), np.array([1.0, 1.0]))
+        kernels = [WeightKernel.power(b) for b in (1000.0, 530.0, 2.0)]
+        surface = fit_surface(catalog("std-lognormal"), hist, kernels)
         assert isinstance(surface.failures[(0, 0)], NoSolutionError)
         assert isinstance(surface.failures[(0, 1)], DomainError)
         best = surface.best()
-        assert (best.alpha, best.beta) == (1.7, 2.0)
+        assert best.beta == 2.0
         assert math.isfinite(best.mse) and math.isfinite(best.loglik)
 
     def test_profile_is_per_beta_minimum_over_shapes(self, rng):

@@ -220,6 +220,17 @@ class TestMeanCurve:
         # overflow warning fails under the suite's warning filter
         assert mean(values, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_subnormal_share_is_raised_in_log_space(self):
+        # the anchored sum 5e-324 over the weight sum 2 is 2.5e-324, which
+        # rounds to 0, and 0^(-1/19) was inf (and a divide warning)
+        values, weights = [5e-324, 1e-306], [5e-324, 2.0]
+        want = log_space_mean(values, weights, -19.0, "holder")
+        assert holder_mean(values, -19.0, weights) == pytest.approx(want, rel=LOG_SPACE_RTOL)
+        # here the anchor 1e-306 ignores the weight 1e300 of 5e-324, whose
+        # term underflows, and the share's mean falls below the data
+        with pytest.raises(DomainError, match="leaves the data range"):
+            holder_mean(values, 19.0, [1e300, 5e-324])
+
     @pytest.mark.parametrize("values, alpha", [
         ([1e-300, 1.7e305], 1.01),  # x^1.01 overflows; (1e-300 / 1.7e305)^0.01 ~ 9e-7
         ([1e-312, 1e305], 0.01),    # x^-0.99 overflows; (1e-312 / 1e305)^0.01 ~ 7e-7
@@ -319,6 +330,14 @@ class TestVWeights:
     def test_lehmer_all_zero_rejected(self):
         with pytest.raises(DomainError, match="not finite"):
             v_weights([0.0, 0.0], 2.0, "lehmer")
+
+    def test_lehmer_weight_of_subnormal_power_keeps_its_digits(self):
+        # (1e104)^-3.07 is subnormal, (1e100)^-3.07 is not: the weight is the
+        # power of the ratio, not a quotient of what the subnormal kept
+        p = np.longdouble(-2.07 - 1.0)
+        share = np.exp(p * (np.log(np.longdouble(1e104)) - np.log(np.longdouble(1e100))))
+        want = float(share / (1 + share))
+        assert abs(v_weights([1e100, 1e104], -2.07, "lehmer")[1] - want) <= 1e-12 * want
 
 
 class TestHolderLehmerLink:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanfit import (
     DomainError,
@@ -118,6 +120,16 @@ class TestApplyKernel:
         with pytest.raises(EmptyDataError):
             apply_kernel([0.0], WeightKernel.log_shift())
 
+    def test_power_weights_beyond_the_doubles_are_anchored(self):
+        # 2^1100 overflows, so the weights are (x / 2)^1100, where 0.5^1100
+        # underflows; the kernel itself still returns u(x)
+        series, dropped = apply_kernel([1.0, 1.5, 2.0], WeightKernel.power(1100.0))
+        np.testing.assert_array_equal(series.values, [1.5, 2.0])
+        np.testing.assert_array_equal(series.weights, [0.75**1100, 1.0])
+        assert dropped == 1
+        with np.errstate(over="ignore"):
+            assert WeightKernel.power(1100.0).weights([2.0])[0] == math.inf
+
 
 class TestWeightedLoglik:
     def test_exponential_example(self):
@@ -207,6 +219,35 @@ class TestClosedForm:
     def test_all_zero_data_has_no_mle(self):
         with pytest.raises(NoSolutionError):
             mle_closed_form(EXPO, unit_series([0.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", [EXPO, HALF_NORMAL, catalog("gamma", k=1.0)],
+                             ids=["exponential", "half-normal", "gamma-1"])
+    def test_zero_value_in_support_takes_no_log(self, model):
+        # d == 1 admits x = 0, where ln x is -inf; the maximum needs no ln x
+        series = unit_series([0.0, 1.0, 2.0])
+        res = mle_closed_form(model, series)
+        want = weighted_loglik(model, res.theta_hat, series)
+        assert res.loglik == pytest.approx(want, rel=1e-14)
+
+    @given(model=st.sampled_from(desk_models()), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(5, 40),
+           beta=st.one_of(st.floats(-3.0, 3.0), st.floats(-1000.0, 1000.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_loglik_matches_long_double_sum(self, model, seed, n, beta):
+        # The closed-form maximum W (c0 + (d-1) sum v ln x + h (ln theta - 1/q))
+        # against sum u ln f in extended precision, under the weights used
+        xs = random_series(np.random.default_rng(seed), n, lo=0.01, hi=100.0)
+        series, _ = apply_kernel(xs, WeightKernel.power(beta))
+        res = mle_closed_form(model, series)
+        x = series.values.astype(np.longdouble)
+        u = series.weights.astype(np.longdouble)
+        theta = np.longdouble(res.theta_hat)
+        t = -(np.log(x) ** 2 if model.p is None else x ** np.longdouble(model.p))
+        log_f = (model.c0 + (model.d - 1.0) * np.log(x) + model.s * theta ** model.q * t
+                 + model.h * np.log(theta))
+        want = (u * log_f).sum()
+        assert abs(res.loglik - float(want)) <= 1e-12 * float((u * np.abs(log_f)).sum())
 
 
 class TestNumericOracle:
@@ -305,7 +346,7 @@ class TestLeastSquares:
 class TestMeanCorrespondences:
     """Closed-form estimates expressed through the classical mean families."""
 
-    @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [-1000.0, -0.5, 0.0, 1.0, 2.0, 1000.0])
     def test_exponential_power_kernel_is_lehmer(self, beta, rng):
         xs = random_series(rng, 40)
         series, _ = apply_kernel(xs, WeightKernel.power(beta))
