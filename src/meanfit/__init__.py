@@ -27,8 +27,6 @@ from .fitsearch import (
     compare_kernels,
     fit_histogram,
     fit_surface,
-    histogram_to_series,
-    mse_score,
     sweep_beta,
     sweep_shape,
 )

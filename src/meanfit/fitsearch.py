@@ -1,13 +1,18 @@
 """Histogram fitting, MSE scoring, and grid sweeps over kernel/shape parameters.
 
 A histogram is fitted by treating bin centers as observations, bin counts as
-frequency weights, and multiplying in the kernel weight ``u(center)``.  Fit
-quality is the mean squared difference between the empirical bin density
-``count / (total * width)`` and the fitted density at the bin centers.
-Kernel exponents and shape hyperparameters are chosen by exhaustive grid
-search with deterministic tie-breaking: ``fit_surface`` scores a whole
-(shape x kernel) grid in one pass, and the sweeps are views of it.  A fit
-is either finite or a typed failure.
+frequency weights, and multiplying in the kernel weight ``u(center)``; a bin
+with a non-positive center, a zero count or a zero kernel weight is dropped.
+Fit quality is the mean squared difference between the empirical bin density
+``count / (total * width)`` and the fitted density, over every bin whose
+center lies in the model support, zero-count bins included (an empty bin is
+honest evidence of density 0).  A fit is either finite or a typed failure,
+checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
+weight (``DomainError``), no solution for the mean statistic
+(``NoSolutionError``), theta outside its domain, a non-finite log-likelihood,
+a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
+(shape x kernel) grid in one pass; ``fit_histogram`` is its one-point surface,
+and the sweeps, grid searches with deterministic tie-breaking, are views of it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError, SweepError
-from .expfam import FamilyModel, catalog, in_support, pdf, _checked_theta
-from .wmle import WeightKernel, WeightedSeries, _kernel_weights, _loglik_at_max, mle_closed_form
+from .expfam import FamilyModel, catalog, in_support
+from .wmle import WeightKernel, _kernel_weights, _loglik_at_max
 
 __all__ = [
     "FitReport",
@@ -31,8 +36,6 @@ __all__ = [
     "compare_kernels",
     "fit_histogram",
     "fit_surface",
-    "histogram_to_series",
-    "mse_score",
     "sweep_beta",
     "sweep_shape",
 ]
@@ -140,57 +143,10 @@ class KernelComparison:
     failures: tuple[str, ...]
 
 
-def histogram_to_series(hist: Histogram, kernel: WeightKernel) -> tuple[WeightedSeries, int]:
-    """Turn bins into weighted observations at the bin centers.
-
-    Each retained bin contributes the point ``(center, count * u(center))``.
-    Bins with non-positive centers, zero counts, or zero kernel weight are
-    dropped; the dropped-bin count is returned with the series.
-    """
-    centers = hist.centers
-    weights = _kernel_weights((kernel,), centers, np.where(centers > 0.0, hist.counts, 0.0))[0]
-    keep = weights > 0.0
-    if not keep.any():
-        raise EmptyDataError("every histogram bin was dropped")
-    return WeightedSeries(centers[keep], weights[keep]), int(hist.nbins - np.count_nonzero(keep))
-
-
-def mse_score(model: FamilyModel, theta, hist: Histogram) -> float:
-    """Mean squared error between empirical bin densities and the fitted pdf.
-
-    The empirical density of bin b is ``count_b / (total * width_b)``; the
-    comparison runs over every bin whose center lies in the model support
-    (zero-count bins included: an empty bin is honest evidence of density 0).
-    A non-finite score raises ``DomainError``.
-    """
-    th = _checked_theta(model, theta)
-    mask = in_support(model, hist.centers)
-    if not mask.any():
-        raise EmptyDataError("no histogram bin center lies in the model support")
-    empirical = hist.counts / (hist.total * hist.widths)
-    fitted = pdf(model, th, hist.centers[mask])
-    mse = float(np.mean((empirical[mask] - fitted) ** 2))
-    if not math.isfinite(mse):
-        raise DomainError(f"{model.name}: MSE {mse!r} at theta={float(th)!r} is not finite")
-    return mse
-
-
 def fit_histogram(model: FamilyModel, hist: Histogram, kernel: WeightKernel) -> FitReport:
-    """Closed-form fit of one model/kernel pair, scored by MSE."""
-    with np.errstate(all="ignore"):
-        series, dropped = histogram_to_series(hist, kernel)
-        est = mle_closed_form(model, series)
-        mse = mse_score(model, est.theta_hat, hist)
-    return FitReport(
-        model=model.name,
-        kernel=kernel.kind,
-        beta=kernel.beta,
-        alpha=model.hyper.get("alpha"),
-        theta_hat=est.theta_hat,
-        mse=mse,
-        loglik=est.loglik,
-        dropped_bins=dropped,
-    )
+    """Closed-form fit of one model/kernel pair, scored by MSE: the one-point
+    ``fit_surface``, raising its failure."""
+    return fit_surface(model, hist, (kernel,)).report(0, 0)
 
 
 def _report_key(report: FitReport, alpha_last: float = 0.0) -> tuple:
@@ -207,8 +163,9 @@ class FitSurface:
     Row ``i`` is the model at shape ``alphas[i]`` (one row, the model itself,
     when no shapes are swept) and column ``j`` is ``kernels[j]``.  A failed
     point is NaN in ``theta_hat``, ``mse`` and ``loglik``, and ``failures``
-    keeps the exception ``fit_histogram`` raises there, keyed ``(i, j)`` in
-    row-major order.  ``dropped_bins`` depends on the kernel only.
+    keeps its exception, the first failed check of the module docstring,
+    keyed ``(i, j)`` in row-major order.  ``dropped_bins`` depends on the
+    kernel only.
     """
 
     model: str
@@ -271,9 +228,9 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
                 shapes=None) -> FitSurface:
     """Fit ``model`` to ``hist`` at every (shape, kernel) pair in one pass.
 
-    Each point equals ``fit_histogram`` on the shaped model and the kernel,
-    with the same checks and exception classes, but one shape row is a few
-    ``kernels x bins`` array reductions: ``m = V @ T`` with the v-weights
+    Each point is the closed-form fit of the shaped model under the kernel,
+    scored and checked as the module docstring says, and one shape row is a
+    few ``kernels x bins`` array reductions: ``m = V @ T`` with the v-weights
     ``V = W / W.sum(1)``, and the closed forms over the vector of ``m``.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed; a shape that ``catalog`` rejects fails its row.
@@ -292,9 +249,9 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         alphas = tuple(shapes.tolist())
         fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
 
-    # Kernel weights as in histogram_to_series, one row per kernel.  The bins
-    # that every kernel drops are left out here, so that a kernel keeping all
-    # the others sums the same bins as the scalar path.
+    # Kernel weights count * u(center) of the positive centers, one row per
+    # kernel.  The bins that every kernel drops are left out here, so that a
+    # kernel keeping all the others sums the same bins as the scalar path.
     centers = hist.centers
     w = _kernel_weights(kernels, centers, np.where(centers > 0.0, hist.counts, 0.0))
     keep = w > 0.0
@@ -304,6 +261,8 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     used = keep.any(axis=0)
     x, w, keep = centers[used], np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
     row_keep = None if keep.all() else keep
+    # Only a log1p weight can overflow: a power kernel's sum is anchored.
+    bad_weights = ~np.isfinite(w).all(axis=1)
     with np.errstate(all="ignore"):
         empirical = hist.counts / (hist.total * hist.widths)
         wsum = w.sum(axis=1)
@@ -320,7 +279,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             failures.update(((i, j), exc) for j in range(len(kernels)))
             continue
         theta_hat[i], mse[i], loglik[i], row_failures = _fit_row(
-            row_model, x, v, wsum, mean_log, row_keep, centers, empirical)
+            row_model, x, v, wsum, bad_weights, mean_log, row_keep, centers, empirical)
         failures.update(((i, j), exc) for j, exc in row_failures)
     return FitSurface(
         model=model.name,
@@ -335,26 +294,28 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     )
 
 
-def _fit_row(model: FamilyModel, x, v, wsum, mean_log, keep, centers, empirical):
+def _fit_row(model: FamilyModel, x, v, wsum, bad_weights, mean_log, keep, centers, empirical):
     """One shape row of ``fit_surface``: every kernel's v-weights ``v`` at once.
 
-    ``wsum`` holds the total weights (0 where no bin is kept), ``mean_log``
-    ``sum v ln x``.  ``keep`` is None when every kernel keeps every bin of
-    ``x``; otherwise the row dots mask out the dropped bins.  The fitted
-    density comes from ``model.log_pdf``, as on the scalar path.
+    ``wsum`` holds the total weights (0 where no bin is kept), ``bad_weights``
+    flags a non-finite weight, ``mean_log`` is ``sum v ln x``.  ``keep`` is
+    None when every kernel keeps every bin of ``x``; otherwise the row dots
+    mask out the dropped bins.  The MSE is ``mean((count / (total * width) -
+    exp(log_pdf(center)))^2)`` over the centers in the support, zero counts
+    included.
 
     Returns theta, MSE and log-likelihood per kernel (NaN where failed) and
-    the ``(column, exception)`` failures, checked in ``fit_histogram``'s
-    order: no kept bin, no solution for ``m``, theta outside its domain, a
-    non-finite log-likelihood or MSE.
+    the ``(column, exception)`` failures, checked in order: no kept bin, a
+    non-finite weight, no solution for ``m``, theta outside its domain, a
+    non-finite log-likelihood, a non-finite MSE.
     """
     with np.errstate(all="ignore"):
         t = model.suff_stat(x)
         m = _row_dots(v, t[None] if keep is None else np.where(keep, t, 0.0))
         theta = model.mean_inverse(m)
         loglik = _loglik_at_max(model, np.log(theta), wsum, mean_log)
-        # Every center of x is positive, hence in the support, so
-        # mse_score's empty-support error cannot occur once a bin is kept.
+        # Every center of x is positive, hence in the support, so the MSE
+        # has a bin to compare once a bin is kept.
         support = in_support(model, centers)
         fitted = np.exp(model.log_pdf(theta[:, None], centers[support]))
         mse = ((empirical[support] - fitted) ** 2).sum(axis=1) / fitted.shape[1]
@@ -363,6 +324,7 @@ def _fit_row(model: FamilyModel, x, v, wsum, mean_log, keep, centers, empirical)
     name = model.name
     checks = (
         (wsum == 0.0, lambda j: EmptyDataError("every histogram bin was dropped")),
+        (bad_weights, lambda j: DomainError("weights must be finite and strictly positive")),
         (~(np.isfinite(m) & (m < 0.0)), lambda j: NoSolutionError(
             f"{name}: mean statistic {float(m[j])!r} outside the attainable range "
             f"(negative reals)")),

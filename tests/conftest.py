@@ -12,8 +12,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import erf, gammainc, gammaincc
 
-from meanfit import DomainError, EmptyDataError, NoSolutionError, build_histogram, catalog, \
-    fit_histogram
+from meanfit import DomainError, EmptyDataError, FitReport, NoSolutionError, apply_kernel, \
+    build_histogram, catalog, in_support, mle_closed_form, pdf
 from meanfit.fitsearch import _report_key
 from meanfit.means import GEOMETRIC_CUTOFF
 
@@ -118,8 +118,36 @@ def dct_like_histogram(rng, n=20000, bins=80):
     return hist
 
 
+def reference_mse(model, theta, hist):
+    """The fit's MSE as ``meanfit.fitsearch`` defines it: the empirical density
+    ``count / (total * width)`` against the pdf, over every bin whose center is
+    in the support, zero-count bins included."""
+    mask = in_support(model, hist.centers)
+    empirical = hist.counts / (hist.total * hist.widths)
+    return float(np.mean((empirical[mask] - pdf(model, theta, hist.centers[mask])) ** 2))
+
+
+def reference_fit(model, hist, kernel):
+    """Scalar reference for one fit_surface point: the positive centers
+    weighted by ``apply_kernel``, the estimate of ``mle_closed_form`` and
+    ``reference_mse``; a failed check raises as the surface documents."""
+    positive = hist.centers > 0.0
+    try:
+        series, dropped = apply_kernel(hist.centers[positive], kernel, hist.counts[positive])
+    except EmptyDataError:
+        # apply_kernel words it for a value series
+        raise EmptyDataError("every histogram bin was dropped") from None
+    est = mle_closed_form(model, series)
+    mse = reference_mse(model, est.theta_hat, hist)
+    if not math.isfinite(mse):
+        raise DomainError(f"{model.name}: MSE {mse!r} at theta={est.theta_hat!r} is not finite")
+    return FitReport(model=model.name, kernel=kernel.kind, beta=kernel.beta,
+                     alpha=model.hyper.get("alpha"), theta_hat=est.theta_hat, mse=mse,
+                     loglik=est.loglik, dropped_bins=dropped + int(np.count_nonzero(~positive)))
+
+
 def loop_points(model, hist, kernels, shapes=None):
-    """Scalar reference for fit_surface: fit_histogram at every point,
+    """Scalar reference for fit_surface: ``reference_fit`` at every point,
     shape-major, each value a FitReport or the exception it raised."""
     fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
     points = {}
@@ -131,7 +159,8 @@ def loop_points(model, hist, kernels, shapes=None):
             continue
         for j, kernel in enumerate(kernels):
             try:
-                points[(i, j)] = fit_histogram(shaped, hist, kernel)
+                with np.errstate(all="ignore"):
+                    points[(i, j)] = reference_fit(shaped, hist, kernel)
             except (DomainError, EmptyDataError, NoSolutionError) as exc:
                 points[(i, j)] = exc
     return points

@@ -16,22 +16,22 @@ from meanfit import (
     SweepError,
     SweepGrid,
     WeightKernel,
+    apply_kernel,
     beta_mse_profile,
     build_histogram,
     catalog,
     compare_kernels,
     fit_histogram,
     fit_surface,
-    histogram_to_series,
     mle_numeric,
-    mse_score,
     pdf,
     sweep_beta,
     sweep_shape,
 )
 from meanfit import fitsearch
 
-from conftest import dct_like_histogram, desk_models, loop_best, loop_points, model_ids
+from conftest import dct_like_histogram, desk_models, loop_best, loop_points, model_ids, \
+    reference_mse
 
 EXPO = catalog("exponential")
 
@@ -62,50 +62,67 @@ class TestHistogram:
 
 
 class TestHistogramToSeries:
+    """A fit weights each kept bin as the observation ``(center, count * u(center))``,
+    seen through ``theta_hat`` and ``dropped_bins``."""
+
     def test_unit_kernel(self):
         hist = Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([3.0, 1.0]))
-        series, dropped = histogram_to_series(hist, WeightKernel.unit())
-        np.testing.assert_allclose(series.values, [0.5, 1.5])
-        np.testing.assert_allclose(series.weights, [3.0, 1.0])
-        assert dropped == 0
+        report = fit_histogram(EXPO, hist, WeightKernel.unit())
+        # weights 3 and 1 at 0.5 and 1.5: mean 0.75
+        assert report.theta_hat == pytest.approx(1.0 / 0.75, rel=1e-15)
+        assert report.dropped_bins == 0
 
     def test_power_kernel(self):
         hist = Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([3.0, 1.0]))
-        series, dropped = histogram_to_series(hist, WeightKernel.power(1.0))
-        np.testing.assert_allclose(series.weights, [1.5, 1.5])
-        assert dropped == 0
+        report = fit_histogram(EXPO, hist, WeightKernel.power(1.0))
+        # weights 3 * 0.5 and 1 * 1.5 are equal: mean 1
+        assert report.theta_hat == pytest.approx(1.0, rel=1e-15)
+        assert report.dropped_bins == 0
 
     def test_zero_count_bin_dropped(self):
         hist = Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([0.0, 5.0]))
-        series, dropped = histogram_to_series(hist, WeightKernel.unit())
-        np.testing.assert_allclose(series.values, [1.5])
-        assert dropped == 1
+        report = fit_histogram(EXPO, hist, WeightKernel.unit())
+        assert report.theta_hat == pytest.approx(1.0 / 1.5, rel=1e-15)
+        assert report.dropped_bins == 1
+        assert loop_points(EXPO, hist, [WeightKernel.unit()])[(0, 0)].dropped_bins == 1
 
     def test_all_bins_dropped(self):
         hist = Histogram(edges=np.array([-2.0, -1.0, 0.0]), counts=np.array([1.0, 1.0]))
-        with pytest.raises(EmptyDataError):
-            histogram_to_series(hist, WeightKernel.unit())
+        with pytest.raises(EmptyDataError, match="every histogram bin was dropped"):
+            fit_histogram(EXPO, hist, WeightKernel.unit())
+        assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.unit()])
 
 
 class TestMseScore:
     def test_exact_discretized_density_scores_zero(self):
         # construct a histogram that IS the discretized density: find theta
         # where the bin-center densities sum to 1/width, so that the
-        # empirical densities reproduce pdf(centers) exactly
+        # empirical densities reproduce pdf(centers) exactly; then the kernel
+        # exponent whose fit lands on that theta
         model = catalog("weibull", alpha=2.0)
         theta_star = brentq(
             lambda th: pdf(model, th, 0.7) + pdf(model, th, 1.7) - 1.0, 0.5, 1.5, xtol=1e-15
         )
         counts = np.array([pdf(model, theta_star, 0.7), pdf(model, theta_star, 1.7)])
         hist = Histogram(edges=np.array([0.2, 1.2, 2.2]), counts=counts)
-        assert mse_score(model, theta_star, hist) < 1e-25
+
+        def theta_gap(beta):
+            return fit_histogram(model, hist, WeightKernel.power(beta)).theta_hat - theta_star
+
+        beta = brentq(theta_gap, -10.0, 10.0, xtol=1e-15)
+        report = fit_histogram(model, hist, WeightKernel.power(beta))
+        assert report.theta_hat == pytest.approx(theta_star, rel=1e-14)
+        assert report.mse < 1e-25
 
     def test_invariant_under_count_scaling(self, rng):
         counts = rng.integers(1, 50, 30).astype(float)
         edges = np.linspace(0.0, 6.0, 31)
-        base = mse_score(EXPO, 1.3, Histogram(edges=edges, counts=counts))
-        scaled = mse_score(EXPO, 1.3, Histogram(edges=edges, counts=7.0 * counts))
-        assert scaled == pytest.approx(base, rel=1e-14)
+        kernels = [WeightKernel.power(b) for b in np.arange(-2.0, 2.5, 0.5)] + [
+            WeightKernel.unit(), WeightKernel.log_shift()]
+        base = fit_surface(EXPO, Histogram(edges=edges, counts=counts), kernels)
+        scaled = fit_surface(EXPO, Histogram(edges=edges, counts=7.0 * counts), kernels)
+        assert not base.failures and not scaled.failures
+        np.testing.assert_allclose(scaled.mse, base.mse, rtol=1e-14)
 
     def test_count_scaling_leaves_fit_unchanged(self, rng):
         counts = rng.integers(1, 50, 30).astype(float)
@@ -123,15 +140,17 @@ class TestMseScore:
         draws = rng.exponential(0.5, 10_000)
         hist, _ = build_histogram(draws, bins=50, value_range=(0.0, 5.0))
         report = fit_histogram(EXPO, hist, WeightKernel.unit())
-        assert report.mse < mse_score(EXPO, 0.2, hist)
+        assert report.mse == pytest.approx(reference_mse(EXPO, report.theta_hat, hist), rel=1e-12)
+        assert report.mse < reference_mse(EXPO, 0.2, hist)
 
     def test_out_of_support_bins_excluded(self):
         hist = Histogram(edges=np.array([-1.0, 0.0, 1.0]), counts=np.array([2.0, 2.0]))
-        got = mse_score(EXPO, 1.0, hist)
-        # only the positive-center bin is compared; its empirical density is
-        # 2/(4*1) = 0.5
-        expected = (0.5 - pdf(EXPO, 1.0, 0.5)) ** 2
-        assert got == pytest.approx(expected, rel=1e-14)
+        report = fit_histogram(EXPO, hist, WeightKernel.unit())
+        # only the positive-center bin is fitted and compared: theta = 1 / 0.5,
+        # and its empirical density is 2/(4*1) = 0.5 against 2 exp(-1)
+        assert report.dropped_bins == 1
+        assert report.theta_hat == 2.0
+        assert report.mse == pytest.approx((0.5 - 2.0 * math.exp(-1.0)) ** 2, rel=1e-14)
 
 
 class TestFitHistogram:
@@ -333,10 +352,11 @@ class TestCompareKernels:
         for model in models:
             wins, gains = np.zeros(3), []
             for hist in hists:
+                points = loop_points(model, hist, [WeightKernel.unit(), WeightKernel.log_shift()])
                 mses = np.array([
-                    fit_histogram(model, hist, WeightKernel.unit()).mse,
+                    points[(0, 0)].mse,
                     loop_best(loop_points(model, hist, powers), shape_swept=False).mse,
-                    fit_histogram(model, hist, WeightKernel.log_shift()).mse,
+                    points[(0, 1)].mse,
                 ])
                 wins += mses <= mses.min() * (1.0 + 1e-3)
                 gains.append(abs(mses[0] - mses[1]) / mses[0])
@@ -535,6 +555,19 @@ class TestFitSurface:
             assert list(surface.failures) == [(0, 0)]
             assert surface.best() == surface.report(0, 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_log1p_weight_fails_as_the_scalar_path(self):
+        # 1.7e308 * ln(3) overflows, so the weights are not finite; only a
+        # count near the double maximum gets there, and with it the unit
+        # kernel's log-likelihood overflows too
+        hist = Histogram(np.array([1.0, 3.0, 5.0]), np.array([1.7e308, 1.0]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.log_shift()])
+        exc = surface.failures[(0, 0)]
+        assert (type(exc), str(exc)) == (
+            DomainError, "weights must be finite and strictly positive")
+        with pytest.raises(DomainError, match="weights must be finite"):
+            fit_histogram(EXPO, hist, WeightKernel.log_shift())
+
     @pytest.mark.parametrize("seed", [26, 297])
     def test_small_shape_matches_loop_exactly(self, seed):
         # The surface sums the same kept bins, in the same order, as the
@@ -603,11 +636,11 @@ class TestNonFiniteFits:
         model = catalog("gamma", k=150)
         report = fit_histogram(model, hist, WeightKernel.unit())
         assert math.isfinite(report.mse) and math.isfinite(report.loglik)
-        series, _ = histogram_to_series(hist, WeightKernel.unit())
+        series, _ = apply_kernel(hist.centers, WeightKernel.unit(), hist.counts)
         numeric = mle_numeric(model, series)
         assert report.theta_hat == pytest.approx(numeric.theta_hat, rel=1e-7)
         assert report.loglik == pytest.approx(numeric.loglik, rel=1e-12)
-        assert fit_surface(model, hist, [WeightKernel.unit()]).report(0, 0) == report
+        assert_matches_loop_and_messages(model, hist, [WeightKernel.unit()])
 
     @pytest.mark.parametrize("alpha, lo", [(2.0, 1e-155), (0.5, 1e-310)])
     def test_theta_overflow_is_domain_error_on_both_paths(self, alpha, lo):
@@ -616,12 +649,12 @@ class TestNonFiniteFits:
         model = catalog("weibull", alpha=alpha)
         with pytest.raises(DomainError):
             fit_histogram(model, hist, WeightKernel.unit())
-        surface = fit_surface(model, hist, [WeightKernel.unit()])
-        assert isinstance(surface.failures[(0, 0)], DomainError)
+        assert_matches_loop_and_messages(model, hist, [WeightKernel.unit()])
 
     def test_curvature_overflow_does_not_abort_the_fit(self):
         # theta ~ 5e-161, so the curvature theta**-2 overflows; the fit itself
         # is finite and the scalar path agrees with the surface
         hist = Histogram(edges=np.array([1e160, 2e160, 3e160]), counts=np.array([1.0, 2.0]))
         report = fit_histogram(EXPO, hist, WeightKernel.unit())
-        assert fit_surface(EXPO, hist, [WeightKernel.unit()]).report(0, 0) == report
+        assert math.isfinite(report.mse) and math.isfinite(report.loglik)
+        assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.unit()])
