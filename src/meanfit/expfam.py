@@ -60,12 +60,15 @@ class FamilyModel:
     def log_normalizer(self, theta):
         return -self.h * np.log(theta)
 
+    def log_base(self, x):
+        """``ln a(x)``; without the ln x term when d == 1, so that x = 0 stays finite."""
+        return self.c0 if self.d == 1.0 else self.c0 + (self.d - 1.0) * np.log(x)
+
     def log_pdf(self, theta, x):
         """``ln a(x) + eta(theta) T(x) - H(theta)``, broadcast over theta and x."""
         xs = np.asarray(x, dtype=float)
-        # Without the ln x term when d == 1, so that x = 0 stays finite.
-        ln_a = self.c0 if self.d == 1.0 else self.c0 + (self.d - 1.0) * np.log(xs)
-        return ln_a + self.natural_param(theta) * self.suff_stat(xs) - self.log_normalizer(theta)
+        return self.log_base(xs) + self.natural_param(theta) * self.suff_stat(xs) \
+            - self.log_normalizer(theta)
 
     def mean_inverse(self, m):
         """``r^-1(m) = (-h / (s q m))^(1/q)``, the theta with ``E_theta[T] = m``."""

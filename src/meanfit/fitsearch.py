@@ -11,14 +11,16 @@ checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
 weight (``DomainError``), no solution for the mean statistic
 (``NoSolutionError``), theta outside its domain, a non-finite log-likelihood,
 a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
-(shape x kernel) grid in one pass; ``fit_histogram`` is its one-point surface,
-and the sweeps, grid searches with deterministic tie-breaking, are views of it.
+(shape x kernel) grid in bounded blocks of shape rows, one array pass each;
+``fit_histogram`` is its one-point surface, and the sweeps, grid searches
+with deterministic tie-breaking, are views of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 _FIT_ERRORS = (DomainError, EmptyDataError, NoSolutionError)
+_BLOCK = 2**17   # doubles (1 MiB) in the density grid of a fit_surface block
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,11 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     """Fit ``model`` to ``hist`` at every (shape, kernel) pair in one pass.
 
     Each point is the closed-form fit of the shaped model under the kernel,
-    scored and checked as the module docstring says, and one shape row is a
-    few ``kernels x bins`` array reductions: ``m = V @ T`` with the v-weights
-    ``V = W / W.sum(1)``, and the closed forms over the vector of ``m``.
+    scored and checked as the module docstring says: ``m = V @ T`` with the
+    v-weights ``V = W / W.sum(1)``, and the closed forms over all ``m``.  A
+    block is a run of shape rows with one support whose ``rows x kernels x
+    bins`` density grid fits in the ``_BLOCK`` doubles of one scratch buffer
+    (or one row), so memory stays bounded; no result depends on the block.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed; a shape that ``catalog`` rejects fails its row.
     """
@@ -259,28 +264,35 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     # compress, not w[:, used], which is strided: a strided row sums in
     # another order than the scalar path's contiguous one.
     used = keep.any(axis=0)
-    x, w, keep = centers[used], np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
-    row_keep = None if keep.all() else keep
+    w, keep = np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
+    drop = None if keep.all() else ~keep
     # Only a log1p weight can overflow: a power kernel's sum is anchored.
     bad_weights = ~np.isfinite(w).all(axis=1)
     with np.errstate(all="ignore"):
         empirical = hist.counts / (hist.total * hist.widths)
         wsum = w.sum(axis=1)
         v = w / wsum[:, None]
-        # Every x is positive, so ln x is finite; and it is shape-free.
-        mean_log = _row_dots(v, np.log(x)[None])
+        # Every used center is positive, so ln x is finite; and it is shape-free.
+        mean_log = _row_dots(v, np.log(centers[used]))
 
     theta_hat, mse, loglik = np.full((3, len(alphas), len(kernels)), np.nan)
-    failures = {}
+    failures, shaped = {}, {}
     for i, alpha in enumerate(alphas):
         try:
-            row_model = model if shapes is None else catalog(model.name, alpha=alpha, **fixed)
+            shaped[i] = model if shapes is None else catalog(model.name, alpha=alpha, **fixed)
         except DomainError as exc:
             failures.update(((i, j), exc) for j in range(len(kernels)))
-            continue
-        theta_hat[i], mse[i], loglik[i], row_failures = _fit_row(
-            row_model, x, v, wsum, bad_weights, mean_log, row_keep, centers, empirical)
-        failures.update(((i, j), exc) for j, exc in row_failures)
+    rows = max(1, min(len(shaped), _BLOCK // (len(kernels) * hist.nbins)))
+    scratch = np.empty(rows * len(kernels) * hist.nbins)
+    # Only a center at 0 can be in one shape's support and not another's.
+    zero = 0.0 in centers
+    for _, run in itertools.groupby(shaped.items(), lambda row: zero and row[1].zero_in_support):
+        run = list(run)
+        for start in range(0, len(run), rows):
+            index, models = map(list, zip(*run[start:start + rows]))
+            theta_hat[index], mse[index], loglik[index], found = _fit_rows(
+                models, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch)
+            failures.update(((index[r], j), exc) for (r, j), exc in found.items())
     return FitSurface(
         model=model.name,
         alphas=alphas,
@@ -290,68 +302,83 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         mse=mse,
         loglik=loglik,
         dropped_bins=dropped_bins,
-        failures=failures,
+        failures=dict(sorted(failures.items())),
     )
 
 
-def _fit_row(model: FamilyModel, x, v, wsum, bad_weights, mean_log, keep, centers, empirical):
-    """One shape row of ``fit_surface``: every kernel's v-weights ``v`` at once.
+def _fit_rows(models, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch):
+    """One block of ``fit_surface``: the shape rows ``models``, which share one
+    support, under every kernel's v-weights ``v`` at once.
 
-    ``wsum`` holds the total weights (0 where no bin is kept), ``bad_weights``
-    flags a non-finite weight, ``mean_log`` is ``sum v ln x``.  ``keep`` is
-    None when every kernel keeps every bin of ``x``; otherwise the row dots
-    mask out the dropped bins.  The MSE is ``mean((count / (total * width) -
-    exp(log_pdf(center)))^2)`` over the centers in the support, zero counts
-    included.
+    ``used`` marks the centers ``v`` weights, ``wsum`` holds the total weights
+    (0 where no bin is kept), ``bad_weights`` flags a non-finite weight,
+    ``mean_log`` is ``sum v ln x``, and ``drop`` masks the used centers a
+    kernel drops (None if none).  The MSE is ``mean((count / (total * width)
+    - exp(log_pdf(center)))^2)`` over the support, zero counts included; its
+    ``rows x kernels x bins`` grid is built in the buffer ``scratch``,
+    each point by the scalar path's operations in their order.
 
-    Returns theta, MSE and log-likelihood per kernel (NaN where failed) and
-    the ``(column, exception)`` failures, checked in order: no kept bin, a
-    non-finite weight, no solution for ``m``, theta outside its domain, a
-    non-finite log-likelihood, a non-finite MSE.
+    Returns theta, MSE and log-likelihood per (row, kernel), NaN where failed,
+    and the failures keyed ``(row, kernel)``, each the first failed check.
     """
+    # Used centers are positive, hence in the support: once a bin is kept, the MSE has one.
+    support = in_support(models[0], centers)
+    xs, in_x = centers[support], used[support]
     with np.errstate(all="ignore"):
-        t = model.suff_stat(x)
-        m = _row_dots(v, t[None] if keep is None else np.where(keep, t, 0.0))
-        theta = model.mean_inverse(m)
-        loglik = _loglik_at_max(model, np.log(theta), wsum, mean_log)
-        # Every center of x is positive, hence in the support, so the MSE
-        # has a bin to compare once a bin is kept.
-        support = in_support(model, centers)
-        fitted = np.exp(model.log_pdf(theta[:, None], centers[support]))
-        mse = ((empirical[support] - fitted) ** 2).sum(axis=1) / fitted.shape[1]
-        lo, hi = model.theta_domain
+        # The exponents p and q stay scalars: numpy rounds a power with a
+        # scalar exponent of 2 or 0.5 otherwise than with an array of them.
+        t = np.array([model.suff_stat(xs) for model in models])
+        ln_a = np.array([np.broadcast_to(model.log_base(xs), xs.shape) for model in models])
+        tx = np.compress(in_x, t, axis=1)[:, None, :]
+        m = _row_dots(v, tx if drop is None else np.where(drop, 0.0, tx))
+        theta = np.array([model.mean_inverse(row) for model, row in zip(models, m)])
+        eta = np.array([model.natural_param(row) for model, row in zip(models, theta)])
+        # H and the log-likelihood take no power, so the rows' constants may be columns.
+        columns = replace(models[0], **{key: np.array([[getattr(row, key)] for row in models])
+                                        for key in ("q", "h", "d", "c0")})
+        log_norm = columns.log_normalizer(theta)
+        loglik = _loglik_at_max(columns, np.log(theta), wsum, mean_log)
+        # ln a + eta T - H in log_pdf's order; each einsum element is one product.
+        shape = (len(models), len(v), xs.size)
+        density = np.einsum("bk,bn->bkn", eta, t, out=scratch[:math.prod(shape)].reshape(shape))
+        density += ln_a[:, None, :]
+        density -= log_norm[:, :, None]
+        np.exp(density, out=density)
+        np.subtract(empirical[support], density, out=density)
+        np.square(density, out=density)
+        mse = density.sum(axis=2) / xs.size
+        lo, hi = models[0].theta_domain
         bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
-    name = model.name
+    name = models[0].name
     checks = (
-        (wsum == 0.0, lambda j: EmptyDataError("every histogram bin was dropped")),
-        (bad_weights, lambda j: DomainError("weights must be finite and strictly positive")),
-        (~(np.isfinite(m) & (m < 0.0)), lambda j: NoSolutionError(
-            f"{name}: mean statistic {float(m[j])!r} outside the attainable range "
+        (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
+        (bad_weights, lambda r, j: DomainError("weights must be finite and strictly positive")),
+        (~(np.isfinite(m) & (m < 0.0)), lambda r, j: NoSolutionError(
+            f"{name}: mean statistic {float(m[r, j])!r} outside the attainable range "
             f"(negative reals)")),
-        (bad_theta, lambda j: DomainError(
-            f"{name}: theta={float(theta[j])!r} outside the open domain ({lo}, {hi})")),
-        (~np.isfinite(loglik), lambda j: DomainError(
-            f"{name}: log-likelihood {float(loglik[j])!r} at theta={float(theta[j])!r} "
+        (bad_theta, lambda r, j: DomainError(
+            f"{name}: theta={float(theta[r, j])!r} outside the open domain ({lo}, {hi})")),
+        (~np.isfinite(loglik), lambda r, j: DomainError(
+            f"{name}: log-likelihood {float(loglik[r, j])!r} at theta={float(theta[r, j])!r} "
             f"is not finite")),
-        (~np.isfinite(mse), lambda j: DomainError(
-            f"{name}: MSE {float(mse[j])!r} at theta={float(theta[j])!r} is not finite")),
+        (~np.isfinite(mse), lambda r, j: DomainError(
+            f"{name}: MSE {float(mse[r, j])!r} at theta={float(theta[r, j])!r} is not finite")),
     )
-    failed = np.logical_or.reduce([mask for mask, _ in checks])
-    if not failed.any():
-        return theta, mse, loglik, []
+    failed = np.logical_or.reduce([np.broadcast_to(mask, theta.shape) for mask, _ in checks])
     failures = {}
-    for mask, error in checks:
-        for j in np.flatnonzero(mask):
-            failures.setdefault(int(j), error(j))   # the first failed check wins
-    return (np.where(failed, np.nan, theta), np.where(failed, np.nan, mse),
-            np.where(failed, np.nan, loglik), sorted(failures.items()))
+    if failed.any():
+        for mask, error in checks:
+            for r, j in np.argwhere(np.broadcast_to(mask, theta.shape)).tolist():
+                failures.setdefault((r, j), error(r, j))   # the first failed check wins
+        theta[failed] = mse[failed] = loglik[failed] = np.nan
+    return theta, mse, loglik, failures
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a[k] @ b[k] per row (b may be one row, shared by every row of a),
+    # a[k] @ b[..., k] per row (b may hold one row, shared by every row of a),
     # through the BLAS dot that the scalar path's ``weights @ values`` uses,
     # so both sum in the same order.
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[:, None, :], b[..., None])[..., 0, 0]
 
 
 def _power_kernels(grid: SweepGrid) -> list[WeightKernel]:

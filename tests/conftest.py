@@ -14,6 +14,7 @@ from scipy.special import erf, gammainc, gammaincc
 
 from meanfit import DomainError, EmptyDataError, FitReport, NoSolutionError, apply_kernel, \
     build_histogram, catalog, in_support, mle_closed_form, pdf
+from meanfit import fitsearch
 from meanfit.fitsearch import _report_key
 from meanfit.means import GEOMETRIC_CUTOFF
 
@@ -254,6 +255,15 @@ def reference_means(values, alphas, family, weights=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrinks ``fit_surface``'s blocks to 300 grid doubles, so that even a
+    small surface spans many blocks; returns the default block size."""
+    default = fitsearch._BLOCK
+    monkeypatch.setattr(fitsearch, "_BLOCK", 300)
+    return default
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Histogram fitting, MSE scoring, and the sweep/compare machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -440,6 +441,40 @@ def assert_matches_loop_and_messages(model, hist, kernels, shapes=None):
     return surface
 
 
+def assert_same_surface(got, want):
+    """``got`` equals ``want`` bit for bit, and has the same failures in the
+    same order, with the same classes and messages."""
+    for field in ("theta_hat", "mse", "loglik", "dropped_bins"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert [(key, type(exc), str(exc)) for key, exc in got.failures.items()] == [
+        (key, type(exc), str(exc)) for key, exc in want.failures.items()]
+
+
+def assert_block_invariant(model, hist, kernels, shapes):
+    """Asserts that the surface equals, bit for bit, the stack of its one-shape
+    surfaces and, in the column of each kernel that keeps every used bin,
+    that kernel's one-kernel surface; returns the surface."""
+    surface = fit_surface(model, hist, kernels, shapes)
+    rows = [fit_surface(model, hist, kernels, [alpha]) for alpha in shapes]
+    # The one-kernel surface of a kernel that drops more bins than another
+    # sums over its kept bins alone, where the surface sums zeros in their
+    # place; BLAS may add those two dots in another order.
+    full = np.flatnonzero(surface.dropped_bins == surface.dropped_bins.min())
+    columns = [fit_surface(model, hist, [kernels[j]], shapes) for j in full]
+    for field in ("theta_hat", "mse", "loglik"):
+        got = getattr(surface, field)
+        assert got.tobytes() == np.concatenate([getattr(r, field) for r in rows]).tobytes()
+        assert got[:, full].tobytes() == np.concatenate(
+            [getattr(c, field) for c in columns], axis=1).tobytes()
+    messages = [(key, type(exc), str(exc)) for key, exc in surface.failures.items()]
+    assert messages == [((i, j), type(exc), str(exc))
+                        for i, row in enumerate(rows) for (_, j), exc in row.failures.items()]
+    assert [m for m in messages if m[0][1] in full] == sorted(
+        ((i, int(full[n])), type(exc), str(exc))
+        for n, column in enumerate(columns) for (i, _), exc in column.failures.items())
+    return surface
+
+
 # Every one of its 80 counts is positive, and its centers span 0.036 to 5.7.
 KEPT_HIST = dct_like_histogram(np.random.default_rng(1))
 # Every kernel keeps every bin of KEPT_HIST.
@@ -491,6 +526,18 @@ class TestFitSurface:
         got = surface.best()
         if (got.alpha, got.beta, got.kernel) != (want.alpha, want.beta, want.kernel):
             assert close(got.mse, want.mse)
+
+    @given(case=surface_cases())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_small_blocks_match_loop_and_default_blocks(self, case, small_blocks):
+        # Blocks of 300 doubles split even these small surfaces, so the
+        # surfaces span many block boundaries.
+        model, hist, kernels, shapes = case
+        surface = assert_matches_loop_and_messages(model, hist, kernels, shapes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitsearch, "_BLOCK", small_blocks)
+            assert_same_surface(surface, fit_surface(model, hist, kernels, shapes))
 
     @pytest.mark.parametrize("model", desk_models(), ids=model_ids())
     def test_every_bin_kept_matches_loop(self, model):
@@ -627,6 +674,59 @@ class TestFitSurface:
             fit_surface(EXPO, hist, [WeightKernel.unit()], [1.0])
         with pytest.raises(DomainError):
             fit_surface(catalog("weibull", alpha=1.0), hist, [WeightKernel.unit()], [1.0, 0.0])
+
+
+class TestBlocks:
+    """``fit_surface`` evaluates runs of shape rows as one block; no result
+    depends on where the blocks end."""
+
+    def test_dropping_kernel_block_matches_rows(self):
+        # x^400 underflows at the two smallest centers, so the surface masks
+        # them for that kernel only; its 7 shapes make one block.
+        kernels = MIXED_KERNELS + [WeightKernel.power(400.0)]
+        surface = assert_block_invariant(catalog("weibull", alpha=1.0), KEPT_HIST, kernels,
+                                         [0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5])
+        assert list(surface.dropped_bins) == [0] * len(MIXED_KERNELS) + [2]
+        assert not surface.failures
+
+    def test_rejected_shape_between_blocks_keeps_failure_order(self, small_blocks):
+        # 6 kernels x 20 bins fit two rows in a block: the rows catalog
+        # accepts make the blocks (0, 1), (3, 4) and (5, 6).  Shape 1e-306
+        # overflows ln Gamma(b/alpha), and at shapes 0.005 and 0.004 theta,
+        # a power 1/alpha, overflows: every block but the last holds failures.
+        hist = dct_like_histogram(np.random.default_rng(1), n=2000, bins=20)
+        shapes = [0.5, 0.005, 1e-306, 1.0, 0.004, 2.0, 1.5]
+        surface = assert_block_invariant(catalog("gen-gamma", alpha=1.5, b=2.2), hist,
+                                         MIXED_KERNELS, shapes)
+        assert_matches_loop_and_messages(catalog("gen-gamma", alpha=1.5, b=2.2), hist,
+                                         MIXED_KERNELS, shapes)
+        assert sorted({i for i, _ in surface.failures}) == [1, 2, 4]
+        assert "b/alpha" in str(surface.failures[(2, 0)])
+        assert "outside the open domain" in str(surface.failures[(4, 0)])
+
+    def test_zero_center_splits_blocks_by_support(self):
+        # Only alpha = 1 has x = 0 in its support, so only its MSE counts
+        # the first bin, whose center is 0.
+        hist = Histogram(np.array([-1.0, 1.0, 3.0, 5.0]), np.array([2.0, 3.0, 1.0]))
+        model, shapes = catalog("weibull", alpha=1.0), [0.5, 1.0, 2.0]
+        assert_block_invariant(model, hist, MIXED_KERNELS, shapes)
+        assert_matches_loop_and_messages(model, hist, MIXED_KERNELS, shapes)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # 400 shapes x 81 kernels x 100 bins is 25 blocks of density grid.
+        hist = dct_like_histogram(np.random.default_rng(2), bins=100)
+        kernels = [WeightKernel.power(b) for b in np.linspace(-2.0, 2.0, 81)]
+        shapes = np.linspace(0.2, 3.0, 400)
+        block_bytes = fitsearch._BLOCK * 8
+        assert shapes.size * len(kernels) * hist.nbins * 8 >= 20 * block_bytes
+        tracemalloc.start()
+        try:
+            surface = fit_surface(catalog("weibull", alpha=1.0), hist, kernels, shapes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not surface.failures
+        assert peak < 4 * block_bytes
 
 
 class TestNonFiniteFits:
