@@ -45,6 +45,7 @@ from .ingest import (
 )
 from .means import (
     GEOMETRIC_CUTOFF,
+    gini_mean,
     holder_lehmer_link,
     holder_mean,
     kolmogorov_mean,

@@ -1,17 +1,19 @@
-"""Generalized central tendencies: Kolmogorov f-mean, Holder and Lehmer families.
+"""Generalized central tendencies: Kolmogorov f-mean and weighted Gini means.
 
-The Holder (power) family generalizes the Pythagorean means through an
-exponent ``alpha``: arithmetic at 1, geometric in the ``alpha -> 0`` limit,
-harmonic at -1, min/max at the infinite limits.  The Lehmer family is the
-ratio-of-power-sums alternative: arithmetic at 1, harmonic at 0, and
-geometric at 0.5 for two values only (for more values the two differ).  Both
-families accept optional relevance weights, are bounded by the data extremes,
-and are non-decreasing in ``alpha``.
+Holder and Lehmer means are weighted Gini means (C. Gini, Metron 13, 1938)
+``G(r, s) = (S(r) / S(s))^(1/(r-s))``, ``S(t) = sum w x^t``: Holder(a) is
+``G(a, 0)`` (arithmetic at 1, geometric at 0, harmonic at -1), Lehmer(a) is
+``G(a, a-1)`` (arithmetic at 1, harmonic at 0, geometric at 0.5 for two
+values only), and both are non-decreasing in ``a``.  One rule evaluates every
+``G``: max or min at an infinite exponent; the limit ``exp(sum w x^s ln x /
+S(s))`` where ``|r - s| < GEOMETRIC_CUTOFF``; else the root of the quotient
+of the two sums, in log space where they need two anchors or the quotient
+leaves the normal doubles.  Every mean lies within the data range, to rounding.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
 ``+/-math.inf`` (max/min limits); NaN is rejected.  Zero values are admitted
-only where the exponent applied to them keeps every power finite.
+only where every power of them is finite and no ``r = s`` limit is taken.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import DomainError
 
 __all__ = [
     "GEOMETRIC_CUTOFF",
+    "gini_mean",
     "holder_lehmer_link",
     "holder_mean",
     "kolmogorov_mean",
@@ -33,8 +36,7 @@ __all__ = [
     "v_weights",
 ]
 
-#: Below this magnitude the Holder exponent is routed to the analytic
-#: geometric-mean branch; x**alpha loses its signal that close to zero.
+#: ``G(r, s)`` is its ``r = s`` limit where ``|r - s|`` is below this; 1/(r-s) amplifies rounding.
 GEOMETRIC_CUTOFF = 1e-9
 
 # A power sum below the smallest normal double has lost precision.
@@ -89,7 +91,6 @@ class _PowerSums:
     def __init__(self, xs: np.ndarray, ws: np.ndarray):
         self.xs = xs
         self.ws = ws
-        self.wsum = ws.sum()
         self.xmin = float(xs.min())
         self.xmax = float(xs.max())
         self._sums = {}
@@ -127,37 +128,36 @@ class _PowerSums:
         return self.extreme(p), self(p, self.extreme(p))
 
 
-def _mean_at(sums: _PowerSums, a: float, lehmer: bool) -> float:
-    geometric = not lehmer and abs(a) < GEOMETRIC_CUTOFF
-    if sums.xmin == 0.0 and (a < (1.0 if lehmer else 0.0) or geometric):
-        raise DomainError(f"zero values are not admitted for exponent {a}")
-    if math.isinf(a):
-        return sums.xmax if a > 0.0 else sums.xmin
-    if geometric:
-        return float(np.exp(np.log(sums.xs) @ (sums.ws / sums.wsum)))
-    if not lehmer:
-        anchor, total = sums.anchored(a)
-        share = total / sums.wsum
-        if total > 0.0 and not _normal(share):
-            # A share below the normal doubles has lost digits; its logarithm has not.
-            log_mean = math.log(anchor or 1.0) + (math.log(total) - math.log(sums.wsum)) / a
-            low = math.log(sums.xmin) if sums.xmin > 0.0 else -math.inf
-            if not low <= log_mean <= math.log(sums.xmax):
-                raise DomainError(f"the Holder mean leaves the data range at exponent {a}")
-            return math.exp(log_mean)
-        mean = share ** (1.0 / a)
-        return float(mean if anchor is None else anchor * mean)
-    (top, num), (bottom, den) = sums.anchored(a), sums.anchored(a - 1.0)
+def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
+    if sums.xmin == 0.0 and (min(r, s) < 0.0 or abs(r - s) < GEOMETRIC_CUTOFF):
+        raise DomainError(f"zero values are not admitted for exponent {r}")
+    if math.isinf(r) or math.isinf(s):
+        return sums.xmax if r + s > 0.0 else sums.xmin
+    if abs(r - s) < GEOMETRIC_CUTOFF:
+        with np.errstate(over="ignore"):
+            v = sums.ws * sums.terms(s, sums.anchored(s)[0])
+        return float(np.exp(np.log(sums.xs) @ (v / v.sum())))
+    (top, num), (bottom, den) = sums.anchored(r), sums.anchored(s)
     if top is not None or bottom is not None:
-        top, bottom = sums.extreme(a), sums.extreme(a - 1.0)
-        num, den = sums(a, top), sums(a - 1.0, bottom)
+        # The terms of S(0) are 1 whatever the anchor, so it takes its partner's.
+        top, bottom = sums.extreme(r or s), sums.extreme(s or r)
+        num, den = sums(r, top), sums(s, bottom)
     if den == 0.0:
-        raise DomainError("Lehmer denominator vanished (all values zero)")
-    if top == bottom:
-        return float(num / den if top is None else top * (num / den))
-    # For 0 <= a < 1 the extremes differ, and the scale x_max^a x_min^(1-a)
-    # lies between them; in log space no factor leaves the double range.
-    return math.exp(a * math.log(top) + (1.0 - a) * math.log(bottom) + math.log(num / den))
+        raise DomainError("the denominator power sum vanished (all values zero)")
+    with np.errstate(over="ignore"):
+        quotient = num / den
+    # Unanchored, a Lehmer quotient (r - s = 1) is the mean, subnormal or not.
+    if top == bottom and (num == 0.0 or _normal(quotient) or (r - s == 1.0 and top is None)):
+        mean = quotient ** (1.0 / (r - s))
+        return float(mean if top is None else top * mean)
+    # Two anchors, or a quotient beyond the normal doubles: in log space.  A mean
+    # beyond the data range by more than this sum's rounding lost digits.
+    parts = (r * math.log(top or 1.0), -s * math.log(bottom or 1.0), math.log(num), -math.log(den))
+    log_mean, slack = sum(parts) / (r - s), 4 * math.ulp(1.0) * sum(map(abs, parts)) / abs(r - s)
+    low, high = math.log(sums.xmin) if sums.xmin > 0.0 else -math.inf, math.log(sums.xmax)
+    if not low - slack <= log_mean <= high + slack:
+        raise DomainError(f"the mean leaves the data range at exponent {r}")
+    return min(max(math.exp(min(log_mean, high)), sums.xmin), sums.xmax)
 
 
 def kolmogorov_mean(values, transform: Callable[[float], float],
@@ -181,24 +181,38 @@ def kolmogorov_mean(values, transform: Callable[[float], float],
 
 
 def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
-    """Holder or Lehmer means of one series at every exponent of ``alphas``.
+    """Holder ``G(a, 0)`` or Lehmer ``G(a, a-1)`` means at every exponent of ``alphas``.
 
     ``values`` and ``weights`` are validated once, and each weighted power
     sum is computed once, so on a grid of step ``1/k`` the Lehmer numerator
-    at ``a`` is the denominator at ``a + 1``.  Every exponent takes the
-    branches of ``holder_mean`` or ``lehmer_mean``, in grid order; the first
-    exponent that fails raises its ``DomainError``.
+    at ``a`` is the denominator at ``a + 1``.  The first exponent that fails,
+    in grid order, raises its ``DomainError``.
     """
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
     xs = _as_values(values)
     sums = _PowerSums(xs, _as_weights(weights, xs.size))
-    return [_mean_at(sums, _checked_alpha(alpha), kind == "lehmer") for alpha in alphas]
+    return [_gini_at(sums, a, a - 1.0 if kind == "lehmer" else 0.0)
+            for a in map(_checked_alpha, alphas)]
+
+
+def gini_mean(values, r, s, weights=None) -> float:
+    """Weighted Gini mean ``(sum w x^r / sum w x^s)^(1/(r-s))``, its ``r = s``
+    limit ``exp(sum w x^s ln x / sum w x^s)`` where ``|r - s| < GEOMETRIC_CUTOFF``.
+
+    Infinite exponents of one sign give max or min; NaN exponents, and
+    infinite ones of opposite signs, raise ``DomainError``.
+    """
+    r, s = _checked_alpha(r), _checked_alpha(s)
+    if math.isnan(r + s):
+        raise DomainError("exponents must not be infinite with opposite signs")
+    xs = _as_values(values)
+    return _gini_at(_PowerSums(xs, _as_weights(weights, xs.size)), r, s)
 
 
 def holder_mean(values, alpha, weights=None) -> float:
-    """Weighted Holder (power) mean ``(sum w x^a / sum w)^(1/a)``.
+    """Weighted Holder (power) mean ``(sum w x^a / sum w)^(1/a)``, ``G(a, 0)``.
 
     ``alpha=0`` (and any ``|alpha| < GEOMETRIC_CUTOFF``) evaluates the
     weighted geometric mean analytically; ``+/-inf`` return max/min.
@@ -208,7 +222,7 @@ def holder_mean(values, alpha, weights=None) -> float:
 
 
 def lehmer_mean(values, alpha, weights=None) -> float:
-    """Weighted Lehmer mean ``sum w x^a / sum w x^(a-1)``.
+    """Weighted Lehmer mean ``sum w x^a / sum w x^(a-1)``, ``G(a, a-1)``.
 
     ``+/-inf`` return max/min.  Exponents below 1 require strictly positive
     values so that ``x^(a-1)`` stays finite.

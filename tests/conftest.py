@@ -176,23 +176,24 @@ def loop_best(points, shape_swept):
 
 
 def reference_means(values, alphas, family, weights=None):
-    """Per-exponent reference for ``mean_curve``: every mean from its own
-    power sums, as documented in ``meanfit.means`` (the max/min limits, the
-    geometric branch, no zero where a power of it is infinite).  A plain sum
-    is kept while it is a normal double.  Otherwise the extreme that
-    dominates at its exponent (the maximum for a non-negative one) is
-    factored out, each term ``(x / anchor)^p`` taken as ``x^p / anchor^p``
-    while ``anchor^p`` and ``x^p`` are normal.  A Holder share ``sum / sum w``
-    below the normal doubles is raised in log space, and a mean so found
-    outside the data range raises; a Lehmer quotient then factors both sums,
-    each at its own extreme.  An all-zero series keeps its plain sums.  The
-    first exponent that fails raises its ``DomainError``."""
+    """Per-exponent reference for ``mean_curve``: every mean the Gini
+    quotient ``G(a, s)`` of its own power sums, ``s = 0`` for Holder and
+    ``a - 1`` for Lehmer, as documented in ``meanfit.means`` (the max/min
+    limits, the ``r = s`` limit, which only Holder reaches here, at ``s = 0``,
+    no zero where a power of it is infinite or the limit is taken).  A plain
+    sum is kept while it is a normal double.  Otherwise both sums factor out
+    the extreme that dominates at their exponent (the maximum for a non-negative
+    one; a zero exponent takes its partner's), each term ``(x / anchor)^p``
+    taken as ``x^p / anchor^p`` while ``anchor^p`` and ``x^p`` are normal.
+    One anchor multiplies the root of the quotient, unless that quotient is
+    positive and not a normal double (an unanchored Lehmer quotient excepted).
+    Otherwise the mean is raised in log space; one beyond the data range by
+    more than that sum's rounding raises, and one within it is clamped.  An
+    all-zero series keeps its plain sums.  The first exponent that fails
+    raises its ``DomainError``."""
     xs = np.asarray(values, dtype=float)
     ws = np.ones(xs.size) if weights is None else np.asarray(weights, dtype=float)
-    tiny = np.finfo(float).tiny
-
-    def extreme(p):
-        return float(xs.max() if p >= 0.0 else xs.min())
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
 
     def power_sum(p, anchor=None):
         with np.errstate(over="ignore"):
@@ -207,48 +208,41 @@ def reference_means(values, alphas, family, weights=None):
     def needs_anchor(p):
         return xs.max() > 0.0 and not tiny <= power_sum(p) < math.inf
 
+    def extreme(p):
+        return float(xs.max() if p >= 0.0 else xs.min())
+
     means = []
     for alpha in alphas:
-        a = float(alpha)
-        if math.isnan(a):
+        r = float(alpha)
+        if math.isnan(r):
             raise DomainError("exponent must not be NaN")
-        zero_floor = 0.0 if family == "holder" else 1.0
-        if (a < zero_floor or (family == "holder" and abs(a) < GEOMETRIC_CUTOFF)) \
-                and np.any(xs == 0.0):
-            raise DomainError(f"zero values are not admitted for exponent {a}")
-        if a == math.inf:
-            means.append(float(xs.max()))
-        elif a == -math.inf:
-            means.append(float(xs.min()))
-        elif family == "holder" and abs(a) < GEOMETRIC_CUTOFF:
+        s = r - 1.0 if family == "lehmer" else 0.0
+        if (min(r, s) < 0.0 or abs(r - s) < GEOMETRIC_CUTOFF) and np.any(xs == 0.0):
+            raise DomainError(f"zero values are not admitted for exponent {r}")
+        if math.isinf(r):
+            means.append(float(xs.max() if r > 0.0 else xs.min()))
+            continue
+        if abs(r - s) < GEOMETRIC_CUTOFF:
             means.append(float(np.exp(np.log(xs) @ (ws / ws.sum()))))
-        elif family == "holder":
-            anchor = extreme(a) if needs_anchor(a) else None
-            total = power_sum(a, anchor)
-            if total > 0.0 and not tiny <= total / ws.sum() < math.inf:
-                log_mean = math.log(anchor or 1.0) + (math.log(total) - math.log(ws.sum())) / a
-                low = math.log(xs.min()) if xs.min() > 0.0 else -math.inf
-                if not low <= log_mean <= math.log(xs.max()):
-                    raise DomainError(f"the Holder mean leaves the data range at exponent {a}")
-                means.append(math.exp(log_mean))
-            elif anchor is None:
-                means.append(float((total / ws.sum()) ** (1.0 / a)))
-            else:
-                means.append(float(anchor * (total / ws.sum()) ** (1.0 / a)))
-        else:
-            top = bottom = None
-            if needs_anchor(a) or needs_anchor(a - 1.0):
-                top, bottom = extreme(a), extreme(a - 1.0)
-            num, den = power_sum(a, top), power_sum(a - 1.0, bottom)
-            if den == 0.0:
-                raise DomainError("Lehmer denominator vanished (all values zero)")
-            if top is None:
-                means.append(float(num / den))
-            elif top == bottom:
-                means.append(float(top * (num / den)))
-            else:
-                means.append(math.exp(a * math.log(top) + (1.0 - a) * math.log(bottom)
-                                      + math.log(num / den)))
+            continue
+        top = bottom = None
+        if needs_anchor(r) or needs_anchor(s):
+            top, bottom = extreme(r or s), extreme(s or r)
+        num, den = power_sum(r, top), power_sum(s, bottom)
+        if den == 0.0:
+            raise DomainError("the denominator power sum vanished (all values zero)")
+        if top == bottom and (num == 0.0 or tiny <= num / den < math.inf
+                              or (r - s == 1.0 and top is None)):
+            means.append(float((num / den) ** (1.0 / (r - s)) * (top or 1.0)))
+            continue
+        parts = (r * math.log(top or 1.0), -s * math.log(bottom or 1.0),
+                 math.log(num), -math.log(den))
+        log_mean = sum(parts) / (r - s)
+        slack = 4.0 * eps * sum(map(abs, parts)) / abs(r - s)
+        low = math.log(xs.min()) if xs.min() > 0.0 else -math.inf
+        if not low - slack <= log_mean <= math.log(xs.max()) + slack:
+            raise DomainError(f"the mean leaves the data range at exponent {r}")
+        means.append(min(max(math.exp(min(log_mean, math.log(xs.max()))), xs.min()), xs.max()))
     return means
 
 

@@ -26,6 +26,7 @@ from meanfit import (
     dct8,
     fit_histogram,
     fit_surface,
+    gini_mean,
     holder_lehmer_link,
     holder_mean,
     idct8,
@@ -187,19 +188,31 @@ def test_criterion_06_table_mean_correspondences():
             theta = mle_closed_form(half_normal, unit_series).theta_hat
             expected = holder_mean(xs, 2.0) ** 2
             assert abs(1.0 / theta**2 - expected) <= 1e-10 * expected
-        # The same identities on fit_surface's own code path, with the bin
-        # counts as weights, at exponents whose plain weights leave the doubles.
-        betas = np.arange(-1000.0, 1001.0, 25.0)
+        # The paper's link on fit_surface's own code path, with the bin counts
+        # as weights, at exponents whose plain weights leave the doubles: for
+        # T = -x^p and the kernel x^beta, m = -S(beta+p) / S(beta), so
+        # theta_hat = (h / (s q))^(1/q) G(beta+p, beta)^(-p/q).  For
+        # std-lognormal, theta_hat = 1 / Q, Q the quadratic mean of |ln x|
+        # under v proportional to c x^beta.
+        betas = np.concatenate([np.arange(-1000.0, 1001.0, 25.0), np.arange(-3.0, 3.25, 0.25)])
+        kernels = [WeightKernel.power(b) for b in betas]
         shapes = np.array([0.5, 1.0, 1.7, 2.0, 3.0])
         for seed in range(20):
             hist = dct_like_histogram(np.random.default_rng(seed))
             kept = hist.counts > 0.0
             centers, counts = hist.centers[kept], hist.counts[kept]
-            surface = fit_surface(catalog("exponential"), hist,
-                                  [WeightKernel.power(b) for b in betas])
-            for beta, theta in zip(betas, surface.theta_hat[0]):
-                expected = lehmer_mean(centers, beta + 1.0, weights=counts)
-                assert abs(1.0 / theta - expected) <= 1e-12 * expected
+            for model in desk_models():
+                surface = fit_surface(model, hist, kernels)
+                for kernel, theta in zip(kernels, surface.theta_hat[0]):
+                    if model.p is None:
+                        series, _ = apply_kernel(centers, kernel, counts)
+                        expected = 1.0 / holder_mean(np.abs(np.log(series.values)), 2.0,
+                                                     weights=series.weights)
+                    else:
+                        scale = (model.h / (model.s * model.q)) ** (1.0 / model.q)
+                        mean = gini_mean(centers, kernel.beta + model.p, kernel.beta, counts)
+                        expected = scale * mean ** (-model.p / model.q)
+                    assert abs(theta - expected) <= 1e-12 * expected, (model.name, kernel.beta)
             surface = fit_surface(catalog("weibull", alpha=1.0), hist, [WeightKernel.unit()],
                                   shapes)
             for shape, theta in zip(shapes, surface.theta_hat[:, 0]):

@@ -161,7 +161,7 @@ class TestMean:
             "mean", "--family", "lehmer", "--alpha-grid=1:2:1", "--input", str(path)
         )
         assert (code, out) == (1, "")
-        assert err == "error: Lehmer denominator vanished (all values zero)\n"
+        assert err == "error: the denominator power sum vanished (all values zero)\n"
 
     def test_non_ascii_byte_is_one_error_line(self, run, tmp_path):
         path = tmp_path / "nbsp.csv"

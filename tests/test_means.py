@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from meanfit import (
     DomainError,
+    SweepGrid,
+    gini_mean,
     holder_lehmer_link,
     holder_mean,
     kolmogorov_mean,
@@ -164,6 +166,93 @@ class TestLehmerMean:
         assert 5e-324 <= got <= 1.0
         assert got == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=SUBNORMAL_ATOL)
 
+    def test_lost_numerator_term_raises_domain_error(self):
+        # Under the anchor 7 the 3.0-weighted numerator term (5e-324)^0.99
+        # underflows, so the quotient num / den is 0; its logarithm raised an
+        # untyped ValueError, and in log space the mean falls below the data.
+        with pytest.raises(DomainError, match="leaves the data range at exponent 0.99"):
+            lehmer_mean([5e-324, 7.0], 0.99, weights=[3.0, 5e-324])
+
+
+class TestGiniMean:
+    EXPONENTS = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(
+        [0.0, 1e-10, -1e-10, 0.5, 1.0, -1.0, 2.0, math.inf, -math.inf]))
+
+    @given(
+        values=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=12),
+        alpha=EXPONENTS,
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_holder_and_lehmer_are_gini_lines(self, values, alpha, data):
+        weights = data.draw(st.none() | st.lists(st.floats(1e-3, 1e3), min_size=len(values),
+                                                   max_size=len(values)))
+
+        def outcome(mean, *exponents):
+            try:
+                return mean(values, *exponents, weights)
+            except DomainError as exc:
+                return str(exc)
+
+        assert outcome(holder_mean, alpha) == outcome(gini_mean, alpha, 0.0)
+        assert outcome(lehmer_mean, alpha) == outcome(gini_mean, alpha, alpha - 1.0)
+
+    @given(
+        values=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=12),
+        r=st.floats(-20.0, 20.0),
+        s=st.floats(-20.0, 20.0),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_in_its_exponents(self, values, r, s, data):
+        # The two orders share their power sums; the root 1/(r-s) amplifies the
+        # rounding of the quotient by 1/|r - s|, hence |r - s| >= 0.1.
+        assume(abs(r - s) >= 0.1)
+        weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(values),
+                                     max_size=len(values)))
+        forward = gini_mean(values, r, s, weights)
+        assert gini_mean(values, s, r, weights) == pytest.approx(forward, rel=1e-14, abs=0.0)
+        assert min(values) * (1 - 1e-14) <= forward <= max(values) * (1 + 1e-14)
+
+    def test_mean_csv_lehmer_grid_is_the_plain_quotient(self):
+        # The reference perfbench's mean-csv check uses: S(0) is the same BLAS
+        # dot as every other power sum.  On this series ws.sum() differs from
+        # that dot, and the means at a = 0 and a = 1 would move.
+        rng = np.random.default_rng(1)
+        values = 10.0 ** rng.uniform(-3.0, 1.0, 100_000)
+        weights = rng.uniform(0.5, 2.0, 100_000)
+        alphas = SweepGrid(-3.0, 3.0, 0.25).points()
+        want = [float(np.power(values, a) @ weights / (np.power(values, a - 1.0) @ weights))
+                for a in alphas]
+        assert mean_curve(values, alphas, "lehmer", weights) == want
+
+    @pytest.mark.parametrize("r, s, expected", [
+        (2.0, 0.0, math.sqrt((0.36 + 4.0) / 2.0)),   # Holder(2)
+        (1.0, 0.0, 1.3),                             # Holder(1) = Lehmer(1)
+        (2.0, 1.0, (0.36 + 4.0) / 2.6),              # Lehmer(2)
+        (0.0, -1.0, 2.0 / (1.0 / 0.6 + 1.0 / 2.0)),  # Lehmer(0), harmonic
+        (0.0, 2.0, math.sqrt((0.36 + 4.0) / 2.0)),   # G(0, 2) = G(2, 0)
+    ])
+    def test_closed_forms_on_a_pair(self, r, s, expected):
+        assert gini_mean(PAIR, r, s) == pytest.approx(expected, rel=1e-14)
+
+    def test_limit_at_equal_exponents(self):
+        # exp(sum x^s ln x / sum x^s) at s = 1: (0.6 ln 0.6 + 2 ln 2) / 2.6
+        expected = math.exp((0.6 * math.log(0.6) + 2.0 * math.log(2.0)) / 2.6)
+        assert gini_mean(PAIR, 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert gini_mean(PAIR, 0.0, 0.0) == holder_mean(PAIR, 0.0)
+
+    def test_infinite_exponents(self):
+        assert gini_mean(PAIR, math.inf, 3.0) == 2.0
+        assert gini_mean(PAIR, -5.0, -math.inf) == 0.6
+
+    @pytest.mark.parametrize("r, s", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf), (-math.inf, math.inf),
+    ])
+    def test_bad_exponent_pairs_rejected(self, r, s):
+        with pytest.raises(DomainError):
+            gini_mean(PAIR, r, s)
+
 
 class TestMeanCurve:
     @given(
@@ -243,7 +332,7 @@ class TestMeanCurve:
 
     def test_all_zero_series_at_large_exponent(self):
         assert holder_mean([0.0, 0.0], 40.0) == 0.0
-        with pytest.raises(DomainError, match="Lehmer denominator vanished"):
+        with pytest.raises(DomainError, match="denominator power sum vanished"):
             lehmer_mean([0.0, 0.0], 40.0)
 
     @given(
