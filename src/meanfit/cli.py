@@ -141,7 +141,7 @@ def _cmd_fit(args) -> int:
     report = fit_histogram(model, hist, args.kernel)
     payload = _report_json(report)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="ascii")
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
     else:
         print(payload)
     return 0
@@ -164,7 +164,7 @@ def _cmd_sweep(args) -> int:
     sidecar = _sidecar_path(args.input)
     sidecar.write_text(
         "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile()),
-        encoding="ascii",
+        encoding="utf-8",
     )
     print(_report_json(best))
     return 0

@@ -8,32 +8,38 @@ std-lognormal, where ``p`` is None), ``ln a(x) = c0 + (d - 1) ln x``,
 ``r(theta) = E_theta[T] = -h / (s q theta^q)`` increases strictly, and its
 closed-form inverse ``(-h / (s q m))^(1/q)`` makes the weighted MLE
 closed-form.  Shape constants are fixed, known hyperparameters.
+``shape_columns`` gives one model at a whole grid of shapes, its constants
+``(rows, 1)`` columns, so that a sweep computes them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NoSolutionError
 
-__all__ = ["HYPERPARAMETERS", "MODEL_NAMES", "FamilyModel", "catalog", "in_support", "pdf",
-           "stat_mean", "stat_mean_inverse"]
+__all__ = ["HYPERPARAMETERS", "MODEL_NAMES", "FamilyModel", "catalog",
+           "in_support", "pdf", "shape_columns", "stat_mean", "stat_mean_inverse"]
 
 # Model name -> the names of its hyperparameters, in ``catalog`` order.
 HYPERPARAMETERS = {"exponential": (), "weibull": ("alpha",), "std-lognormal": (),
                    "half-normal": (), "gen-half-normal": ("alpha",), "gamma": ("k",),
                    "inv-gamma": ("k",), "gen-gamma": ("alpha", "b")}
 MODEL_NAMES = tuple(HYPERPARAMETERS)
+# The six constants of a FamilyModel, in ``catalog`` order.
+_CONSTANTS = ("p", "q", "s", "h", "d", "c0")
 
 
 @dataclass(frozen=True)
 class FamilyModel:
     """One catalog entry.  The methods evaluate ``T``, ``eta``, ``H``, ``r^-1``,
     ``r'`` and the log-density from the six constants, elementwise over ``x``
-    and ``theta``; they check neither the theta domain nor the support."""
+    and ``theta``; they check neither the theta domain nor the support.  The
+    constants are floats, or ``(rows, 1)`` columns in a ``shape_columns``
+    model, whose methods broadcast one row per shape."""
 
     name: str
     hyper: dict
@@ -46,23 +52,26 @@ class FamilyModel:
     theta_domain: tuple = (0.0, math.inf)
 
     @property
-    def zero_in_support(self) -> bool:
-        """Whether the density is finite and positive at ``x = 0``."""
-        return self.d == 1.0 and self.p is not None and self.p > 0.0
+    def zero_in_support(self):
+        """Whether the density is finite and positive at ``x = 0``, per row of columns."""
+        return self.p is not None and (self.d == 1.0) & (self.p > 0.0)
 
     def suff_stat(self, x):
         xs = np.asarray(x, dtype=float)
-        return -(np.log(xs) ** 2 if self.p is None else np.power(xs, self.p))
+        return -(np.log(xs) ** 2 if self.p is None else _power(xs, self.p))
 
     def natural_param(self, theta):
-        return self.s * np.power(theta, self.q)
+        return self.s * _power(theta, self.q)
 
     def log_normalizer(self, theta):
         return -self.h * np.log(theta)
 
     def log_base(self, x):
-        """``ln a(x)``; without the ln x term when d == 1, so that x = 0 stays finite."""
-        return self.c0 if self.d == 1.0 else self.c0 + (self.d - 1.0) * np.log(x)
+        """``ln a(x)``; ``c0`` where d == 1, so that x = 0 stays finite."""
+        if not isinstance(self.d, np.ndarray):   # one model: no ln x to take where d == 1
+            return self.c0 if self.d == 1.0 else self.c0 + (self.d - 1.0) * np.log(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.d == 1.0, self.c0, self.c0 + (self.d - 1.0) * np.log(x))
 
     def log_pdf(self, theta, x):
         """``ln a(x) + eta(theta) T(x) - H(theta)``, broadcast over theta and x."""
@@ -72,11 +81,32 @@ class FamilyModel:
 
     def mean_inverse(self, m):
         """``r^-1(m) = (-h / (s q m))^(1/q)``, the theta with ``E_theta[T] = m``."""
-        return np.power(-self.h / (self.s * self.q * m), 1.0 / self.q)
+        return _power(-self.h / (self.s * self.q * m), 1.0 / self.q)
 
     def mean_deriv(self, theta):
         """``r'(theta) = (h / s) theta^(-q-1)``."""
-        return self.h / self.s * np.power(theta, -self.q - 1.0)
+        return self.h / self.s * _power(theta, -self.q - 1.0)
+
+    def rows(self, index) -> FamilyModel:
+        """The rows ``index`` of a ``shape_columns`` model, as one such model."""
+        return replace(self, **{key: value[index] for key in _CONSTANTS
+                                if (value := getattr(self, key)) is not None})
+
+
+def _power(base, exponent):
+    """``base ** exponent``, one numpy call per row for a column of exponents.
+
+    numpy takes a fast path for a scalar exponent of 2, 0.5 or -1, which
+    rounds otherwise than an array exponent; with a Python float exponent
+    per row, a ``shape_columns`` row keeps the digits of its catalog model.
+    """
+    if not isinstance(exponent, np.ndarray):
+        return np.power(base, exponent)
+    out = np.empty(np.broadcast(base, exponent).shape)
+    out[...] = base
+    for row, e in zip(out, exponent.ravel().tolist()):
+        np.power(row, e, out=row)
+    return out
 
 
 def _ln_gamma(name: str, label: str, value: float) -> float:
@@ -112,13 +142,43 @@ def catalog(name: str, **hyper) -> FamilyModel:
         need = ", ".join(keys) if keys else "none"
         raise DomainError(f"{name}: expected hyperparameters ({need}), got {sorted(hyper)}")
     checked = {key: float(hyper[key]) for key in keys}
-    for key, value in checked.items():
+    return FamilyModel(name, checked, *_checked_constants(name, checked))
+
+
+def _checked_constants(name: str, hyper: dict) -> tuple:
+    """``_constants`` at the float hyperparameters ``hyper``; one that is not
+    a positive real, or a non-finite constant, raises ``DomainError``."""
+    for key, value in hyper.items():
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name}: {key} must be a positive real, got {value!r}")
-    constants = _constants(name, **checked)
+    constants = _constants(name, **hyper)
     if not all(math.isfinite(c) for c in constants if c is not None):
-        raise DomainError(f"{name}: hyperparameters {checked} give a non-finite family constant")
-    return FamilyModel(name, checked, *constants)
+        raise DomainError(f"{name}: hyperparameters {hyper} give a non-finite family constant")
+    return constants
+
+
+def shape_columns(model: FamilyModel, alphas=None) -> tuple[FamilyModel, dict]:
+    """``model`` at every shape of ``alphas`` as one ``FamilyModel`` whose six
+    constants are ``(rows, 1)`` columns (``p`` stays None for std-lognormal),
+    and the ``DomainError`` of each shape that ``catalog`` rejects, by row.
+
+    Without ``alphas`` the one row is ``model``.  Otherwise ``model`` must
+    have the ``alpha`` hyperparameter, and the others stay fixed: row ``i``
+    holds the constants of ``catalog(model.name, alpha=alphas[i], ...)``,
+    by the same code, or NaN where that raises.
+    """
+    table, rejected = [[getattr(model, key) for key in _CONSTANTS]], {}
+    if alphas is not None:
+        table = []
+        for i, alpha in enumerate(np.ravel(alphas).tolist()):
+            try:
+                table.append(_checked_constants(model.name, {**model.hyper, "alpha": alpha}))
+            except DomainError as exc:
+                table.append((math.nan,) * len(_CONSTANTS))
+                rejected[i] = exc
+    columns = np.array(table, dtype=float).T[..., None]
+    return replace(model, **{key: column for key, column in zip(_CONSTANTS, columns)
+                             if getattr(model, key) is not None}), rejected
 
 
 def _checked_theta(model: FamilyModel, theta) -> np.float64:

@@ -11,7 +11,8 @@ checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
 weight (``DomainError``), no solution for the mean statistic
 (``NoSolutionError``), theta outside its domain, a non-finite log-likelihood,
 a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
-(shape x kernel) grid in bounded blocks of shape rows, one array pass each;
+(shape x kernel) grid in bounded blocks of shape rows, one array pass each
+(the shapes' constants are the columns of one model, ``shape_columns``);
 ``fit_histogram`` is its one-point surface, and the sweeps, grid searches
 with deterministic tie-breaking, are views of it.
 """
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError, SweepError
-from .expfam import FamilyModel, catalog, in_support
+from .expfam import FamilyModel, in_support, shape_columns
 from .wmle import WeightKernel, _kernel_weights, _loglik_at_max
 
 __all__ = [
@@ -238,7 +239,8 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     bins`` density grid fits in the ``_BLOCK`` doubles of one scratch buffer
     (or one row), so memory stays bounded; no result depends on the block.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
-    hyperparameters fixed; a shape that ``catalog`` rejects fails its row.
+    hyperparameters fixed, every shape a row of one ``shape_columns`` model;
+    a shape that ``catalog`` rejects fails its row with ``catalog``'s error.
     """
     kernels = tuple(kernels)
     if not kernels:
@@ -252,7 +254,6 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         if shapes.ndim != 1 or shapes.size == 0 or not np.all(shapes > 0.0):
             raise DomainError("shape grid values must be positive")
         alphas = tuple(shapes.tolist())
-        fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
 
     # Kernel weights count * u(center) of the positive centers, one row per
     # kernel.  The bins that every kernel drops are left out here, so that a
@@ -276,22 +277,22 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         mean_log = _row_dots(v, np.log(centers[used]))
 
     theta_hat, mse, loglik = np.full((3, len(alphas), len(kernels)), np.nan)
-    failures, shaped = {}, {}
-    for i, alpha in enumerate(alphas):
-        try:
-            shaped[i] = model if shapes is None else catalog(model.name, alpha=alpha, **fixed)
-        except DomainError as exc:
-            failures.update(((i, j), exc) for j in range(len(kernels)))
-    rows = max(1, min(len(shaped), _BLOCK // (len(kernels) * hist.nbins)))
+    spec, rejected = shape_columns(model, shapes)
+    failures = {(i, j): exc for i, exc in rejected.items() for j in range(len(kernels))}
+    fitted = [i for i in range(len(alphas)) if i not in rejected]
+    rows = max(1, min(len(fitted), _BLOCK // (len(kernels) * hist.nbins)))
     scratch = np.empty(rows * len(kernels) * hist.nbins)
     # Only a center at 0 can be in one shape's support and not another's.
-    zero = 0.0 in centers
-    for _, run in itertools.groupby(shaped.items(), lambda row: zero and row[1].zero_in_support):
+    zero_in = np.logical_and(0.0 in centers, spec.zero_in_support,
+                             out=np.zeros((len(alphas), 1), dtype=bool))[:, 0]
+    for _, run in itertools.groupby(fitted, zero_in.__getitem__):
         run = list(run)
         for start in range(0, len(run), rows):
-            index, models = map(list, zip(*run[start:start + rows]))
+            index = run[start:start + rows]
+            # The rows are increasing, so as many as the grid has are all of them.
+            block = spec if len(index) == len(alphas) else spec.rows(index)
             theta_hat[index], mse[index], loglik[index], found = _fit_rows(
-                models, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch)
+                block, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch)
             failures.update(((index[r], j), exc) for (r, j), exc in found.items())
     return FitSurface(
         model=model.name,
@@ -306,9 +307,10 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     )
 
 
-def _fit_rows(models, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch):
-    """One block of ``fit_surface``: the shape rows ``models``, which share one
-    support, under every kernel's v-weights ``v`` at once.
+def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch):
+    """One block of ``fit_surface``: the rows of the ``shape_columns`` model
+    ``spec``, which share one support, under every kernel's v-weights ``v``
+    at once.
 
     ``used`` marks the centers ``v`` weights, ``wsum`` holds the total weights
     (0 where no bin is kept), ``bad_weights`` flags a non-finite weight,
@@ -322,24 +324,23 @@ def _fit_rows(models, used, v, wsum, bad_weights, mean_log, drop, centers, empir
     and the failures keyed ``(row, kernel)``, each the first failed check.
     """
     # Used centers are positive, hence in the support: once a bin is kept, the MSE has one.
-    support = in_support(models[0], centers)
+    support = np.atleast_2d(in_support(spec, centers))[0]
     xs, in_x = centers[support], used[support]
     with np.errstate(all="ignore"):
-        # The exponents p and q stay scalars: numpy rounds a power with a
-        # scalar exponent of 2 or 0.5 otherwise than with an array of them.
-        t = np.array([model.suff_stat(xs) for model in models])
-        ln_a = np.array([np.broadcast_to(model.log_base(xs), xs.shape) for model in models])
+        # Each constant is a column, so every step is one array operation
+        # over the block, but for the powers x^p, base^(1/q) and theta^q:
+        # each takes one numpy call per row, since numpy rounds a power with
+        # a scalar exponent of 2, 0.5 or -1 otherwise than with an array.
+        ln_a = spec.log_base(xs)
+        t = np.broadcast_to(spec.suff_stat(xs), ln_a.shape)
         tx = np.compress(in_x, t, axis=1)[:, None, :]
         m = _row_dots(v, tx if drop is None else np.where(drop, 0.0, tx))
-        theta = np.array([model.mean_inverse(row) for model, row in zip(models, m)])
-        eta = np.array([model.natural_param(row) for model, row in zip(models, theta)])
-        # H and the log-likelihood take no power, so the rows' constants may be columns.
-        columns = replace(models[0], **{key: np.array([[getattr(row, key)] for row in models])
-                                        for key in ("q", "h", "d", "c0")})
-        log_norm = columns.log_normalizer(theta)
-        loglik = _loglik_at_max(columns, np.log(theta), wsum, mean_log)
+        theta = spec.mean_inverse(m)
+        eta = spec.natural_param(theta)
+        log_norm = spec.log_normalizer(theta)
+        loglik = _loglik_at_max(spec, np.log(theta), wsum, mean_log)
         # ln a + eta T - H in log_pdf's order; each einsum element is one product.
-        shape = (len(models), len(v), xs.size)
+        shape = (*theta.shape, xs.size)
         density = np.einsum("bk,bn->bkn", eta, t, out=scratch[:math.prod(shape)].reshape(shape))
         density += ln_a[:, None, :]
         density -= log_norm[:, :, None]
@@ -347,9 +348,9 @@ def _fit_rows(models, used, v, wsum, bad_weights, mean_log, drop, centers, empir
         np.subtract(empirical[support], density, out=density)
         np.square(density, out=density)
         mse = density.sum(axis=2) / xs.size
-        lo, hi = models[0].theta_domain
+        lo, hi = spec.theta_domain
         bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
-    name = models[0].name
+    name = spec.name
     checks = (
         (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
         (bad_weights, lambda r, j: DomainError("weights must be finite and strictly positive")),
@@ -364,7 +365,9 @@ def _fit_rows(models, used, v, wsum, bad_weights, mean_log, drop, centers, empir
         (~np.isfinite(mse), lambda r, j: DomainError(
             f"{name}: MSE {float(mse[r, j])!r} at theta={float(theta[r, j])!r} is not finite")),
     )
-    failed = np.logical_or.reduce([np.broadcast_to(mask, theta.shape) for mask, _ in checks])
+    failed = np.zeros(theta.shape, dtype=bool)
+    for mask, _ in checks:
+        failed |= mask
     failures = {}
     if failed.any():
         for mask, error in checks:

@@ -75,8 +75,9 @@ def _read_table(data: bytes) -> np.ndarray | None:
             or any(sep in data for sep in _SEPARATORS):
         return None
     # A text stream, not the path: numpy opens a path through its DataSource,
-    # which fetches URLs and decompresses by file name.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    # which fetches URLs and decompresses by file name.  The bytes are ASCII,
+    # which utf-8, a codec the interpreter has already loaded, decodes alike.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
@@ -90,8 +91,12 @@ def _read_bytes(path) -> bytes:
 
 
 def _scan_lines(path, data: bytes):
-    """``(lineno, stripped line)`` for every non-blank line of an ASCII file."""
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+    """``(lineno, stripped line)`` for every non-blank line of an ASCII file.
+
+    A byte that is not ASCII decodes, as utf-8 or escaped, to a character
+    that is not either, so the per-line check finds the line that holds it.
+    """
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     for lineno, raw in enumerate(text, start=1):
         if not raw.isascii():
             raise FormatError(f"{path}: line {lineno}: not ASCII")
@@ -192,7 +197,7 @@ def format_histogram_csv(hist: Histogram) -> str:
 
 
 def save_histogram_csv(hist: Histogram, path) -> None:
-    Path(path).write_text(format_histogram_csv(hist), encoding="ascii")
+    Path(path).write_text(format_histogram_csv(hist), encoding="utf-8")
 
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"

@@ -148,10 +148,14 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
         quotient = num / den
     # Unanchored, a Lehmer quotient (r - s = 1) is the mean, subnormal or not.
     if top == bottom and (num == 0.0 or _normal(quotient) or (r - s == 1.0 and top is None)):
-        mean = quotient ** (1.0 / (r - s))
-        return float(mean if top is None else top * mean)
-    # Two anchors, or a quotient beyond the normal doubles: in log space.  A mean
-    # beyond the data range by more than this sum's rounding lost digits.
+        with np.errstate(over="ignore"):
+            mean = quotient ** (1.0 / (r - s))
+            mean = mean if top is None else top * mean
+        if math.isfinite(mean):
+            return float(mean)
+    # Two anchors, a quotient beyond the normal doubles, or a root that rounds
+    # past them: in log space.  A mean beyond the data range by more than this
+    # sum's rounding lost digits.
     parts = (r * math.log(top or 1.0), -s * math.log(bottom or 1.0), math.log(num), -math.log(den))
     log_mean, slack = sum(parts) / (r - s), 4 * math.ulp(1.0) * sum(map(abs, parts)) / abs(r - s)
     low, high = math.log(sums.xmin) if sums.xmin > 0.0 else -math.inf, math.log(sums.xmax)

@@ -233,8 +233,11 @@ def reference_means(values, alphas, family, weights=None):
             raise DomainError("the denominator power sum vanished (all values zero)")
         if top == bottom and (num == 0.0 or tiny <= num / den < math.inf
                               or (r - s == 1.0 and top is None)):
-            means.append(float((num / den) ** (1.0 / (r - s)) * (top or 1.0)))
-            continue
+            with np.errstate(over="ignore"):
+                mean = (num / den) ** (1.0 / (r - s)) * (top or 1.0)
+            if math.isfinite(mean):
+                means.append(float(mean))
+                continue
         parts = (r * math.log(top or 1.0), -s * math.log(bottom or 1.0),
                  math.log(num), -math.log(den))
         log_mean = sum(parts) / (r - s)

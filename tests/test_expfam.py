@@ -11,10 +11,12 @@ from scipy.stats import kstest
 
 from meanfit import DomainError, NoSolutionError, catalog, in_support, pdf, \
     stat_mean, stat_mean_inverse
+from meanfit.expfam import shape_columns
 
 from conftest import desk_models, model_cdf, model_ids, sample_model
 
 THETAS = (0.4, 1.0, 2.7)
+CONSTANTS = ("p", "q", "s", "h", "d", "c0")
 
 
 @pytest.fixture(params=desk_models(), ids=model_ids())
@@ -138,6 +140,60 @@ class TestCatalog:
             np.testing.assert_array_equal(
                 model.mean_inverse(-thetas), [model.mean_inverse(-t) for t in thetas])
 
+
+
+class TestShapeColumns:
+    # 0.5, 1 and 2 put the exponents 2, 0.5 and -1 into the powers x^p,
+    # base^(1/q) and theta^q, which numpy rounds otherwise for an array.
+    SHAPES = [0.25, 0.5, 1.0, 1.05, 1.35, 2.0, 3.0]
+
+    @pytest.mark.parametrize("model", [m for m in desk_models() if "alpha" in m.hyper],
+                             ids=lambda m: m.name)
+    def test_rows_are_their_catalog_models_bit_for_bit(self, model):
+        spec, rejected = shape_columns(model, self.SHAPES)
+        assert rejected == {}
+        fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
+        xs = np.linspace(0.0, 6.0, 31)
+        m, theta = -np.linspace(0.1, 4.0, 9), np.linspace(0.2, 3.0, 9)
+        got = [np.broadcast_to(spec.log_base(xs), (len(self.SHAPES), xs.size)), spec.suff_stat(xs),
+               spec.mean_inverse(np.tile(m, (len(self.SHAPES), 1))), spec.natural_param(theta),
+               spec.log_normalizer(theta), spec.mean_deriv(theta), spec.zero_in_support]
+        for i, alpha in enumerate(self.SHAPES):
+            row = catalog(model.name, alpha=alpha, **fixed)
+            for key in CONSTANTS:
+                assert getattr(spec, key)[i, 0] == getattr(row, key), key
+            with np.errstate(divide="ignore"):   # ln 0, outside the support where d != 1
+                base = np.broadcast_to(row.log_base(xs), xs.shape)
+            want = [base, row.suff_stat(xs), row.mean_inverse(m), row.natural_param(theta),
+                    row.log_normalizer(theta), row.mean_deriv(theta), row.zero_in_support]
+            for n, (column, scalar) in enumerate(zip(got, want)):
+                assert np.asarray(column)[i].tobytes() == np.asarray(scalar).tobytes(), n
+
+    @pytest.mark.parametrize("name, shape", [
+        ("gen-gamma", 1e-306),                # ln Gamma(b/alpha) overflows
+        ("gen-gamma", 5e-324),                # b/alpha is inf
+        ("gen-half-normal", 1.7e308),         # 2 alpha is inf
+        ("weibull", math.inf),
+    ])
+    def test_rejected_shape_row_has_catalogs_error(self, name, shape):
+        model = next(m for m in desk_models() if m.name == name)
+        fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
+        with pytest.raises(DomainError) as want:
+            catalog(name, alpha=shape, **fixed)
+        spec, rejected = shape_columns(model, [1.0, shape])
+        assert list(rejected) == [1]
+        assert (type(rejected[1]), str(rejected[1])) == (want.type, str(want.value))
+        rows = np.hstack([getattr(spec, key) for key in CONSTANTS])
+        assert np.isfinite(rows).tolist() == [[True] * 6, [False] * 6]
+
+    def test_rows_slice_every_column(self):
+        spec, _ = shape_columns(catalog("gen-gamma", alpha=1.0, b=2.0), [0.5, 1.0, 2.0, 3.0])
+        block = spec.rows([1, 3])
+        for key in CONSTANTS:
+            assert getattr(block, key).tolist() == getattr(spec, key)[[1, 3]].tolist()
+        one, _ = shape_columns(catalog("std-lognormal"))
+        assert one.p is None and one.rows([0]).p is None
+        assert one.rows([0]).q.tolist() == [[2.0]]
 
 
 class TestPdf:

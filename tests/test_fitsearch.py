@@ -29,7 +29,7 @@ from meanfit import (
     sweep_beta,
     sweep_shape,
 )
-from meanfit import fitsearch
+from meanfit import expfam, fitsearch
 
 from conftest import dct_like_histogram, desk_models, loop_best, loop_points, model_ids, \
     reference_mse
@@ -703,6 +703,47 @@ class TestBlocks:
         assert sorted({i for i, _ in surface.failures}) == [1, 2, 4]
         assert "b/alpha" in str(surface.failures[(2, 0)])
         assert "outside the open domain" in str(surface.failures[(4, 0)])
+
+    def test_production_grid_blocks_match_rows_and_columns(self):
+        # The benchmark's sweep: 81 kernels x 100 bins fit 16 rows in a
+        # default block, so its 57 shapes make blocks of 16, 16, 16 and 9.
+        # Shapes 0.5, 1.0 and 2.0 and exponents 0, +-0.5, +-1 and +-2 are on
+        # the grid: the powers numpy rounds otherwise for a scalar exponent.
+        hist = dct_like_histogram(np.random.default_rng(1), bins=100)
+        shapes = SweepGrid(0.2, 3.0, 0.05).points()
+        kernels = [WeightKernel.power(b) for b in SweepGrid(-2.0, 2.0, 0.05).points()]
+        assert (shapes.size, fitsearch._BLOCK // (len(kernels) * hist.nbins)) == (57, 16)
+        assert {0.5, 1.0, 2.0} <= set(shapes.tolist())
+        assert {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0} <= {kernel.beta for kernel in kernels}
+        surface = assert_block_invariant(catalog("weibull", alpha=1.0), hist, kernels, shapes)
+        assert not surface.failures
+
+    @pytest.mark.parametrize("model, shapes, rejected", [
+        (catalog("weibull", alpha=1.0), SweepGrid(0.2, 3.0, 0.05).points(), []),
+        (catalog("gen-gamma", alpha=1.5, b=2.2), [0.5, 0.005, 1e-306, 1.0, 0.004, 2.0, 1.5],
+         [1e-306]),
+    ])
+    def test_sweep_builds_no_catalog_model(self, monkeypatch, model, shapes, rejected):
+        # The shapes share one column model, and a rejected shape still
+        # fails with catalog's own error.
+        calls = []
+
+        def counted(name, **hyper):
+            calls.append(hyper)
+            return catalog(name, **hyper)
+
+        monkeypatch.setattr(fitsearch, "catalog", counted, raising=False)
+        monkeypatch.setattr(expfam, "catalog", counted)
+        hist = dct_like_histogram(np.random.default_rng(1), n=2000, bins=20)
+        surface = fit_surface(model, hist, MIXED_KERNELS, shapes)
+        assert calls == []
+        fixed = {k: v for k, v in model.hyper.items() if k != "alpha"}
+        for alpha in rejected:
+            with pytest.raises(DomainError) as want:
+                catalog(model.name, alpha=alpha, **fixed)
+            for j in range(len(MIXED_KERNELS)):
+                got = surface.failures[(list(shapes).index(alpha), j)]
+                assert (type(got), str(got)) == (want.type, str(want.value))
 
     def test_zero_center_splits_blocks_by_support(self):
         # Only alpha = 1 has x = 0 in its support, so only its MSE counts

@@ -242,6 +242,18 @@ class TestGiniMean:
         assert gini_mean(PAIR, 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
         assert gini_mean(PAIR, 0.0, 0.0) == holder_mean(PAIR, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.99, 0.3])
+    def test_root_past_the_doubles_takes_log_space(self, alpha):
+        # The quotient x^a is a normal double, but its root 1/a rounds above
+        # the largest one; the log-space mean is clamped to the data range.
+        top = np.finfo(float).max
+        for mean in (holder_mean([top], alpha), gini_mean([top], alpha, 0.0),
+                     reference_means([top], [alpha], "holder")[0]):
+            assert math.isfinite(mean)
+            assert mean <= top
+            assert mean == pytest.approx(top, rel=1e-12, abs=0.0)
+
     def test_infinite_exponents(self):
         assert gini_mean(PAIR, math.inf, 3.0) == 2.0
         assert gini_mean(PAIR, -5.0, -math.inf) == 0.6
