@@ -110,6 +110,8 @@ def _power(base, exponent):
 
 
 def _ln_gamma(name: str, label: str, value: float) -> float:
+    if value == 0.0:
+        raise DomainError(f"{name}: {label} underflows to 0, the pole of ln Gamma")
     try:
         if value < math.inf:
             return math.lgamma(value)

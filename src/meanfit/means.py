@@ -10,6 +10,11 @@ S(s))`` where ``|r - s| < GEOMETRIC_CUTOFF``; else the root of the quotient
 of the two sums, in log space where they need two anchors or the quotient
 leaves the normal doubles.  Every mean lies within the data range, to rounding.
 
+A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
+for OpenBLAS to split across threads, and the block sums are added exactly,
+in order.  Its rounding error grows with the block, not with the series, and
+no result depends on the BLAS thread count.
+
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
 ``+/-math.inf`` (max/min limits); NaN is rejected.  Zero values are admitted
@@ -42,9 +47,31 @@ GEOMETRIC_CUTOFF = 1e-9
 # A power sum below the smallest normal double has lost precision.
 _TINY = float(np.finfo(float).tiny)
 
+# Terms per BLAS dot in ``_dot``: below the 10 000 from which OpenBLAS splits
+# a dot across its threads.
+_DOT_BLOCK = 8192
 
-def _normal(s) -> bool:
-    return _TINY <= s < math.inf
+
+def _normal(s):
+    """Whether ``s`` is a normal finite double; elementwise for an array."""
+    return (_TINY <= s) & (s < math.inf)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """``sum a*b`` of two equal-length series: one BLAS dot per block of
+    ``_DOT_BLOCK`` terms, and the block sums and the tail's dot added exactly,
+    in order.  A series of at most one block is the plain ``a @ b``."""
+    if a.size <= _DOT_BLOCK:
+        return a @ b
+    n = a.size - a.size % _DOT_BLOCK
+    blocks = np.matmul(a[:n].reshape(-1, 1, _DOT_BLOCK), b[:n].reshape(-1, _DOT_BLOCK, 1))
+    parts = [*blocks.ravel().tolist(), a[n:] @ b[n:]]
+    try:
+        return np.float64(math.fsum(parts))
+    except OverflowError:
+        # The exact sum is beyond the doubles; the terms of every sum that
+        # can get there are non-negative.
+        return np.float64(math.inf)
 
 
 def _as_values(values) -> np.ndarray:
@@ -114,7 +141,7 @@ class _PowerSums:
         key = (p, anchor)
         if key not in self._sums:
             with np.errstate(over="ignore"):
-                self._sums[key] = self.terms(p, anchor) @ self.ws
+                self._sums[key] = _dot(self.terms(p, anchor), self.ws)
         return self._sums[key]
 
     def anchored(self, p: float) -> tuple[float | None, float]:
@@ -136,7 +163,7 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     if abs(r - s) < GEOMETRIC_CUTOFF:
         with np.errstate(over="ignore"):
             v = sums.ws * sums.terms(s, sums.anchored(s)[0])
-        return float(np.exp(np.log(sums.xs) @ (v / v.sum())))
+        return float(np.exp(_dot(np.log(sums.xs), v / v.sum())))
     (top, num), (bottom, den) = sums.anchored(r), sums.anchored(s)
     if top is not None or bottom is not None:
         # The terms of S(0) are 1 whatever the anchor, so it takes its partner's.
@@ -279,7 +306,7 @@ def holder_lehmer_link(values, alpha) -> tuple[float, float]:
         # A v-weight below the normal doubles has lost its digits, so its
         # value's share of the mean must be below one ulp of the dominant's.
         shares = a * (np.log(xs[v < _TINY]) - np.log(xs.max() if a >= 1.0 else xs.min()))
-        bases = [v @ xs, lehmer_mean(xs, a)]
+        bases = [_dot(v, xs), lehmer_mean(xs, a)]
         routes = np.power(bases, 1.0 / a)
     if np.any(shares > math.log(np.finfo(float).eps)) or not all(map(_normal, [*bases, *routes])):
         raise DomainError(f"the rescaled-weight identity leaves the normal doubles at exponent {a}")

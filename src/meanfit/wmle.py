@@ -130,11 +130,12 @@ def _kernel_weights(kernels, xs: np.ndarray, base: np.ndarray) -> np.ndarray:
     positive = base > 0.0
     with np.errstate(all="ignore"):
         w = np.where(positive, base * np.array([kernel.weights(xs) for kernel in kernels]), 0.0)
-        for row, kernel, total in zip(w, kernels, w.sum(axis=1)):
-            if kernel.kind == "power" and not _normal(total) and positive.any():
+        for i in np.flatnonzero(~_normal(w.sum(axis=1))):
+            kernel = kernels[i]
+            if kernel.kind == "power" and positive.any():
                 sums = _PowerSums(xs[positive], base[positive])
                 anchor, _ = sums.anchored(kernel.beta)
-                row[positive] = sums.ws * sums.terms(kernel.beta, anchor)
+                w[i, positive] = sums.ws * sums.terms(kernel.beta, anchor)
     return w
 
 

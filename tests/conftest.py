@@ -6,17 +6,27 @@ own correctness is pinned by the Kolmogorov-Smirnov suite in test_expfam.py.
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.special import erf, gammainc, gammaincc
 
 from meanfit import DomainError, EmptyDataError, FitReport, NoSolutionError, apply_kernel, \
     build_histogram, catalog, in_support, mle_closed_form, pdf
+import meanfit
 from meanfit import fitsearch
 from meanfit.fitsearch import _report_key
 from meanfit.means import GEOMETRIC_CUTOFF
+
+# CI runs with HYPOTHESIS_PROFILE=ci, so that a failing property prints the
+# @reproduce_failure blob that replays it.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def desk_models():
@@ -175,16 +185,41 @@ def loop_best(points, shape_swept):
     return min(reports, key=lambda r: _report_key(r, r.alpha if shape_swept else 0.0))
 
 
+def run_warnings_as_errors(*argv, **environ):
+    """``python -W error -m meanfit.cli`` with this checkout's package first on
+    the path, and ``environ`` added to the child's environment."""
+    env = {**os.environ, **environ}
+    src = str(Path(meanfit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "meanfit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def blocked_dot(a, b, block=8192):
+    """``sum a*b`` as ``meanfit.means`` adds a power sum: the plain dot up to
+    ``block`` terms; beyond, one dot per ``block``-term slice, the slice dots
+    added exactly in order, and a total beyond the doubles ``inf``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.size <= block:
+        return a @ b
+    parts = [a[i:i + block] @ b[i:i + block] for i in range(0, a.size, block)]
+    try:
+        return np.float64(math.fsum(parts))
+    except OverflowError:
+        return np.float64(math.inf)
+
+
 def reference_means(values, alphas, family, weights=None):
     """Per-exponent reference for ``mean_curve``: every mean the Gini
     quotient ``G(a, s)`` of its own power sums, ``s = 0`` for Holder and
     ``a - 1`` for Lehmer, as documented in ``meanfit.means`` (the max/min
     limits, the ``r = s`` limit, which only Holder reaches here, at ``s = 0``,
-    no zero where a power of it is infinite or the limit is taken).  A plain
-    sum is kept while it is a normal double.  Otherwise both sums factor out
-    the extreme that dominates at their exponent (the maximum for a non-negative
-    one; a zero exponent takes its partner's), each term ``(x / anchor)^p``
-    taken as ``x^p / anchor^p`` while ``anchor^p`` and ``x^p`` are normal.
+    no zero where a power of it is infinite or the limit is taken).  Every
+    sum is a ``blocked_dot``.  A plain sum is kept while it is a normal
+    double.  Otherwise both sums factor out the extreme that dominates at
+    their exponent (the maximum for a non-negative one; a zero exponent takes
+    its partner's), each term ``(x / anchor)^p`` taken as ``x^p / anchor^p``
+    while ``anchor^p`` and ``x^p`` are normal.
     One anchor multiplies the root of the quotient, unless that quotient is
     positive and not a normal double (an unanchored Lehmer quotient excepted).
     Otherwise the mean is raised in log space; one beyond the data range by
@@ -198,12 +233,13 @@ def reference_means(values, alphas, family, weights=None):
     def power_sum(p, anchor=None):
         with np.errstate(over="ignore"):
             if anchor is None:
-                return np.power(xs, p) @ ws
+                return blocked_dot(np.power(xs, p), ws)
             scale = np.power(anchor, p)
             if not tiny <= scale < math.inf:
-                return np.power(xs / anchor, p) @ ws
+                return blocked_dot(np.power(xs / anchor, p), ws)
             powers = np.power(xs, p)
-            return np.where(powers >= tiny, powers / scale, np.power(xs / anchor, p)) @ ws
+            terms = np.where(powers >= tiny, powers / scale, np.power(xs / anchor, p))
+            return blocked_dot(terms, ws)
 
     def needs_anchor(p):
         return xs.max() > 0.0 and not tiny <= power_sum(p) < math.inf
@@ -223,7 +259,7 @@ def reference_means(values, alphas, family, weights=None):
             means.append(float(xs.max() if r > 0.0 else xs.min()))
             continue
         if abs(r - s) < GEOMETRIC_CUTOFF:
-            means.append(float(np.exp(np.log(xs) @ (ws / ws.sum()))))
+            means.append(float(np.exp(blocked_dot(np.log(xs), ws / ws.sum()))))
             continue
         top = bottom = None
         if needs_anchor(r) or needs_anchor(s):

@@ -4,12 +4,8 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +14,12 @@ from hypothesis import strategies as st
 
 from meanfit import MODEL_NAMES, SweepGrid, WeightKernel, build_histogram, catalog, \
     load_histogram_csv, save_histogram_csv
-import meanfit
 from meanfit import cli
 from meanfit.cli import main
 from meanfit.expfam import HYPERPARAMETERS
 
 from conftest import EXTREME_VALUES, dct_like_histogram, loop_best, loop_points, \
-    reference_means
+    reference_means, run_warnings_as_errors
 
 
 @pytest.fixture
@@ -251,6 +246,15 @@ class TestFit:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Warning" not in err
         assert caught == []
+
+    def test_gamma_pole_is_one_error_line(self, run, expo_hist_csv):
+        # b/alpha = 1e-330 rounds to 0, the pole of ln Gamma
+        code, out, err = run("fit", "--model", "gen-gamma", "--shape", "1e300,1e-30",
+                             "--kernel", "unit", "--input", expo_hist_csv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "b/alpha underflows" in err
 
 
 class TestSweep:
@@ -485,15 +489,6 @@ class TestCurves:
     def test_missing_subcommand_is_usage_error(self, run):
         code, _, _ = run()
         assert code == 2
-
-
-def run_warnings_as_errors(*argv):
-    """``python -W error -m meanfit.cli`` with this checkout's package first on the path."""
-    env = dict(os.environ)
-    src = str(Path(meanfit.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error", "-m", "meanfit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def run_in_process(*argv):

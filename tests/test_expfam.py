@@ -116,6 +116,11 @@ class TestCatalog:
         with pytest.raises(DomainError, match=f"{label}="):
             catalog(name, **hyper)
 
+    def test_gamma_order_underflow_is_domain_error(self):
+        # b/alpha = 1e-330 rounds to 0, the pole of ln Gamma
+        with pytest.raises(DomainError, match="b/alpha underflows to 0"):
+            catalog("gen-gamma", alpha=1e300, b=1e-30)
+
     @pytest.mark.parametrize("name, hyper, reference", [
         ("gamma", {"k": 200.0}, lambda th: stats.gamma(200.0, scale=1.0 / th)),
         ("inv-gamma", {"k": 200.0}, lambda th: stats.invgamma(200.0, scale=th)),

@@ -637,6 +637,16 @@ class TestFitSurface:
         assert all(isinstance(exc, DomainError) for _, exc in causes)
         assert "b/alpha" in str(causes[0][1])
 
+    def test_catalog_underflow_fails_only_its_row(self):
+        # b/alpha rounds to 0, the pole of ln Gamma, at shape 1e300 only
+        hist = dct_like_histogram(np.random.default_rng(1))
+        surface = fit_surface(catalog("gen-gamma", alpha=1.0, b=1e-30), hist,
+                              [WeightKernel.unit()], shapes=[1.0, 1e300])
+        assert list(surface.failures) == [(1, 0)]
+        assert isinstance(surface.failures[(1, 0)], DomainError)
+        assert "b/alpha underflows" in str(surface.failures[(1, 0)])
+        assert math.isfinite(surface.report(0, 0).theta_hat)
+
     def test_first_point_nonfinite_later_point_wins(self):
         # x^1000 underflows at 0.25, leaving the statistic T(1) = 0 (no
         # solution); x^530 is subnormal there, so theta overflows.  A failure

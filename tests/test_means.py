@@ -19,7 +19,10 @@ from meanfit import (
     v_weights,
 )
 
-from conftest import EXTREME_VALUES, random_series, reference_means
+from meanfit.means import _PowerSums
+
+from conftest import EXTREME_VALUES, blocked_dot, random_series, reference_means, \
+    run_warnings_as_errors
 
 PAIR = [0.6, 2.0]
 GEOMETRIC_PAIR = math.sqrt(1.2)  # oracle: exp((ln 0.6 + ln 2)/2) = sqrt(0.6*2)
@@ -32,6 +35,13 @@ LOG_SPACE_RTOL = 1e-12 if np.finfo(np.longdouble).eps < 1e-18 else 1e-9
 # A subnormal mean carries only the digits above the smallest subnormal, so
 # it and the rounded reference may each be one such unit off.
 SUBNORMAL_ATOL = 2 * math.ulp(0.0)
+
+
+def pin_series():
+    """100 000 log-uniform values over [0.001, 10) and weights over [0.5, 2],
+    the shape of perfbench's mean-csv input."""
+    rng = np.random.default_rng(1)
+    return 10.0 ** rng.uniform(-3.0, 1.0, 100_000), rng.uniform(0.5, 2.0, 100_000)
 
 
 def log_space_mean(values, weights, alpha, family):
@@ -215,15 +225,14 @@ class TestGiniMean:
         assert min(values) * (1 - 1e-14) <= forward <= max(values) * (1 + 1e-14)
 
     def test_mean_csv_lehmer_grid_is_the_plain_quotient(self):
-        # The reference perfbench's mean-csv check uses: S(0) is the same BLAS
-        # dot as every other power sum.  On this series ws.sum() differs from
-        # that dot, and the means at a = 0 and a = 1 would move.
-        rng = np.random.default_rng(1)
-        values = 10.0 ** rng.uniform(-3.0, 1.0, 100_000)
-        weights = rng.uniform(0.5, 2.0, 100_000)
+        # The quotient perfbench's mean-csv check takes, of blocked sums: S(0)
+        # is the same blocked dot as every other power sum.  On this series
+        # ws.sum() differs from that dot, and the means at a = 0 and a = 1
+        # would move.
+        values, weights = pin_series()
         alphas = SweepGrid(-3.0, 3.0, 0.25).points()
-        want = [float(np.power(values, a) @ weights / (np.power(values, a - 1.0) @ weights))
-                for a in alphas]
+        want = [float(blocked_dot(np.power(values, a), weights)
+                      / blocked_dot(np.power(values, a - 1.0), weights)) for a in alphas]
         assert mean_curve(values, alphas, "lehmer", weights) == want
 
     @pytest.mark.parametrize("r, s, expected", [
@@ -264,6 +273,34 @@ class TestGiniMean:
     def test_bad_exponent_pairs_rejected(self, r, s):
         with pytest.raises(DomainError):
             gini_mean(PAIR, r, s)
+
+
+class TestBlockedSums:
+    """Long power sums are blocked BLAS dots, added exactly."""
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        values, weights = pin_series()
+        path = tmp_path / "values.csv"
+        np.savetxt(path, np.column_stack([values, weights]), fmt="%.17g", delimiter=",")
+        runs = [run_warnings_as_errors("mean", "--family", "lehmer", "--alpha-grid=-3:3:0.25",
+                                       "--weights", "--input", str(path),
+                                       OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert len(runs[0].stdout.splitlines()) == 25
+        assert runs[0].stdout == runs[1].stdout
+
+    def test_power_sums_match_the_exact_sum_of_their_products(self):
+        values, weights = pin_series()
+        sums = _PowerSums(values, weights)
+        for p in SweepGrid(-4.0, 3.0, 0.25).points():
+            exact = math.fsum(np.power(values, p) * weights)
+            assert abs(sums(p) - exact) <= 5e-16 * exact, p
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean", [lehmer_mean, holder_mean])
+    def test_total_beyond_the_doubles_takes_the_anchor(self, mean):
+        # Each block sum of x^2 is finite; only their total overflows.
+        assert mean(np.full(20_000, 1e152), 2.0) == 1e152
 
 
 class TestMeanCurve:
