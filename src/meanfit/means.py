@@ -60,9 +60,7 @@ def _normal(s):
 def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
     """``sum a*b`` of two equal-length series: one BLAS dot per block of
     ``_DOT_BLOCK`` terms, and the block sums and the tail's dot added exactly,
-    in order.  A series of at most one block is the plain ``a @ b``."""
-    if a.size <= _DOT_BLOCK:
-        return a @ b
+    in order.  A series of at most one block is all tail: the plain ``a @ b``."""
     n = a.size - a.size % _DOT_BLOCK
     blocks = np.matmul(a[:n].reshape(-1, 1, _DOT_BLOCK), b[:n].reshape(-1, _DOT_BLOCK, 1))
     parts = [*blocks.ravel().tolist(), a[n:] @ b[n:]]

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.special import erf, gammainc, gammaincc
 
@@ -22,11 +21,6 @@ import meanfit
 from meanfit import fitsearch
 from meanfit.fitsearch import _report_key
 from meanfit.means import GEOMETRIC_CUTOFF
-
-# CI runs with HYPOTHESIS_PROFILE=ci, so that a failing property prints the
-# @reproduce_failure blob that replays it.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def desk_models():
@@ -196,12 +190,10 @@ def run_warnings_as_errors(*argv, **environ):
 
 
 def blocked_dot(a, b, block=8192):
-    """``sum a*b`` as ``meanfit.means`` adds a power sum: the plain dot up to
-    ``block`` terms; beyond, one dot per ``block``-term slice, the slice dots
-    added exactly in order, and a total beyond the doubles ``inf``."""
+    """``sum a*b`` as ``meanfit.means`` adds a power sum: one dot per
+    ``block``-term slice, the slice dots added exactly in order (up to
+    ``block`` terms, the plain dot), and a total beyond the doubles ``inf``."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.size <= block:
-        return a @ b
     parts = [a[i:i + block] @ b[i:i + block] for i in range(0, a.size, block)]
     try:
         return np.float64(math.fsum(parts))
