@@ -23,12 +23,9 @@ from .fitsearch import (
     Histogram,
     KernelComparison,
     SweepGrid,
-    beta_mse_profile,
     compare_kernels,
     fit_histogram,
     fit_surface,
-    sweep_beta,
-    sweep_shape,
 )
 from .ingest import (
     CoefficientSet,
@@ -48,7 +45,6 @@ from .means import (
     gini_mean,
     holder_lehmer_link,
     holder_mean,
-    kolmogorov_mean,
     lehmer_mean,
     mean_curve,
     v_weights,

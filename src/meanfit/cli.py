@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .expfam import HYPERPARAMETERS, MODEL_NAMES, catalog
 from .fitsearch import SweepGrid, compare_kernels, fit_histogram, fit_surface
 from .ingest import block_dct8, build_histogram, format_histogram_csv, \
     load_histogram_csv, load_pgm, load_values_csv
-from .means import kolmogorov_mean, mean_curve, v_weights
+from .means import mean_curve, v_weights
 from .wmle import WeightKernel
 
 __all__ = ["build_parser", "main"]
@@ -122,7 +121,7 @@ def _cmd_mean(args) -> int:
             raise _UsageError("the kolmogorov subcommand takes no exponent (log transform)")
         if weights is not None:
             raise _UsageError("the kolmogorov f-mean is unweighted")
-        print(_fmt(kolmogorov_mean(values, math.log, math.exp)))
+        print(_fmt(mean_curve(values, (0.0,), "holder")[0]))
         return 0
     if args.alpha is None and args.alpha_grid is None:
         raise _UsageError("--alpha or --alpha-grid is required for holder/lehmer")
@@ -224,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("mean", help="central tendency of a value series")
-    p.add_argument("--family", required=True, choices=("holder", "lehmer", "kolmogorov"))
+    p.add_argument("--family", required=True, choices=("holder", "lehmer", "kolmogorov"),
+                   help="kolmogorov: the geometric mean, holder --alpha 0")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=float, help="exponent (inf/-inf allowed)")
     group.add_argument("--alpha-grid", type=_grid_type, metavar="LO:HI:STEP",
@@ -291,6 +291,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, EmptyDataError, NoSolutionError, SweepError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

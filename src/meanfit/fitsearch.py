@@ -13,8 +13,8 @@ weight (``DomainError``), no solution for the mean statistic
 a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
 (shape x kernel) grid in bounded blocks of shape rows, one array pass each
 (the shapes' constants are the columns of one model, ``shape_columns``);
-``fit_histogram`` is its one-point surface, and the sweeps, grid searches
-with deterministic tie-breaking, are views of it.
+``fit_histogram`` is its one-point surface, and a sweep, a grid search with
+deterministic tie-breaking, is its ``best()`` and ``profile()``.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ __all__ = [
     "Histogram",
     "KernelComparison",
     "SweepGrid",
-    "beta_mse_profile",
     "compare_kernels",
     "fit_histogram",
     "fit_surface",
-    "sweep_beta",
-    "sweep_shape",
 ]
 
 _FIT_ERRORS = (DomainError, EmptyDataError, NoSolutionError)
@@ -128,6 +125,9 @@ class SweepGrid:
             raise DomainError("grid needs lo <= hi")
         if self.step <= 0.0:
             raise DomainError("grid step must be positive")
+        # np.arange cannot index more bytes than an intp counts, nor inf points.
+        if not (self.hi - self.lo) / self.step < np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise DomainError("grid has too many points")
 
     def points(self) -> np.ndarray:
         n = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
@@ -384,43 +384,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[..., 0, 0]
 
 
-def _power_kernels(grid: SweepGrid) -> list[WeightKernel]:
-    return [WeightKernel.power(beta) for beta in grid.points()]
-
-
-def sweep_beta(model: FamilyModel, hist: Histogram, grid: SweepGrid) -> FitReport:
-    """Best power-kernel fit over an exponent grid (minimal MSE wins)."""
-    return fit_surface(model, hist, _power_kernels(grid)).best()
-
-
-def sweep_shape(model: FamilyModel, hist: Histogram, shape_grid: SweepGrid,
-                kernel: WeightKernel | None = None,
-                beta_grid: SweepGrid | None = None) -> FitReport:
-    """Best fit over a shape-hyperparameter grid, optionally crossed with a
-    power-exponent grid.
-
-    Only models carrying a shape hyperparameter (weibull, gen-half-normal,
-    gen-gamma) can be swept.  When ``beta_grid`` is given the ``kernel``
-    argument is ignored and power kernels from the grid are used instead.
-    """
-    if beta_grid is not None:
-        kernels = _power_kernels(beta_grid)
-    else:
-        kernels = [kernel if kernel is not None else WeightKernel.unit()]
-    return fit_surface(model, hist, kernels, shape_grid.points()).best()
-
-
-def beta_mse_profile(model: FamilyModel, hist: Histogram, grid: SweepGrid,
-                     shape_grid: SweepGrid | None = None) -> list[tuple[float, float]]:
-    """(beta, mse) rows for every grid exponent; NaN marks failed points.
-
-    With ``shape_grid`` the reported MSE at each beta is the best over the
-    shape grid, so the profile stays one row per exponent.
-    """
-    shapes = shape_grid.points() if shape_grid is not None else None
-    return fit_surface(model, hist, _power_kernels(grid), shapes).profile()
-
-
 def compare_kernels(models, hists, beta_grid: SweepGrid,
                     tie_epsilon: float = 1e-3) -> list[KernelComparison]:
     """Count, per model, how often each kernel attains the minimal MSE.
@@ -435,11 +398,12 @@ def compare_kernels(models, hists, beta_grid: SweepGrid,
     hists = list(hists)
     if not models or not hists:
         raise EmptyDataError("compare_kernels needs at least one model and one histogram")
-    if tie_epsilon < 0.0:
-        raise DomainError("tie epsilon must be non-negative")
+    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0.0):
+        raise DomainError("tie epsilon must be finite and non-negative")
 
     # Columns 0 and 1 are the unit and log1p kernels, the rest the power grid.
-    kernels = [WeightKernel.unit(), WeightKernel.log_shift(), *_power_kernels(beta_grid)]
+    kernels = [WeightKernel.unit(), WeightKernel.log_shift(),
+               *map(WeightKernel.power, beta_grid.points())]
     results = []
     for model in models:
         wins = {"unit": 0, "power": 0, "log1p": 0}

@@ -1,10 +1,11 @@
-"""Generalized central tendencies: Kolmogorov f-mean and weighted Gini means.
+"""Generalized central tendencies: weighted Gini means.
 
 Holder and Lehmer means are weighted Gini means (C. Gini, Metron 13, 1938)
 ``G(r, s) = (S(r) / S(s))^(1/(r-s))``, ``S(t) = sum w x^t``: Holder(a) is
 ``G(a, 0)`` (arithmetic at 1, geometric at 0, harmonic at -1), Lehmer(a) is
 ``G(a, a-1)`` (arithmetic at 1, harmonic at 0, geometric at 0.5 for two
-values only), and both are non-decreasing in ``a``.  One rule evaluates every
+values only), and both are non-decreasing in ``a``.  The Kolmogorov f-mean
+with ``f = ln``, the geometric mean, is Holder(0).  One rule evaluates every
 ``G``: max or min at an infinite exponent; the limit ``exp(sum w x^s ln x /
 S(s))`` where ``|r - s| < GEOMETRIC_CUTOFF``; else the root of the quotient
 of the two sums, in log space where they need two anchors or the quotient
@@ -24,7 +25,6 @@ only where every power of them is finite and no ``r = s`` limit is taken.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "gini_mean",
     "holder_lehmer_link",
     "holder_mean",
-    "kolmogorov_mean",
     "lehmer_mean",
     "mean_curve",
     "v_weights",
@@ -187,26 +186,6 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     if not low - slack <= log_mean <= high + slack:
         raise DomainError(f"the mean leaves the data range at exponent {r}")
     return min(max(math.exp(min(log_mean, high)), sums.xmin), sums.xmax)
-
-
-def kolmogorov_mean(values, transform: Callable[[float], float],
-                    inverse: Callable[[float], float]) -> float:
-    """Generalized f-mean ``inverse(mean(transform(x_i)))``.
-
-    ``transform`` must be continuous and increasing on the data range and
-    ``inverse`` must be its true inverse; both are trusted as supplied.
-    """
-    xs = _as_values(values)
-    fx = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        try:
-            y = float(transform(x))
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"transform failed at x={x!r}: {exc}") from exc
-        if not math.isfinite(y):
-            raise DomainError(f"transform produced a non-finite value at x={x!r}")
-        fx[i] = y
-    return float(inverse(fx.mean()))
 
 
 def mean_curve(values, alphas, family: str, weights=None) -> list[float]:

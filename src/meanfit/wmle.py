@@ -40,6 +40,13 @@ __all__ = [
 
 KERNEL_KINDS = ("unit", "power", "log1p")
 
+# A power kernel's weights are anchored where their sum W exceeds 2^1012 too:
+# the maximum log-likelihood is W times the per-unit term c0 + (d - 1) sum v
+# ln x + h (ln theta - 1/q), whose logarithms of doubles are each below 745 in
+# magnitude, so with moderate constants (|d - 1| + |h| up to 5) it stays
+# within the 2^12 left below the largest double.
+_ANCHOR_ABOVE = 2.0**1012
+
 
 @dataclass(frozen=True)
 class WeightKernel:
@@ -125,17 +132,18 @@ class MleResult:
 
 def _kernel_weights(kernels, xs: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``base * u(x)``, one row per kernel; a power kernel whose plain sum is not
-    a normal finite double takes ``base * (x / x*)^beta``, ``x*`` the value that
-    dominates at ``beta`` among the points of positive base weight."""
+    a normal double below ``_ANCHOR_ABOVE`` takes ``base * (x / x*)^beta``,
+    ``x*`` the value that dominates at ``beta`` among the points of positive
+    base weight (unless all of them are 0)."""
     positive = base > 0.0
     with np.errstate(all="ignore"):
         w = np.where(positive, base * np.array([kernel.weights(xs) for kernel in kernels]), 0.0)
-        for i in np.flatnonzero(~_normal(w.sum(axis=1))):
+        totals = w.sum(axis=1)
+        for i in np.flatnonzero(~_normal(totals) | (totals > _ANCHOR_ABOVE)):
             kernel = kernels[i]
-            if kernel.kind == "power" and positive.any():
+            if kernel.kind == "power" and np.any(xs[positive]):
                 sums = _PowerSums(xs[positive], base[positive])
-                anchor, _ = sums.anchored(kernel.beta)
-                w[i, positive] = sums.ws * sums.terms(kernel.beta, anchor)
+                w[i, positive] = sums.ws * sums.terms(kernel.beta, sums.extreme(kernel.beta))
     return w
 
 

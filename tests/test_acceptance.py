@@ -36,7 +36,6 @@ from meanfit import (
     mle_numeric,
     stat_mean,
     stat_mean_inverse,
-    sweep_beta,
     weighted_loglik,
 )
 from meanfit.cli import main
@@ -241,12 +240,12 @@ def test_criterion_08_sweep_dominance_and_improvement():
     with criterion(8, "power-kernel sweep dominates the unit kernel", limit=60.0):
         rng = np.random.default_rng(808)
         expo = catalog("exponential")
-        grid = SweepGrid(-2.0, 2.0, 0.05)
+        kernels = [WeightKernel.power(beta) for beta in SweepGrid(-2.0, 2.0, 0.05).points()]
         improvements = []
         for _ in range(20):
             hist = dct_like_histogram(rng)
             unit = fit_histogram(expo, hist, WeightKernel.unit())
-            best = sweep_beta(expo, hist, grid)
+            best = fit_surface(expo, hist, kernels).best()
             assert best.mse <= unit.mse  # exact: beta = 0 is on the grid
             improvements.append((unit.mse - best.mse) / unit.mse)
         strict = sum(1 for gain in improvements if gain >= 0.05)

@@ -104,6 +104,24 @@ class TestMean:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "-1e308:1e308:1"])
+    def test_grid_with_too_many_points_is_usage_error(self, run, pair_csv, grid):
+        # unchecked, np.arange raises ValueError or OverflowError on these
+        code, out, err = run("mean", "--family", "holder", f"--alpha-grid={grid}",
+                             "--input", pair_csv)
+        assert (code, out) == (2, "")
+        assert err.endswith("grid has too many points\n")
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8.0 GiB", "error: Unable to allocate 8.0 GiB\n"),
+        ("", "error: out of memory\n")])
+    def test_out_of_memory_fails(self, run, pair_csv, monkeypatch, message, line):
+        def exhausted(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "mean_curve", exhausted)
+        code, out, err = run("mean", "--family", "holder", "--alpha", "1", "--input", pair_csv)
+        assert (code, out, err) == (1, "", line)
+
     def test_weights_flag_without_column_fails(self, run, pair_csv):
         code, _, err = run(
             "mean", "--family", "holder", "--alpha", "1", "--input", pair_csv, "--weights"
@@ -439,6 +457,15 @@ class TestCompare:
         assert float(fields[2]) == 100.0  # grid contains beta = 0
         assert float(fields[4]) >= 0.0
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_tie_epsilon_fails(self, run, tmp_path, eps):
+        # nan would make every kernel lose (0.0 each); inf makes the tie bound
+        # NaN where the best MSE is 0
+        (tmp_path / "one.csv").write_text("1.5,2.5,5\n")
+        code, out, err = run("compare", "--models", "exponential", "--inputs", str(tmp_path),
+                             "--tie-eps", eps)
+        assert (code, out, err) == (1, "", "error: tie epsilon must be finite and non-negative\n")
+
     def test_unknown_model_is_usage_error(self, run, tmp_path):
         code, _, _ = run(
             "compare", "--models", "exponential,cauchy", "--inputs", str(tmp_path),
@@ -508,7 +535,17 @@ FUZZ_EXPONENTS = st.one_of(st.floats(-1000.0, 1000.0), st.floats(-1.0, 1.0),
 
 @st.composite
 def fuzz_grids(draw, flag="--alpha-grid", lo=st.floats(-1000.0, 1000.0)):
+    """LO:HI:STEP of up to 7 points, or now and then of more points than
+    np.arange can index (a usage error): an infinite span, or a finite span
+    over a tiny step, whose count is past 1e20 or infinite."""
     lo = draw(lo)
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        big = draw(st.floats(1e308, 1.7e308))
+        return f"{flag}={-big!r}:{big!r}:{draw(st.floats(1e-3, 300.0))!r}"
+    if kind == 1:
+        step = draw(st.floats(5e-324, 1e-20))
+        return f"{flag}={lo!r}:{lo + draw(st.floats(1.0, 1e3))!r}:{step!r}"
     step = draw(st.floats(1e-3, 300.0))
     return f"{flag}={lo!r}:{lo + step * draw(st.integers(0, 6))!r}:{step!r}"
 
@@ -571,7 +608,12 @@ class TestFuzz:
         argv = ["mean", "--family", family, "--input", str(path)]
         argv += [exponent] if family != "kolmogorov" else []
         argv += ["--weights"] if weighted else []
-        self.check(*run_in_process(*argv))
+        result = run_in_process(*argv)
+        self.check(*result)
+        if family == "kolmogorov" and not weighted:
+            # the geometric mean, by the same path and to the same bytes
+            assert result == run_in_process("mean", "--family", "holder", "--alpha=0",
+                                            "--input", str(path))
 
     @given(x1=FUZZ_NUMBERS, x2=FUZZ_NUMBERS, grid=fuzz_grids())
     @settings(max_examples=150, deadline=None)

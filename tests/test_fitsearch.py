@@ -18,7 +18,6 @@ from meanfit import (
     SweepGrid,
     WeightKernel,
     apply_kernel,
-    beta_mse_profile,
     build_histogram,
     catalog,
     compare_kernels,
@@ -26,8 +25,6 @@ from meanfit import (
     fit_surface,
     mle_numeric,
     pdf,
-    sweep_beta,
-    sweep_shape,
 )
 from meanfit import expfam, fitsearch
 
@@ -35,6 +32,11 @@ from conftest import dct_like_histogram, desk_models, loop_best, loop_points, mo
     reference_mse
 
 EXPO = catalog("exponential")
+
+
+def powers(grid):
+    """One power kernel per exponent of ``grid``."""
+    return [WeightKernel.power(beta) for beta in grid.points()]
 
 
 def single_bin_hist(center=2.0, width=1.0, count=5.0):
@@ -198,24 +200,31 @@ class TestSweepGrid:
         with pytest.raises(DomainError):
             SweepGrid(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, 1.0, 1e-300), (0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0), (0.0, 2.0**60, 1.0)])
+    def test_too_many_points_rejected(self, lo, hi, step):
+        # a finite count past what np.arange can index, or an infinite one
+        with pytest.raises(DomainError, match="too many points"):
+            SweepGrid(lo, hi, step)
+
 
 class TestSweepBeta:
     def test_dominates_unit_kernel_when_grid_has_zero(self, rng):
         hist = dct_like_histogram(rng)
         unit = fit_histogram(EXPO, hist, WeightKernel.unit())
-        best = sweep_beta(EXPO, hist, SweepGrid(-1.0, 1.0, 0.25))
+        best = fit_surface(EXPO, hist, powers(SweepGrid(-1.0, 1.0, 0.25))).best()
         assert best.mse <= unit.mse
 
     def test_single_bin_ties_break_to_zero(self):
         # one bin: every kernel weight cancels in the ratio, all betas tie
-        best = sweep_beta(EXPO, single_bin_hist(), SweepGrid(-1.0, 1.0, 0.5))
+        best = fit_surface(EXPO, single_bin_hist(), powers(SweepGrid(-1.0, 1.0, 0.5))).best()
         assert best.beta == 0.0
 
     def test_heavy_tail_prefers_nonzero_beta(self):
         rng = np.random.default_rng(4242)
         hist = dct_like_histogram(rng)
         unit = fit_histogram(EXPO, hist, WeightKernel.unit())
-        best = sweep_beta(EXPO, hist, SweepGrid(-2.0, 2.0, 0.05))
+        best = fit_surface(EXPO, hist, powers(SweepGrid(-2.0, 2.0, 0.05))).best()
         assert best.beta != 0.0
         assert best.mse < unit.mse
 
@@ -223,19 +232,19 @@ class TestSweepBeta:
         # center exactly 1.0 makes the lognormal sufficient statistic vanish
         hist = Histogram(edges=np.array([0.5, 1.5]), counts=np.array([3.0]))
         with pytest.raises(SweepError) as excinfo:
-            sweep_beta(catalog("std-lognormal"), hist, SweepGrid(-1.0, 1.0, 0.5))
+            fit_surface(catalog("std-lognormal"), hist, powers(SweepGrid(-1.0, 1.0, 0.5))).best()
         assert len(excinfo.value.causes) == 5
 
     def test_deterministic(self, rng):
         hist = dct_like_histogram(rng)
-        grid = SweepGrid(-1.5, 1.5, 0.1)
-        assert sweep_beta(EXPO, hist, grid) == sweep_beta(EXPO, hist, grid)
+        kernels = powers(SweepGrid(-1.5, 1.5, 0.1))
+        assert fit_surface(EXPO, hist, kernels).best() == fit_surface(EXPO, hist, kernels).best()
 
 
 class TestSweepShape:
     def test_shape_one_weibull_matches_exponential(self, rng):
         hist = dct_like_histogram(rng)
-        best = sweep_shape(catalog("weibull", alpha=2.0), hist, SweepGrid(1.0, 1.0, 1.0))
+        best = fit_surface(catalog("weibull", alpha=2.0), hist, [WeightKernel.unit()], [1.0]).best()
         plain = fit_histogram(EXPO, hist, WeightKernel.unit())
         assert best.theta_hat == pytest.approx(plain.theta_hat, rel=1e-14)
         assert best.mse == pytest.approx(plain.mse, rel=1e-14)
@@ -245,65 +254,65 @@ class TestSweepShape:
         rng = np.random.default_rng(21)
         draws = rng.exponential(0.5, 20_000)
         hist, _ = build_histogram(draws, bins=60)
-        best = sweep_shape(catalog("weibull", alpha=2.0), hist, SweepGrid(0.5, 1.5, 0.5))
+        best = fit_surface(catalog("weibull", alpha=2.0), hist, [WeightKernel.unit()],
+                           [0.5, 1.0, 1.5]).best()
         assert best.alpha == 1.0
 
     def test_gen_half_normal_shape_one_is_half_normal(self, rng):
         hist = dct_like_histogram(rng)
-        best = sweep_shape(
-            catalog("gen-half-normal", alpha=2.0), hist, SweepGrid(1.0, 1.0, 1.0)
-        )
+        best = fit_surface(catalog("gen-half-normal", alpha=2.0), hist, [WeightKernel.unit()],
+                           [1.0]).best()
         plain = fit_histogram(catalog("half-normal"), hist, WeightKernel.unit())
         assert best.theta_hat == pytest.approx(plain.theta_hat, rel=1e-14)
 
     def test_crossed_with_beta_grid(self, rng):
         hist = dct_like_histogram(rng)
-        best = sweep_shape(
-            catalog("weibull", alpha=1.0),
-            hist,
-            SweepGrid(0.8, 1.2, 0.2),
-            beta_grid=SweepGrid(-0.5, 0.5, 0.5),
-        )
+        best = fit_surface(catalog("weibull", alpha=1.0), hist,
+                           powers(SweepGrid(-0.5, 0.5, 0.5)),
+                           SweepGrid(0.8, 1.2, 0.2).points()).best()
         assert best.kernel == "power"
         assert best.alpha in (0.8, 1.0, 1.2)
 
     def test_gen_gamma_shape_swept_with_fixed_b(self, rng):
         hist = dct_like_histogram(rng)
-        best = sweep_shape(
-            catalog("gen-gamma", alpha=1.0, b=2.0), hist, SweepGrid(0.5, 1.5, 0.5)
-        )
+        best = fit_surface(catalog("gen-gamma", alpha=1.0, b=2.0), hist, [WeightKernel.unit()],
+                           [0.5, 1.0, 1.5]).best()
         assert best.model == "gen-gamma"
         assert best.alpha in (0.5, 1.0, 1.5)
 
     def test_shapeless_model_rejected(self, rng):
         with pytest.raises(DomainError):
-            sweep_shape(EXPO, dct_like_histogram(rng), SweepGrid(1.0, 2.0, 0.5))
+            fit_surface(EXPO, dct_like_histogram(rng), [WeightKernel.unit()], [1.0, 1.5, 2.0])
 
     def test_nonpositive_shape_grid_rejected(self, rng):
         with pytest.raises(DomainError):
-            sweep_shape(
-                catalog("weibull", alpha=1.0), dct_like_histogram(rng),
-                SweepGrid(-0.5, 1.0, 0.5),
-            )
+            fit_surface(catalog("weibull", alpha=1.0), dct_like_histogram(rng),
+                        [WeightKernel.unit()], [-0.5, 0.0, 0.5, 1.0])
 
 
 class TestBetaProfile:
     def test_one_row_per_grid_point(self, rng):
         hist = dct_like_histogram(rng)
         grid = SweepGrid(-1.0, 1.0, 0.25)
-        rows = beta_mse_profile(EXPO, hist, grid)
+        rows = fit_surface(EXPO, hist, powers(grid)).profile()
         assert len(rows) == grid.points().size
         assert [b for b, _ in rows] == list(grid.points())
         assert all(math.isfinite(m) for _, m in rows)
 
     def test_failures_marked_nan(self):
         hist = Histogram(edges=np.array([0.5, 1.5]), counts=np.array([3.0]))
-        rows = beta_mse_profile(catalog("std-lognormal"), hist, SweepGrid(-0.5, 0.5, 0.5))
+        rows = fit_surface(catalog("std-lognormal"), hist,
+                           powers(SweepGrid(-0.5, 0.5, 0.5))).profile()
         assert len(rows) == 3
         assert all(math.isnan(m) for _, m in rows)
 
 
 class TestCompareKernels:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+    def test_rejects_tie_epsilon_not_finite_and_non_negative(self, eps):
+        with pytest.raises(DomainError, match="tie epsilon"):
+            compare_kernels([EXPO], [single_bin_hist()], SweepGrid(-1.0, 1.0, 0.5), eps)
+
     def test_single_bin_all_kernels_tie(self):
         rows = compare_kernels([EXPO], [single_bin_hist()], SweepGrid(-1.0, 1.0, 0.5))
         row = rows[0]
@@ -494,8 +503,9 @@ ROW_FAILURES = [
     # the anchor 1e-310 leaves m = -1e-310, and theta = 1 / -m overflows
     (EXPO, [0.0, 2e-310, 2.0], [1e-300, 1.0], WeightKernel.power(-1000.0),
      DomainError, "outside the open domain"),
-    # sum u = 6e307 is a normal double; times ln(1000) - 1 it is not
-    (EXPO, [0.0, 2e-3, 1.998], [1.0, 1.0], WeightKernel.power(-102.6),
+    # k = 1e305 makes the per-unit log-likelihood -1.1e302; times sum u =
+    # 2.5e12, which is far from needing an anchor, it overflows
+    (catalog("gamma", k=1e305), [950.0, 1050.0, 1150.0], [1.0, 1.0], WeightKernel.power(4.0),
      DomainError, "log-likelihood"),
     # theta = 1e200, so the fitted density at 1e-200 squares to inf
     (EXPO, [0.0, 2e-200, 2.0], [1e-250, 1.0], WeightKernel.power(-1000.0),
@@ -602,6 +612,14 @@ class TestFitSurface:
             assert list(surface.failures) == [(0, 0)]
             assert surface.best() == surface.report(0, 1)
 
+    def test_huge_normal_weight_sum_is_anchored(self):
+        # sum u = 6e307 is a normal double, but times ln(1000) - 1 it is not;
+        # anchored at 1e-3, the log-likelihood is taken under u / u(1e-3)
+        hist = Histogram(np.array([0.0, 2e-3, 1.998]), np.array([1.0, 1.0]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.power(-102.6)])
+        assert not surface.failures
+        assert surface.loglik[0, 0] == pytest.approx(math.log(1000.0) - 1.0, rel=1e-12)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_log1p_weight_fails_as_the_scalar_path(self):
         # 1.7e308 * ln(3) overflows, so the weights are not finite; only a
@@ -631,7 +649,7 @@ class TestFitSurface:
         model = catalog("gen-gamma", alpha=2.0, b=1e300)
         grid = SweepGrid(1e-6, 3e-6, 1e-6)
         with pytest.raises(SweepError) as excinfo:
-            sweep_shape(model, hist, grid)
+            fit_surface(model, hist, [WeightKernel.unit()], grid.points()).best()
         causes = excinfo.value.causes
         assert [key for key, _ in causes] == [(alpha, None) for alpha in grid.points()]
         assert all(isinstance(exc, DomainError) for _, exc in causes)
@@ -664,9 +682,9 @@ class TestFitSurface:
         hist = dct_like_histogram(rng)
         model = catalog("weibull", alpha=1.0)
         betas, shapes = SweepGrid(-1.0, 1.0, 0.5), SweepGrid(0.5, 1.5, 0.25)
-        rows = beta_mse_profile(model, hist, betas, shapes)
+        rows = fit_surface(model, hist, powers(betas), shapes.points()).profile()
         for beta, mse in rows:
-            one = sweep_shape(model, hist, shapes, beta_grid=SweepGrid(beta, beta, 1.0))
+            one = fit_surface(model, hist, [WeightKernel.power(beta)], shapes.points()).best()
             assert mse == one.mse
 
     def test_profile_nan_where_every_shape_failed(self):

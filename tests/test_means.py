@@ -13,12 +13,12 @@ from meanfit import (
     gini_mean,
     holder_lehmer_link,
     holder_mean,
-    kolmogorov_mean,
     lehmer_mean,
     mean_curve,
     v_weights,
 )
 
+from meanfit.cli import main
 from meanfit.means import _PowerSums
 
 from conftest import EXTREME_VALUES, blocked_dot, random_series, reference_means, \
@@ -62,25 +62,29 @@ def log_space_mean(values, weights, alpha, family):
 
 
 class TestKolmogorovMean:
-    def test_constant_series_is_idempotent(self):
-        assert kolmogorov_mean([4.0, 4.0, 4.0], lambda x: x, lambda y: y) == 4.0
+    """The f-mean with ``f = ln`` that ``mean --family kolmogorov`` prints is
+    the geometric mean, Holder(0)."""
 
-    def test_identity_transform_is_arithmetic(self):
-        assert kolmogorov_mean(PAIR, lambda x: x, lambda y: y) == pytest.approx(1.3, rel=1e-15)
+    def test_constant_series_is_idempotent(self):
+        assert holder_mean([4.0, 4.0, 4.0], 0.0) == 4.0
 
     def test_log_transform_is_geometric(self):
         # oracle: exp((ln 1 + ln 4) / 2) = exp(ln 2) = 2
-        got = kolmogorov_mean([1.0, 4.0], math.log, math.exp)
+        got = holder_mean([1.0, 4.0], 0.0)
         assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_result_within_data_range(self, rng):
         xs = random_series(rng, 20)
-        got = kolmogorov_mean(xs, math.log, math.exp)
+        got = holder_mean(xs, 0.0)
         assert xs.min() <= got <= xs.max()
 
-    def test_nonfinite_transform_identifies_value(self):
-        with pytest.raises(DomainError, match="0.0"):
-            kolmogorov_mean([0.0, 1.0], math.log, math.exp)
+    def test_nonfinite_transform_identifies_value(self, tmp_path, capsys):
+        # ln 0 is -inf: the CLI names the zero value and prints no mean
+        path = tmp_path / "values.csv"
+        path.write_text("0\n1\n")
+        code = main(["mean", "--family", "kolmogorov", "--input", str(path)])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: zero values are not admitted for exponent 0.0\n")
 
 
 class TestHolderMean:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanfit import (
@@ -234,6 +234,9 @@ class TestClosedForm:
            n=st.integers(5, 40),
            beta=st.one_of(st.floats(-3.0, 3.0), st.floats(-1000.0, 1000.0)))
     @settings(max_examples=200, deadline=None)
+    # sum u = 9.7e307 is a normal double; unanchored, W times the per-unit
+    # log-likelihood overflowed
+    @example(model=catalog("exponential"), seed=3, n=5, beta=157.0)
     def test_loglik_matches_long_double_sum(self, model, seed, n, beta):
         # The closed-form maximum W (c0 + (d-1) sum v ln x + h (ln theta - 1/q))
         # against sum u ln f in extended precision, under the weights used
