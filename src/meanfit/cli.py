@@ -16,6 +16,7 @@ All numeric output uses full-precision repr, so emitted CSV round-trips.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -215,7 +216,13 @@ def _cmd_curves(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built on the first call.
+
+    Later calls return the same parser, which ``main`` shares: parsing does
+    not change it, so a caller must not change it either.
+    """
     parser = argparse.ArgumentParser(
         prog="meanfit",
         description="Weighted generalized means and weighted-likelihood histogram fitting.",
@@ -279,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -11,8 +11,10 @@ checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
 weight (``DomainError``), no solution for the mean statistic
 (``NoSolutionError``), theta outside its domain, a non-finite log-likelihood,
 a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
-(shape x kernel) grid in bounded blocks of shape rows, one array pass each
-(the shapes' constants are the columns of one model, ``shape_columns``);
+(shape x kernel) grid in bounded chunks of shape rows, the closed form and
+the checks one array pass per chunk and the density grid of the MSE one
+bounded block at a time (the shapes' constants are the columns of one
+model, ``shape_columns``);
 ``fit_histogram`` is its one-point surface, and a sweep, a grid search with
 deterministic tie-breaking, is its ``best()`` and ``profile()``.
 """
@@ -235,9 +237,12 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     Each point is the closed-form fit of the shaped model under the kernel,
     scored and checked as the module docstring says: ``m = V @ T`` with the
     v-weights ``V = W / W.sum(1)``, and the closed forms over all ``m``.  A
-    block is a run of shape rows with one support whose ``rows x kernels x
-    bins`` density grid fits in the ``_BLOCK`` doubles of one scratch buffer
-    (or one row), so memory stays bounded; no result depends on the block.
+    chunk is a run of shape rows with one support, as many as about 16
+    ``rows x kernels`` and 4 ``rows x bins`` arrays fit in ``_BLOCK``
+    doubles (at least a grid block's); its MSE grid goes through grid
+    blocks, as many rows as one ``_BLOCK``-double scratch buffer holds (at
+    least one).  So memory stays bounded, and no result depends on where a
+    chunk or block ends.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed, every shape a row of one ``shape_columns`` model;
     a shape that ``catalog`` rejects fails its row with ``catalog``'s error.
@@ -281,18 +286,21 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     failures = {(i, j): exc for i, exc in rejected.items() for j in range(len(kernels))}
     fitted = [i for i in range(len(alphas)) if i not in rejected]
     rows = max(1, min(len(fitted), _BLOCK // (len(kernels) * hist.nbins)))
+    # A chunk's closed form holds about 16 (rows x kernels) and 4 (rows x
+    # bins) arrays: about one block, unless a grid block has more rows.
+    chunk = max(rows, _BLOCK // (16 * len(kernels) + 4 * hist.nbins))
     scratch = np.empty(rows * len(kernels) * hist.nbins)
     # Only a center at 0 can be in one shape's support and not another's.
     zero_in = np.logical_and(0.0 in centers, spec.zero_in_support,
                              out=np.zeros((len(alphas), 1), dtype=bool))[:, 0]
     for _, run in itertools.groupby(fitted, zero_in.__getitem__):
         run = list(run)
-        for start in range(0, len(run), rows):
-            index = run[start:start + rows]
+        for start in range(0, len(run), chunk):
+            index = run[start:start + chunk]
             # The rows are increasing, so as many as the grid has are all of them.
-            block = spec if len(index) == len(alphas) else spec.rows(index)
+            part = spec if len(index) == len(alphas) else spec.rows(index)
             theta_hat[index], mse[index], loglik[index], found = _fit_rows(
-                block, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch)
+                part, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch)
             failures.update(((index[r], j), exc) for (r, j), exc in found.items())
     return FitSurface(
         model=model.name,
@@ -308,17 +316,20 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
 
 
 def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch):
-    """One block of ``fit_surface``: the rows of the ``shape_columns`` model
+    """One chunk of ``fit_surface``: the rows of the ``shape_columns`` model
     ``spec``, which share one support, under every kernel's v-weights ``v``
     at once.
 
     ``used`` marks the centers ``v`` weights, ``wsum`` holds the total weights
     (0 where no bin is kept), ``bad_weights`` flags a non-finite weight,
     ``mean_log`` is ``sum v ln x``, and ``drop`` masks the used centers a
-    kernel drops (None if none).  The MSE is ``mean((count / (total * width)
-    - exp(log_pdf(center)))^2)`` over the support, zero counts included; its
-    ``rows x kernels x bins`` grid is built in the buffer ``scratch``,
-    each point by the scalar path's operations in their order.
+    kernel drops (None if none).  The closed form, the log-likelihood and the
+    failure checks are one array pass over the chunk.  The MSE is
+    ``mean((count / (total * width) - exp(log_pdf(center)))^2)`` over the
+    support, zero counts included; its ``rows x kernels x bins`` grid is
+    built one grid block at a time in the buffer ``scratch``, each block as
+    many rows as the buffer holds, and each point by the scalar path's
+    operations in their order.
 
     Returns theta, MSE and log-likelihood per (row, kernel), NaN where failed,
     and the failures keyed ``(row, kernel)``, each the first failed check.
@@ -328,26 +339,36 @@ def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empiric
     xs, in_x = centers[support], used[support]
     with np.errstate(all="ignore"):
         # Each constant is a column, so every step is one array operation
-        # over the block, but for the powers x^p, base^(1/q) and theta^q:
+        # over the chunk, but for the powers x^p, base^(1/q) and theta^q:
         # each takes one numpy call per row, since numpy rounds a power with
         # a scalar exponent of 2, 0.5 or -1 otherwise than with an array.
         ln_a = spec.log_base(xs)
         t = np.broadcast_to(spec.suff_stat(xs), ln_a.shape)
         tx = np.compress(in_x, t, axis=1)[:, None, :]
-        m = _row_dots(v, tx if drop is None else np.where(drop, 0.0, tx))
+        step = scratch.size // (v.shape[0] * max(1, xs.size))
+        blocks = [slice(start, start + step) for start in range(0, ln_a.shape[0], step)]
+        if drop is None:
+            m = _row_dots(v, tx)
+        else:
+            # The masked statistics are a (rows x kernels x bins) grid too.
+            m = np.concatenate([_row_dots(v, np.where(drop, 0.0, tx[b])) for b in blocks])
         theta = spec.mean_inverse(m)
         eta = spec.natural_param(theta)
         log_norm = spec.log_normalizer(theta)
         loglik = _loglik_at_max(spec, np.log(theta), wsum, mean_log)
-        # ln a + eta T - H in log_pdf's order; each einsum element is one product.
-        shape = (*theta.shape, xs.size)
-        density = np.einsum("bk,bn->bkn", eta, t, out=scratch[:math.prod(shape)].reshape(shape))
-        density += ln_a[:, None, :]
-        density -= log_norm[:, :, None]
-        np.exp(density, out=density)
-        np.subtract(empirical[support], density, out=density)
-        np.square(density, out=density)
-        mse = density.sum(axis=2) / xs.size
+        mse = np.empty(theta.shape)
+        observed = empirical[support]
+        for b in blocks:
+            # ln a + eta T - H in log_pdf's order; each einsum element is one product.
+            shape = (*theta[b].shape, xs.size)
+            density = np.einsum("bk,bn->bkn", eta[b], t[b],
+                                out=scratch[:math.prod(shape)].reshape(shape))
+            density += ln_a[b, None, :]
+            density -= log_norm[b, :, None]
+            np.exp(density, out=density)
+            np.subtract(observed, density, out=density)
+            np.square(density, out=density)
+            mse[b] = density.sum(axis=2) / xs.size
         lo, hi = spec.theta_domain
         bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
     name = spec.name

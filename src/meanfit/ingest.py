@@ -159,9 +159,24 @@ def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
 
 def load_histogram_csv(path) -> Histogram:
     """Read `bin_left,bin_right,count` rows with contiguous increasing bins."""
+    data = _read_bytes(path)
+    table = _read_table(data)
+    if table is None or table.shape[1] != 3:
+        return _scan_histogram(path, data)
+    # Contiguous columns, as the scanner builds them: strided counts would
+    # sum in another order.
+    left, right, counts = np.ascontiguousarray(table.T)
+    if not (np.isfinite(table).all() and np.all(right > left) and np.all(counts >= 0.0)
+            and np.all(left[1:] == right[:-1])):
+        return _scan_histogram(path, data)
+    return Histogram(edges=np.concatenate((left[:1], right)), counts=counts)
+
+
+def _scan_histogram(path, data: bytes) -> Histogram:
+    """``load_histogram_csv`` line by line: the error of the first bad line."""
     edges = []
     counts = []
-    for lineno, line in _scan_lines(path, _read_bytes(path)):
+    for lineno, line in _scan_lines(path, data):
         parts = line.split(",")
         if len(parts) != 3:
             raise FormatError(f"{path}: line {lineno}: expected bin_left,bin_right,count")

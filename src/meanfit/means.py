@@ -9,7 +9,11 @@ with ``f = ln``, the geometric mean, is Holder(0).  One rule evaluates every
 ``G``: max or min at an infinite exponent; the limit ``exp(sum w x^s ln x /
 S(s))`` where ``|r - s| < GEOMETRIC_CUTOFF``; else the root of the quotient
 of the two sums, in log space where they need two anchors or the quotient
-leaves the normal doubles.  Every mean lies within the data range, to rounding.
+leaves the normal doubles.  A plain sum that may have lost digits, one that
+is not finite or is below ``(sum w + n)`` times the smallest normal double,
+is taken over its largest term ``w x^p``, found by ``ln w + p ln x``: so a
+weight beyond the double range still scales its power.  Every mean is
+clamped to the data range, which it can leave only by rounding.
 
 A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
 for OpenBLAS to split across threads, and the block sums are added exactly,
@@ -117,11 +121,22 @@ class _PowerSums:
         self.ws = ws
         self.xmin = float(xs.min())
         self.xmax = float(xs.max())
+        # A power or term below the normal doubles is off by at most half the
+        # smallest subnormal, so a plain sum of at least this keeps its digits.
+        self.floor = (float(ws.sum()) + xs.size) * _TINY
         self._sums = {}
 
     def extreme(self, p: float) -> float:
         """The value whose power dominates at exponent ``p``."""
         return self.xmax if p >= 0.0 else self.xmin
+
+    def dominant(self, p: float) -> int:
+        """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
+        logs = np.log(self.ws)
+        if p:   # 0^0 is 1, and no zero value meets a negative exponent
+            with np.errstate(divide="ignore"):
+                logs += p * np.log(self.xs)
+        return int(np.argmax(logs))
 
     def terms(self, p: float, anchor: float | None = None) -> np.ndarray:
         powers = np.power(self.xs, p)
@@ -133,23 +148,45 @@ class _PowerSums:
             return ratios
         return np.where(powers < _TINY, ratios, powers / scale)
 
-    def __call__(self, p: float, anchor: float | None = None) -> float:
-        """``sum w (x / anchor)^p``, plain for no anchor."""
-        key = (p, anchor)
+    def relative(self, p: float, i: int) -> np.ndarray:
+        """The terms of ``sum w x^p`` over the term at index ``i``:
+        ``(w / w_i) (x / x_i)^p``.  Where a factor leaves the normal doubles,
+        the term is ``exp(ln(w / w_i) + p ln(x / x_i))``, so that a weight
+        beyond the double range still scales a power of the ratio."""
+        with np.errstate(all="ignore"):
+            scales = self.ws / self.ws[i]
+            powers = self.terms(p, float(self.xs[i]))
+            terms = scales * powers
+            lost = np.flatnonzero(~(_normal(scales) & _normal(powers)))
+            if lost.size:
+                logs = np.log(self.ws[lost]) - math.log(self.ws[i])
+                if p:   # 0^0 is 1
+                    logs += p * (np.log(self.xs[lost]) - math.log(self.xs[i]))
+                terms[lost] = np.exp(logs)
+        return terms
+
+    def __call__(self, p: float, i: int | None = None) -> float:
+        """``sum w x^p``, or ``sum (w / w_i) (x / x_i)^p`` for an index ``i``."""
+        key = (p, i)
         if key not in self._sums:
-            with np.errstate(over="ignore"):
-                self._sums[key] = _dot(self.terms(p, anchor), self.ws)
+            if i is None:
+                with np.errstate(over="ignore"):
+                    self._sums[key] = _dot(self.terms(p), self.ws)
+            else:
+                terms = self.relative(p, i)
+                self._sums[key] = _dot(terms, np.ones(terms.size))
         return self._sums[key]
 
-    def anchored(self, p: float) -> tuple[float | None, float]:
-        """``(anchor, sum)`` with ``sum w x^p = anchor^p * sum``: no anchor
-        and the plain sum while that is a normal finite double, else the
-        extreme that dominates at ``p``, whose own term is then ``w * 1``.
-        An all-zero series keeps its plain sums."""
-        total = self(p)
-        if _normal(total) or self.xmax == 0.0:
-            return None, total
-        return self.extreme(p), self(p, self.extreme(p))
+    def plain(self, p: float) -> bool:
+        """Whether the plain sum at ``p`` keeps its digits: it is finite and
+        at least ``floor``.  An all-zero series keeps its plain sums."""
+        return self.floor <= self(p) < math.inf or self.xmax == 0.0
+
+    def log_scale(self, p: float, i: int | None) -> float:
+        """``ln(w_i x_i^p)``, the log of what the sum over index ``i`` leaves out."""
+        if i is None:
+            return 0.0
+        return math.log(self.ws[i]) + (p * math.log(self.xs[i]) if p else 0.0)
 
 
 def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
@@ -159,13 +196,18 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
         return sums.xmax if r + s > 0.0 else sums.xmin
     if abs(r - s) < GEOMETRIC_CUTOFF:
         with np.errstate(over="ignore"):
-            v = sums.ws * sums.terms(s, sums.anchored(s)[0])
-        return float(np.exp(_dot(np.log(sums.xs), v / v.sum())))
-    (top, num), (bottom, den) = sums.anchored(r), sums.anchored(s)
-    if top is not None or bottom is not None:
-        # The terms of S(0) are 1 whatever the anchor, so it takes its partner's.
-        top, bottom = sums.extreme(r or s), sums.extreme(s or r)
+            v = sums.ws * sums.terms(s) if sums.plain(s) else sums.relative(s, sums.dominant(s))
+        return min(max(float(np.exp(_dot(np.log(sums.xs), v / v.sum()))), sums.xmin), sums.xmax)
+    top = bottom = None
+    num, den = sums(r), sums(s)
+    if not (sums.plain(r) and sums.plain(s)):
+        # Both sums over the largest term of the one at r (at s where r is 0),
+        # or each over its own where one of them then leaves the normal doubles.
+        top = bottom = sums.dominant(r or s)
         num, den = sums(r, top), sums(s, bottom)
+        if not (_normal(num) and _normal(den)):
+            top, bottom = sums.dominant(r), sums.dominant(s)
+            num, den = sums(r, top), sums(s, bottom)
     if den == 0.0:
         raise DomainError("the denominator power sum vanished (all values zero)")
     with np.errstate(over="ignore"):
@@ -174,13 +216,13 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     if top == bottom and (num == 0.0 or _normal(quotient) or (r - s == 1.0 and top is None)):
         with np.errstate(over="ignore"):
             mean = quotient ** (1.0 / (r - s))
-            mean = mean if top is None else top * mean
+            mean = mean if top is None else float(sums.xs[top]) * mean
         if math.isfinite(mean):
-            return float(mean)
+            return min(max(float(mean), sums.xmin), sums.xmax)
     # Two anchors, a quotient beyond the normal doubles, or a root that rounds
     # past them: in log space.  A mean beyond the data range by more than this
     # sum's rounding lost digits.
-    parts = (r * math.log(top or 1.0), -s * math.log(bottom or 1.0), math.log(num), -math.log(den))
+    parts = (sums.log_scale(r, top), -sums.log_scale(s, bottom), math.log(num), -math.log(den))
     log_mean, slack = sum(parts) / (r - s), 4 * math.ulp(1.0) * sum(map(abs, parts)) / abs(r - s)
     low, high = math.log(sums.xmin) if sums.xmin > 0.0 else -math.inf, math.log(sums.xmax)
     if not low - slack <= log_mean <= high + slack:

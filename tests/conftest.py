@@ -207,37 +207,58 @@ def reference_means(values, alphas, family, weights=None):
     ``a - 1`` for Lehmer, as documented in ``meanfit.means`` (the max/min
     limits, the ``r = s`` limit, which only Holder reaches here, at ``s = 0``,
     no zero where a power of it is infinite or the limit is taken).  Every
-    sum is a ``blocked_dot``.  A plain sum is kept while it is a normal
-    double.  Otherwise both sums factor out the extreme that dominates at
-    their exponent (the maximum for a non-negative one; a zero exponent takes
-    its partner's), each term ``(x / anchor)^p`` taken as ``x^p / anchor^p``
-    while ``anchor^p`` and ``x^p`` are normal.
-    One anchor multiplies the root of the quotient, unless that quotient is
-    positive and not a normal double (an unanchored Lehmer quotient excepted).
-    Otherwise the mean is raised in log space; one beyond the data range by
-    more than that sum's rounding raises, and one within it is clamped.  An
-    all-zero series keeps its plain sums.  The first exponent that fails
-    raises its ``DomainError``."""
+    sum is a ``blocked_dot``.  A plain sum is kept while it is finite and at
+    least ``(sum w + n)`` times the smallest normal double.  Otherwise both
+    sums are taken over the largest term ``w_i x_i^p`` of the sum at ``a``
+    (at ``s`` where ``a`` is 0), or, where either then leaves the normal
+    doubles, each over its own largest term.  A term over the term at ``i``
+    is ``(w / w_i) (x / x_i)^p``, the power of the ratio taken as ``x^p /
+    x_i^p`` while ``x_i^p`` and ``x^p`` are normal, and ``exp(ln(w / w_i) +
+    p ln(x / x_i))`` where the weight ratio or that power is not normal.
+    With one anchor, its value multiplies the root of the quotient, unless
+    that quotient is positive and not a normal double (an unanchored Lehmer
+    quotient excepted).  Otherwise the mean is raised in log space; one
+    beyond the data range by more than that sum's rounding raises.  Every
+    other mean is clamped to the data range.  An all-zero series keeps its
+    plain sums.  The first exponent that fails raises its ``DomainError``."""
     xs = np.asarray(values, dtype=float)
     ws = np.ones(xs.size) if weights is None else np.asarray(weights, dtype=float)
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    floor = (float(ws.sum()) + xs.size) * tiny
 
-    def power_sum(p, anchor=None):
-        with np.errstate(over="ignore"):
-            if anchor is None:
+    def normal(v):
+        return tiny <= v < math.inf
+
+    def power_sum(p, i=None):
+        with np.errstate(all="ignore"):
+            if i is None:
                 return blocked_dot(np.power(xs, p), ws)
-            scale = np.power(anchor, p)
-            if not tiny <= scale < math.inf:
-                return blocked_dot(np.power(xs / anchor, p), ws)
+            scale = np.power(xs[i], p)
             powers = np.power(xs, p)
-            terms = np.where(powers >= tiny, powers / scale, np.power(xs / anchor, p))
-            return blocked_dot(terms, ws)
+            ratios = np.power(xs / xs[i], p)
+            if normal(scale):
+                ratios = np.where(powers >= tiny, powers / scale, ratios)
+            shares = ws / ws[i]
+            terms = shares * ratios
+            for j in range(xs.size):
+                if not (normal(shares[j]) and normal(ratios[j])):
+                    log_term = math.log(ws[j]) - math.log(ws[i])
+                    if p != 0.0:
+                        log_term += p * (np.log(xs[j]) - math.log(xs[i]))
+                    terms[j] = np.exp(log_term)
+            return blocked_dot(terms, np.ones(xs.size))
 
-    def needs_anchor(p):
-        return xs.max() > 0.0 and not tiny <= power_sum(p) < math.inf
+    def plain(p):
+        return floor <= power_sum(p) < math.inf or xs.max() == 0.0
 
-    def extreme(p):
-        return float(xs.max() if p >= 0.0 else xs.min())
+    def largest(p):
+        with np.errstate(divide="ignore"):
+            return int(np.argmax(np.log(ws) + (p * np.log(xs) if p != 0.0 else 0.0)))
+
+    def log_scale(p, i):
+        if i is None:
+            return 0.0
+        return math.log(ws[i]) + (p * math.log(xs[i]) if p != 0.0 else 0.0)
 
     means = []
     for alpha in alphas:
@@ -251,23 +272,28 @@ def reference_means(values, alphas, family, weights=None):
             means.append(float(xs.max() if r > 0.0 else xs.min()))
             continue
         if abs(r - s) < GEOMETRIC_CUTOFF:
-            means.append(float(np.exp(blocked_dot(np.log(xs), ws / ws.sum()))))
+            v = ws if plain(0.0) else ws / ws[largest(0.0)]
+            mean = float(np.exp(blocked_dot(np.log(xs), v / v.sum())))
+            means.append(min(max(mean, xs.min()), xs.max()))
             continue
         top = bottom = None
-        if needs_anchor(r) or needs_anchor(s):
-            top, bottom = extreme(r or s), extreme(s or r)
-        num, den = power_sum(r, top), power_sum(s, bottom)
+        num, den = power_sum(r), power_sum(s)
+        if not (plain(r) and plain(s)):
+            top = bottom = largest(r or s)
+            num, den = power_sum(r, top), power_sum(s, bottom)
+            if not (normal(num) and normal(den)):
+                top, bottom = largest(r), largest(s)
+                num, den = power_sum(r, top), power_sum(s, bottom)
         if den == 0.0:
             raise DomainError("the denominator power sum vanished (all values zero)")
-        if top == bottom and (num == 0.0 or tiny <= num / den < math.inf
+        if top == bottom and (num == 0.0 or normal(num / den)
                               or (r - s == 1.0 and top is None)):
             with np.errstate(over="ignore"):
-                mean = (num / den) ** (1.0 / (r - s)) * (top or 1.0)
+                mean = (num / den) ** (1.0 / (r - s)) * (1.0 if top is None else xs[top])
             if math.isfinite(mean):
-                means.append(float(mean))
+                means.append(min(max(float(mean), xs.min()), xs.max()))
                 continue
-        parts = (r * math.log(top or 1.0), -s * math.log(bottom or 1.0),
-                 math.log(num), -math.log(den))
+        parts = (log_scale(r, top), -log_scale(s, bottom), math.log(num), -math.log(den))
         log_mean = sum(parts) / (r - s)
         slack = 4.0 * eps * sum(map(abs, parts)) / abs(r - s)
         low = math.log(xs.min()) if xs.min() > 0.0 else -math.inf

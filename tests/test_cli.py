@@ -518,6 +518,32 @@ class TestCurves:
         assert code == 2
 
 
+class TestParserReuse:
+    """``main`` parses with the one parser ``build_parser`` builds per process."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, run, expo_hist_csv, pair_csv):
+        calls = [
+            ["sweep", "--model", "weibull", "--beta=-1:1:0.5", "--shape-grid=0.5:1.5:0.5",
+             "--input", expo_hist_csv],
+            ["sweep", "--model", "weibull", "--beta=1:-1:0.5", "--input", expo_hist_csv],
+            ["mean", "--family", "lehmer", "--alpha-grid=-1:2:0.5", "--input", pair_csv],
+            ["--help"],
+        ]
+        reused = [run(*argv) for argv in calls]
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+        for argv, want in zip(calls, reused):
+            cli.build_parser.cache_clear()
+            assert run(*argv) == want, argv
+
+    def test_module_run_prints_as_main(self, run, pair_csv):
+        argv = ["mean", "--family", "holder", "--alpha-grid=-2:2:1", "--input", pair_csv]
+        proc = run_warnings_as_errors(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(*argv)
+
+
 def run_in_process(*argv):
     """``main(argv)`` with every warning an error; the exit code and stdout."""
     out = io.StringIO()
@@ -594,8 +620,8 @@ class TestFuzz:
             assert out == ""
 
     @given(
-        rows=st.lists(st.tuples(FUZZ_NUMBERS, st.floats(1e-300, 1e300)
-                                | st.sampled_from([5e-324, 1.7e308, 0.0, -1.0])),
+        rows=st.lists(st.tuples(FUZZ_NUMBERS, EXTREME_VALUES | st.floats(1e-300, 1e300)
+                                | st.sampled_from([1.7e308, 0.0, -1.0])),
                       min_size=1, max_size=8),
         family=st.sampled_from(["holder", "lehmer", "kolmogorov"]),
         exponent=st.one_of(FUZZ_EXPONENTS.map(lambda a: f"--alpha={a!r}"), fuzz_grids()),
@@ -610,6 +636,11 @@ class TestFuzz:
         argv += ["--weights"] if weighted else []
         result = run_in_process(*argv)
         self.check(*result)
+        if result[0] == 0:
+            # every mean lies within the data, the weights whatever they are
+            values = [x for x, _ in rows]
+            for line in result[1].splitlines():
+                assert min(values) <= float(line.split(",")[-1]) <= max(values), line
         if family == "kolmogorov" and not weighted:
             # the geometric mean, by the same path and to the same bytes
             assert result == run_in_process("mean", "--family", "holder", "--alpha=0",

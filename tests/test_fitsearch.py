@@ -732,6 +732,25 @@ class TestBlocks:
         assert "b/alpha" in str(surface.failures[(2, 0)])
         assert "outside the open domain" in str(surface.failures[(4, 0)])
 
+    def test_chunks_of_grid_blocks_match_rows_and_columns(self, monkeypatch):
+        # 40 kernels x 40 bins: at 3200 doubles a chunk holds 4 rows and a
+        # grid block 2, so the 11 shapes catalog accepts make the chunks
+        # (0-3), (5-8) and (9-11), of grid blocks of 2 and 2, or 2 and 1, rows.
+        # Shape 1e-306, which catalog rejects, falls between the first two
+        # chunks, and at shape 0.004 theta, a power 1/alpha, overflows.
+        monkeypatch.setattr(fitsearch, "_BLOCK", 3200)
+        hist = dct_like_histogram(np.random.default_rng(3), n=2000, bins=40)
+        kernels = MIXED_KERNELS + [WeightKernel.power(b) for b in np.linspace(-1.5, 1.5, 34)]
+        shapes = [0.5, 0.8, 1.0, 1.3, 1e-306, 1.7, 2.0, 0.004, 2.5, 0.6, 1.1, 3.0]
+        assert fitsearch._BLOCK // (16 * len(kernels) + 4 * hist.nbins) == 4
+        assert fitsearch._BLOCK // (len(kernels) * hist.nbins) == 2
+        model = catalog("gen-gamma", alpha=1.5, b=2.2)
+        surface = assert_block_invariant(model, hist, kernels, shapes)
+        assert_matches_loop_and_messages(model, hist, kernels, shapes)
+        assert sorted({i for i, _ in surface.failures}) == [4, 7]
+        assert "b/alpha" in str(surface.failures[(4, 0)])
+        assert "outside the open domain" in str(surface.failures[(7, 0)])
+
     def test_production_grid_blocks_match_rows_and_columns(self):
         # The benchmark's sweep: 81 kernels x 100 bins fit 16 rows in a
         # default block, so its 57 shapes make blocks of 16, 16, 16 and 9.

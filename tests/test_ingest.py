@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import math
 import os
 import urllib.request
 
@@ -27,7 +28,7 @@ from meanfit import (
     save_histogram_csv,
 )
 from meanfit.cli import _report_json
-from meanfit.ingest import _scan_values
+from meanfit.ingest import _scan_histogram, _scan_values
 
 
 class TestValuesCsv:
@@ -192,7 +193,7 @@ def _field(draw, value, fmt, noisy):
     text = fmt(value)
     if noisy and draw(st.integers(0, 9)) == 0:
         text = draw(st.sampled_from(_ODD_FIELDS))
-    elif noisy and value == int(value) and value < 1e15 and draw(st.booleans()):
+    elif noisy and value.is_integer() and value < 1e15 and draw(st.booleans()):
         text = f"{int(value):_}"
     return draw(st.sampled_from(pads)) + text + draw(st.sampled_from(pads))
 
@@ -227,13 +228,38 @@ def values_csv(draw):
     return draw(_csv_bytes(draw(st.lists(row, max_size=8))))
 
 
+@st.composite
+def histogram_csv(draw):
+    """Contiguous increasing bins with non-negative counts, and now and then
+    a gap, a decreasing bin, a negative count, or a NaN or infinite field."""
+    left = draw(st.floats(-10.0, 10.0))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        right = left + draw(st.floats(1e-3, 10.0))
+        row = [left, right, draw(st.floats(0.0, 1e6))]
+        fault = draw(st.integers(0, 29))
+        if fault == 0:
+            row[0] += draw(st.floats(1e-3, 1.0))    # a gap before this bin
+        elif fault == 1:
+            row[:2] = row[1], row[0]                # a decreasing bin
+        elif fault == 2:
+            row[2] = -row[2] - 1.0
+        elif fault == 3:
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        rows.append(row)
+        left = right
+    return draw(_csv_bytes(rows))
+
+
 def _outcome(load, path):
-    """The arrays ``load`` returns, bit for bit, or its error class and message."""
+    """The arrays ``load`` returns, bit for bit and whether contiguous (a
+    strided array sums in another order), or its error class and message."""
     try:
         arrays = load(path)
     except (FormatError, EmptyDataError, DomainError) as exc:
         return type(exc), str(exc)
-    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+    return [None if a is None else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in arrays]
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +268,8 @@ def csv_path(tmp_path_factory):
 
 
 class TestLoaderMatchesLineScanner:
-    """The numpy reader of values CSVs against the line scanner it falls back on."""
+    """The numpy readers of values and histogram CSVs against the line scanners
+    they fall back on."""
 
     @given(data=values_csv())
     @settings(max_examples=200, deadline=None)
@@ -250,6 +277,20 @@ class TestLoaderMatchesLineScanner:
         csv_path.write_bytes(data)
         assert _outcome(load_values_csv, csv_path) == \
             _outcome(lambda path: _scan_values(path, data), csv_path)
+
+    @given(data=histogram_csv())
+    @settings(max_examples=300, deadline=None)
+    def test_histograms(self, csv_path, data):
+        csv_path.write_bytes(data)
+
+        def arrays(load):
+            def read(path):
+                hist = load(path)
+                return hist.edges, hist.counts
+            return read
+
+        assert _outcome(arrays(load_histogram_csv), csv_path) == \
+            _outcome(arrays(lambda path: _scan_histogram(path, data)), csv_path)
 
 
 class TestReportJson:

@@ -1,6 +1,8 @@
 """Unit and property tests for the central-tendency module."""
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -180,12 +182,12 @@ class TestLehmerMean:
         assert 5e-324 <= got <= 1.0
         assert got == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=SUBNORMAL_ATOL)
 
-    def test_lost_numerator_term_raises_domain_error(self):
-        # Under the anchor 7 the 3.0-weighted numerator term (5e-324)^0.99
-        # underflows, so the quotient num / den is 0; its logarithm raised an
-        # untyped ValueError, and in log space the mean falls below the data.
-        with pytest.raises(DomainError, match="leaves the data range at exponent 0.99"):
-            lehmer_mean([5e-324, 7.0], 0.99, weights=[3.0, 5e-324])
+    def test_weighted_subnormal_term_dominates(self):
+        # The 3.0-weighted term of 5e-324 dominates both sums.  Anchored at 7
+        # by the values alone, its numerator term underflowed and the mean
+        # fell below the data (a DomainError); anchored at the largest
+        # weighted term, the mean is 4.947e-324, the smallest subnormal.
+        assert lehmer_mean([5e-324, 7.0], 0.99, weights=[3.0, 5e-324]) == 5e-324
 
 
 class TestGiniMean:
@@ -378,10 +380,12 @@ class TestMeanCurve:
         values, weights = [5e-324, 1e-306], [5e-324, 2.0]
         want = log_space_mean(values, weights, -19.0, "holder")
         assert holder_mean(values, -19.0, weights) == pytest.approx(want, rel=LOG_SPACE_RTOL)
-        # here the anchor 1e-306 ignores the weight 1e300 of 5e-324, whose
-        # term underflows, and the share's mean falls below the data
-        with pytest.raises(DomainError, match="leaves the data range"):
-            holder_mean(values, 19.0, [1e300, 5e-324])
+        # the term of 5e-324 dominates through its weight 1e300; an anchor at
+        # 1e-306, chosen by the values alone, lost it, and the mean fell
+        # below the data (a DomainError)
+        weights = [1e300, 5e-324]
+        want = log_space_mean(values, weights, 19.0, "holder")
+        assert holder_mean(values, 19.0, weights) == pytest.approx(want, rel=LOG_SPACE_RTOL)
 
     @pytest.mark.parametrize("values, alpha", [
         ([1e-300, 1.7e305], 1.01),  # x^1.01 overflows; (1e-300 / 1.7e305)^0.01 ~ 9e-7
@@ -421,6 +425,56 @@ class TestMeanCurve:
             want = log_space_mean(values, weights, alpha, family)
             assert mean == pytest.approx(want, rel=LOG_SPACE_RTOL, abs=SUBNORMAL_ATOL), \
                 (alpha, mean, want)
+
+
+def decimal_mean(values, weights, alpha, family):
+    """Holder or Lehmer mean of exact decimal power sums at 80 digits, for
+    an exponent that is a multiple of 1/2 (a square root per half)."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 80, 10**6, -10**6
+        xs, ws = [Decimal(x) for x in values], [Decimal(w) for w in weights]
+
+        def power_sum(p):
+            k = math.floor(p)
+            return sum(w * x**k * (x.sqrt() if p != k else 1) for x, w in zip(xs, ws))
+
+        if family == "lehmer":
+            return power_sum(alpha) / power_sum(alpha - 1.0)
+        quotient = power_sum(alpha) / sum(ws)
+        a = abs(alpha)
+        root = quotient.sqrt() if a == 2.0 else quotient**2 if a == 0.5 else quotient ** (1 / Decimal(a))
+        return root if alpha > 0.0 else 1 / root
+
+
+class TestWeightsAcrossTheDoubles:
+    """Every pair of values and of weights from the ends and middle of the
+    doubles, against exact decimal means."""
+
+    VALUES = (5e-324, 1e-306, 1e-200, 1.0, 1e200, 1.7e308)
+    WEIGHTS = (5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+    EXPONENTS = (19.0, -19.0, 2.0, -2.0, 0.5, -0.5)
+
+    @pytest.mark.parametrize("family, mean", [("holder", holder_mean), ("lehmer", lehmer_mean)])
+    def test_matches_exact_decimal_means(self, family, mean):
+        # Anchored by the values alone, the largest weighted term could
+        # underflow before its weight applied: 12 Holder and 116 Lehmer means
+        # missed by more than this tolerance, and 64 and 68 calls raised
+        # "leaves the data range".
+        raised = 0
+        for values in itertools.product(self.VALUES, repeat=2):
+            for weights in itertools.product(self.WEIGHTS, repeat=2):
+                for alpha in self.EXPONENTS:
+                    try:
+                        got = mean(values, alpha, weights)
+                    except DomainError as exc:
+                        assert "with a finite sum" in str(exc), (values, weights, alpha)
+                        raised += 1
+                        continue
+                    want = decimal_mean(values, weights, alpha, family)
+                    tolerance = max(want * Decimal("1e-10"), 4 * Decimal(math.ulp(0.0)))
+                    assert abs(Decimal(got) - want) <= tolerance, (values, weights, alpha, got)
+        # Only the weights (1.7e308, 1.7e308), whose sum overflows, raise.
+        assert raised == 36 * len(self.EXPONENTS)
 
 
 class TestVWeights:
