@@ -239,9 +239,9 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     v-weights ``V = W / W.sum(1)``, and the closed forms over all ``m``.  A
     chunk is a run of shape rows with one support, as many as about 16
     ``rows x kernels`` and 4 ``rows x bins`` arrays fit in ``_BLOCK``
-    doubles (at least a grid block's); its MSE grid goes through grid
-    blocks, as many rows as one ``_BLOCK``-double scratch buffer holds (at
-    least one).  So memory stays bounded, and no result depends on where a
+    doubles (at least one); its MSE grid goes through grid blocks, as many
+    rows as one ``_BLOCK``-double scratch buffer holds (at least one, at
+    most a chunk's).  So memory stays bounded, and no result depends on where a
     chunk or block ends.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed, every shape a row of one ``shape_columns`` model;
@@ -285,10 +285,10 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     spec, rejected = shape_columns(model, shapes)
     failures = {(i, j): exc for i, exc in rejected.items() for j in range(len(kernels))}
     fitted = [i for i in range(len(alphas)) if i not in rejected]
-    rows = max(1, min(len(fitted), _BLOCK // (len(kernels) * hist.nbins)))
     # A chunk's closed form holds about 16 (rows x kernels) and 4 (rows x
-    # bins) arrays: about one block, unless a grid block has more rows.
-    chunk = max(rows, _BLOCK // (16 * len(kernels) + 4 * hist.nbins))
+    # bins) arrays, and a grid block is never longer: about one block each.
+    chunk = max(1, _BLOCK // (16 * len(kernels) + 4 * hist.nbins))
+    rows = max(1, min(len(fitted), _BLOCK // (len(kernels) * hist.nbins), chunk))
     scratch = np.empty(rows * len(kernels) * hist.nbins)
     # Only a center at 0 can be in one shape's support and not another's.
     zero_in = np.logical_and(0.0 in centers, spec.zero_in_support,

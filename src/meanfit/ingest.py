@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,10 +63,44 @@ class CoefficientSet:
 # does not; a file holding one is left to the line scanner.
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
+# From this size numpy parses a file faster by its name than from a stream.
+_BY_NAME_BYTES = 1 << 20
+# The suffixes numpy's DataSource decompresses by.
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
-def _read_table(data: bytes) -> np.ndarray | None:
+
+def _name_to_parse(path, size: int) -> str | None:
+    """The absolute name of ``path`` if numpy may parse it in place of the
+    ``size`` bytes read from it, else None.
+
+    By name, numpy reads a file in chunks; from a stream, one ``str`` a line.
+    numpy opens a name through its DataSource, which fetches a name with a
+    URL scheme and network location (an absolute POSIX name has no scheme),
+    decompresses by the ``_COMPRESSED`` suffixes, and on first use imports
+    their modules: a cost that only pays from about ``_BY_NAME_BYTES``.  A
+    pipe or FIFO (``/dev/stdin`` fed by one) is not a regular file, and a
+    file whose size changed since it was read does not match ``size``: both
+    keep the stream.  A rewrite to the same size in between is not seen.
+    """
+    if size < _BY_NAME_BYTES or not isinstance(path, (str, os.PathLike)):
+        return None
+    name = os.fspath(path)
+    if not isinstance(name, str) or name.endswith(_COMPRESSED):
+        return None
+    try:
+        # Joined, not normalized: ``link/..`` names what open() read.
+        name = os.path.join(os.getcwd(), name)
+        info = os.stat(name)
+    except OSError:
+        return None
+    return name if stat.S_ISREG(info.st_mode) and info.st_size == size else None
+
+
+def _read_table(path, data: bytes) -> np.ndarray | None:
     """Every row of a numeric CSV as one float table, parsed in one numpy pass.
 
+    ``data`` is what ``path`` held; numpy parses the file by its name where
+    ``_name_to_parse`` allows, and a text stream over ``data`` otherwise.
     Returns None when numpy cannot read the file as ``float`` would: it has
     no rows, is ragged or not ASCII, or holds a field numpy does not parse or
     an ASCII separator byte.  The line scanner then runs on the same bytes;
@@ -74,13 +110,14 @@ def _read_table(data: bytes) -> np.ndarray | None:
     if not data or data.isspace() or not data.isascii() \
             or any(sep in data for sep in _SEPARATORS):
         return None
-    # A text stream, not the path: numpy opens a path through its DataSource,
-    # which fetches URLs and decompresses by file name.  The bytes are ASCII,
-    # which utf-8, a codec the interpreter has already loaded, decodes alike.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    # The bytes are ASCII, which utf-8, a codec the interpreter has already
+    # loaded, decodes alike.
+    source = _name_to_parse(path, len(data)) \
+        or io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
-        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
+        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=float,
+                          encoding="ascii")
+    except (ValueError, OSError):
         return None
 
 
@@ -112,7 +149,7 @@ def load_values_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     format.
     """
     data = _read_bytes(path)
-    table = _read_table(data)
+    table = _read_table(path, data)
     if table is None or table.shape[1] > 2:
         return _scan_values(path, data)
     # Contiguous columns, as the scanner builds them: a strided array would
@@ -160,7 +197,7 @@ def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
 def load_histogram_csv(path) -> Histogram:
     """Read `bin_left,bin_right,count` rows with contiguous increasing bins."""
     data = _read_bytes(path)
-    table = _read_table(data)
+    table = _read_table(path, data)
     if table is None or table.shape[1] != 3:
         return _scan_histogram(path, data)
     # Contiguous columns, as the scanner builds them: strided counts would

@@ -132,9 +132,9 @@ class MleResult:
 
 def _kernel_weights(kernels, xs: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``base * u(x)``, one row per kernel; a power kernel whose plain sum is not
-    a normal double below ``_ANCHOR_ABOVE`` takes ``base * (x / x*)^beta``,
-    ``x*`` the value that dominates at ``beta`` among the points of positive
-    base weight (unless all of them are 0)."""
+    a normal double below ``_ANCHOR_ABOVE`` takes ``(base / b*) (x / x*)^beta``,
+    ``b* x*^beta`` the largest weight, by ``ln base + beta ln x``, among the
+    points of positive base weight (unless all of them are at 0)."""
     positive = base > 0.0
     with np.errstate(all="ignore"):
         w = np.where(positive, base * np.array([kernel.weights(xs) for kernel in kernels]), 0.0)
@@ -143,7 +143,7 @@ def _kernel_weights(kernels, xs: np.ndarray, base: np.ndarray) -> np.ndarray:
             kernel = kernels[i]
             if kernel.kind == "power" and np.any(xs[positive]):
                 sums = _PowerSums(xs[positive], base[positive])
-                w[i, positive] = sums.ws * sums.terms(kernel.beta, sums.extreme(kernel.beta))
+                w[i, positive] = sums.relative(kernel.beta, sums.dominant(kernel.beta))
     return w
 
 

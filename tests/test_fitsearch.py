@@ -597,6 +597,17 @@ class TestFitSurface:
         assert report.theta_hat == pytest.approx(500.0, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
+    def test_anchor_weighs_the_counts(self):
+        # Under power -100 the centers 1e-5 and 1 weigh 1e-300 * 1e500 = 1e200
+        # and 1e300: the count, not the smallest center, picks the anchor, so
+        # no bin underflows and theta = 1 / (1 + 1e-105).
+        hist = Histogram(np.array([0.0, 2e-5, 2.0 - 2e-5]), np.array([1e-300, 1e300]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.power(-100.0)])
+        report = surface.report(0, 0)
+        assert report.dropped_bins == 0
+        assert report.theta_hat == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
     def test_zero_center_is_dropped_under_negative_power(self):
         hist = Histogram(np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0]))
         surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.power(-1.0)])
@@ -807,6 +818,19 @@ class TestBlocks:
         shapes = np.linspace(0.2, 3.0, 400)
         block_bytes = fitsearch._BLOCK * 8
         assert shapes.size * len(kernels) * hist.nbins * 8 >= 20 * block_bytes
+        tracemalloc.start()
+        try:
+            surface = fit_surface(catalog("weibull", alpha=1.0), hist, kernels, shapes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not surface.failures
+        assert peak < 4 * block_bytes
+
+        # One kernel: a grid block of 1310 rows would outgrow its chunk's
+        # closed form of about 16 (rows x kernels) and 4 (rows x bins) arrays.
+        kernels = [WeightKernel.power(-1.0)]
+        shapes = np.linspace(0.2, 3.0, 4000)
         tracemalloc.start()
         try:
             surface = fit_surface(catalog("weibull", alpha=1.0), hist, kernels, shapes)

@@ -4,7 +4,9 @@ import gzip
 import json
 import math
 import os
+import threading
 import urllib.request
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from meanfit import (
     load_values_csv,
     save_histogram_csv,
 )
+from meanfit import ingest
 from meanfit.cli import _report_json
 from meanfit.ingest import _scan_histogram, _scan_values
 
@@ -267,6 +270,17 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("oracle") / "data.csv"
 
 
+def _histogram_arrays(load):
+    def read(path):
+        hist = load(path)
+        return hist.edges, hist.counts
+    return read
+
+
+# Each property reads every file by name (gate 0) and as the real gate picks.
+_GATES = (0, ingest._BY_NAME_BYTES)
+
+
 class TestLoaderMatchesLineScanner:
     """The numpy readers of values and histogram CSVs against the line scanners
     they fall back on."""
@@ -275,22 +289,114 @@ class TestLoaderMatchesLineScanner:
     @settings(max_examples=200, deadline=None)
     def test_values(self, csv_path, data):
         csv_path.write_bytes(data)
-        assert _outcome(load_values_csv, csv_path) == \
-            _outcome(lambda path: _scan_values(path, data), csv_path)
+        expected = _outcome(lambda path: _scan_values(path, data), csv_path)
+        for gate in _GATES:
+            with mock.patch.object(ingest, "_BY_NAME_BYTES", gate):
+                assert _outcome(load_values_csv, csv_path) == expected
 
     @given(data=histogram_csv())
     @settings(max_examples=300, deadline=None)
     def test_histograms(self, csv_path, data):
         csv_path.write_bytes(data)
+        expected = _outcome(_histogram_arrays(lambda path: _scan_histogram(path, data)), csv_path)
+        for gate in _GATES:
+            with mock.patch.object(ingest, "_BY_NAME_BYTES", gate):
+                assert _outcome(_histogram_arrays(load_histogram_csv), csv_path) == expected
 
-        def arrays(load):
-            def read(path):
-                hist = load(path)
-                return hist.edges, hist.counts
-            return read
 
-        assert _outcome(arrays(load_histogram_csv), csv_path) == \
-            _outcome(arrays(lambda path: _scan_histogram(path, data)), csv_path)
+def _big_values_csv() -> bytes:
+    rng = np.random.default_rng(5)
+    rows = np.column_stack((rng.exponential(3.0, 40000), rng.uniform(1e-3, 1e3, 40000)))
+    return "".join(f"{float(v)!r},{float(w)!r}\n" for v, w in rows).encode("ascii")
+
+
+def _big_histogram_csv() -> bytes:
+    edges = np.cumsum(np.random.default_rng(6).uniform(1e-3, 1.0, 25001))
+    counts = np.random.default_rng(7).uniform(0.0, 1e6, 25000)
+    return "".join(f"{float(l)!r},{float(r)!r},{float(c)!r}\n"
+                   for l, r, c in zip(edges[:-1], edges[1:], counts)).encode("ascii")
+
+
+# (loader, the line scanner of some bytes, file maker)
+_BIG = [
+    (load_values_csv, lambda data: lambda path: _scan_values(path, data), _big_values_csv),
+    (_histogram_arrays(load_histogram_csv),
+     lambda data: _histogram_arrays(lambda path: _scan_histogram(path, data)), _big_histogram_csv),
+]
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """Every first argument ``np.loadtxt`` is called with, in order."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+@pytest.mark.parametrize("load, scan, make", _BIG, ids=["values", "histogram"])
+class TestLargeFileByName:
+    """A regular file of at least ``_BY_NAME_BYTES`` is parsed by its absolute
+    name; any other source of the same bytes by a stream, to the same arrays."""
+
+    def test_four_sources_read_alike(self, tmp_path, monkeypatch, loadtxt_sources,
+                                     load, scan, make):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs")
+        data = make()
+        assert len(data) >= ingest._BY_NAME_BYTES
+        expected = _outcome(scan(data), "x.csv")
+        assert all(contiguous for _, _, contiguous, _ in expected)
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("network access")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+
+        plain = tmp_path / "big.csv"
+        plain.write_bytes(data)
+        assert _outcome(load, plain) == expected
+        assert loadtxt_sources[-1] == str(plain)
+
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        assert _outcome(load, fifo) == expected
+        writer.join(timeout=10)
+        assert not isinstance(loadtxt_sources[-1], str)
+
+        gz = tmp_path / "big.csv.gz"
+        gz.write_bytes(data)
+        assert _outcome(load, gz) == expected
+        assert not isinstance(loadtxt_sources[-1], str)
+
+        # A relative name that parses as a URL names a local file.
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "x.csv").write_bytes(data)
+        assert _outcome(load, "http://host/x.csv") == expected
+        assert loadtxt_sources[-1] == os.path.join(str(tmp_path), "http://host/x.csv")
+        assert len(loadtxt_sources) == 4
+
+    def test_small_or_resized_file_keeps_the_stream(self, tmp_path, loadtxt_sources,
+                                                    load, scan, make):
+        data = make()
+        path = tmp_path / "big.csv"
+        path.write_bytes(data)
+        assert ingest._name_to_parse(path, len(data)) == str(path)
+        # Appended to or truncated since it was read.
+        assert ingest._name_to_parse(path, len(data) - 1) is None
+        assert ingest._name_to_parse(path, len(data) + 1) is None
+        small = data[:data.index(b"\n", 4096) + 1]
+        path.write_bytes(small)
+        assert _outcome(load, path) == _outcome(scan(small), path)
+        assert not isinstance(loadtxt_sources[-1], str)
 
 
 class TestReportJson:
