@@ -39,16 +39,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _floats(form: str, noun: str):
+    """The argparse type of one ``form`` such as ``LO:HI``: its fields as floats."""
+    sep = ":" if ":" in form else ","
+
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split(sep)
+        if len(parts) != form.count(sep) + 1:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        try:
+            return tuple(map(float, parts))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"non-numeric {noun} {text!r}") from None
+    return parse
+
+
 def _grid_type(text: str) -> SweepGrid:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected LO:HI:STEP, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric grid {text!r}") from None
-    try:
-        return SweepGrid(lo, hi, step)
+        return SweepGrid(*_floats("LO:HI:STEP", "grid")(text))
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -64,26 +72,6 @@ def _kernel_type(text: str) -> WeightKernel:
         except (ValueError, DomainError):
             raise argparse.ArgumentTypeError(f"bad power kernel {text!r}") from None
     raise argparse.ArgumentTypeError(f"expected unit, power:B, or log1p, got {text!r}")
-
-
-def _pair_type(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected X1,X2, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric pair {text!r}") from None
-
-
-def _range_type(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric range {text!r}") from None
 
 
 def _build_model(name: str, shape_text: str | None):
@@ -147,9 +135,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# sweep writes its profile next to its input under this suffix; compare skips such files.
+_SIDECAR = ".sweep.csv"
+
+
 def _sidecar_path(input_path) -> Path:
     p = Path(input_path)
-    return p.with_name(p.stem + ".sweep.csv")
+    return p.with_name(p.stem + _SIDECAR)
 
 
 def _cmd_sweep(args) -> int:
@@ -186,7 +178,7 @@ def _cmd_compare(args) -> int:
     if unknown:
         raise _UsageError(f"unknown model(s) {', '.join(unknown)}; choose from {', '.join(MODEL_NAMES)}")
     models = [_build_model(n, None) for n in names]
-    files = sorted(Path(args.inputs).glob("*.csv"))
+    files = sorted(p for p in Path(args.inputs).glob("*.csv") if not p.name.endswith(_SIDECAR))
     if not files:
         raise EmptyDataError(f"{args.inputs}: no .csv histograms found")
     hists = [load_histogram_csv(p) for p in files]
@@ -262,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dct-hist", help="histogram of |DCT| coefficients of a PGM image")
     p.add_argument("--input", required=True, help="binary PGM (P5), maxval <= 255")
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--range", type=_range_type, metavar="LO:HI",
+    p.add_argument("--range", type=_floats("LO:HI", "range"), metavar="LO:HI",
                    help="histogram range (default 0:max)")
     p.add_argument("--exclude-dc", action="store_true", help="drop the (0,0) coefficients")
     p.set_defaults(handler=_cmd_dct_hist)
@@ -278,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("curves", help="mean and v-weight curves for a value pair")
-    p.add_argument("--pair", required=True, type=_pair_type, metavar="X1,X2")
+    p.add_argument("--pair", required=True, type=_floats("X1,X2", "pair"), metavar="X1,X2")
     p.add_argument("--alpha-grid", required=True, type=_grid_type, metavar="LO:HI:STEP")
     p.set_defaults(handler=_cmd_curves)
 

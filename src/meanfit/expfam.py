@@ -49,7 +49,6 @@ class FamilyModel:
     h: float
     d: float
     c0: float
-    theta_domain: tuple = (0.0, math.inf)
 
     @property
     def zero_in_support(self):
@@ -68,8 +67,6 @@ class FamilyModel:
 
     def log_base(self, x):
         """``ln a(x)``; ``c0`` where d == 1, so that x = 0 stays finite."""
-        if not isinstance(self.d, np.ndarray):   # one model: no ln x to take where d == 1
-            return self.c0 if self.d == 1.0 else self.c0 + (self.d - 1.0) * np.log(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.d == 1.0, self.c0, self.c0 + (self.d - 1.0) * np.log(x))
 
@@ -186,9 +183,8 @@ def shape_columns(model: FamilyModel, alphas=None) -> tuple[FamilyModel, dict]:
 def _checked_theta(model: FamilyModel, theta) -> np.float64:
     # A numpy scalar overflows to inf like an array instead of raising.
     th = float(theta)
-    lo, hi = model.theta_domain
-    if not (lo < th < hi) or not math.isfinite(th):
-        raise DomainError(f"{model.name}: theta={theta!r} outside the open domain ({lo}, {hi})")
+    if not 0.0 < th < math.inf:   # NaN fails the comparison too
+        raise DomainError(f"{model.name}: theta={theta!r} outside the open domain (0.0, inf)")
     return np.float64(th)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,16 +100,7 @@ class FitReport:
     dropped_bins: int
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "kernel": self.kernel,
-            "beta": self.beta,
-            "alpha": self.alpha,
-            "theta_hat": self.theta_hat,
-            "mse": self.mse,
-            "loglik": self.loglik,
-            "dropped_bins": self.dropped_bins,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -369,8 +360,7 @@ def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empiric
             np.subtract(observed, density, out=density)
             np.square(density, out=density)
             mse[b] = density.sum(axis=2) / xs.size
-        lo, hi = spec.theta_domain
-        bad_theta = ~((lo < theta) & (theta < hi) & np.isfinite(theta))
+        bad_theta = ~((0.0 < theta) & (theta < np.inf))
     name = spec.name
     checks = (
         (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
@@ -379,7 +369,7 @@ def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empiric
             f"{name}: mean statistic {float(m[r, j])!r} outside the attainable range "
             f"(negative reals)")),
         (bad_theta, lambda r, j: DomainError(
-            f"{name}: theta={float(theta[r, j])!r} outside the open domain ({lo}, {hi})")),
+            f"{name}: theta={float(theta[r, j])!r} outside the open domain (0.0, inf)")),
         (~np.isfinite(loglik), lambda r, j: DomainError(
             f"{name}: log-likelihood {float(loglik[r, j])!r} at theta={float(theta[r, j])!r} "
             f"is not finite")),

@@ -126,10 +126,6 @@ class _PowerSums:
         self.floor = (float(ws.sum()) + xs.size) * _TINY
         self._sums = {}
 
-    def extreme(self, p: float) -> float:
-        """The value whose power dominates at exponent ``p``."""
-        return self.xmax if p >= 0.0 else self.xmin
-
     def dominant(self, p: float) -> int:
         """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
         logs = np.log(self.ws)
@@ -300,7 +296,7 @@ def v_weights(values, alpha, family: str) -> np.ndarray:
         if kind == "holder":
             v = sums.terms(a - 1.0) / xs.size
         else:
-            terms = sums.terms(a - 1.0, sums.extreme(a - 1.0))
+            terms = sums.terms(a - 1.0, sums.xmax if a >= 1.0 else sums.xmin)
             v = terms / terms.sum()
     if not np.all(np.isfinite(v)):
         raise DomainError(f"{kind} v-weights are not finite at exponent {a}")

@@ -457,6 +457,19 @@ class TestCompare:
         assert float(fields[2]) == 100.0  # grid contains beta = 0
         assert float(fields[4]) >= 0.0
 
+    def test_skips_sweep_sidecars(self, run, tmp_path):
+        rng = np.random.default_rng(32)
+        for i in range(2):
+            hist, _ = build_histogram(rng.exponential(1.0, 2000), bins=30)
+            save_histogram_csv(hist, tmp_path / f"h{i}.csv")
+        code, _, _ = run("sweep", "--model", "exponential", "--input", str(tmp_path / "h0.csv"),
+                         "--beta=-1:1:0.5")
+        assert code == 0 and (tmp_path / "h0.sweep.csv").exists()
+        code, out, err = run("compare", "--models", "exponential", "--inputs", str(tmp_path),
+                             "--beta=-1:1:0.5")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[5:] == ["2", "0"]
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_tie_epsilon_fails(self, run, tmp_path, eps):
         # nan would make every kernel lose (0.0 each); inf makes the tie bound

@@ -216,9 +216,15 @@ class TestPdf:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_theta_outside_domain_rejected(self, model):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                pdf(model, bad, 1.0)
+        calls = [(bad, lambda bad=bad: pdf(model, bad, 1.0))
+                 for bad in (0.0, -1.0, math.inf, math.nan)]
+        if model.name == "exponential":   # theta = 1 / 1e-320 overflows to inf
+            calls.append((math.inf, lambda: stat_mean_inverse(catalog("exponential"), -1e-320)))
+        for theta, call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == \
+                f"{model.name}: theta={theta!r} outside the open domain (0.0, inf)"
 
     def test_negative_x_rejected(self, model):
         with pytest.raises(DomainError):

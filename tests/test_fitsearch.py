@@ -502,7 +502,7 @@ ROW_FAILURES = [
      NoSolutionError, "mean statistic"),
     # the anchor 1e-310 leaves m = -1e-310, and theta = 1 / -m overflows
     (EXPO, [0.0, 2e-310, 2.0], [1e-300, 1.0], WeightKernel.power(-1000.0),
-     DomainError, "outside the open domain"),
+     DomainError, "outside the open domain (0.0, inf)"),
     # k = 1e305 makes the per-unit log-likelihood -1.1e302; times sum u =
     # 2.5e12, which is far from needing an anchor, it overflows
     (catalog("gamma", k=1e305), [950.0, 1050.0, 1150.0], [1.0, 1.0], WeightKernel.power(4.0),
@@ -741,7 +741,7 @@ class TestBlocks:
                                          MIXED_KERNELS, shapes)
         assert sorted({i for i, _ in surface.failures}) == [1, 2, 4]
         assert "b/alpha" in str(surface.failures[(2, 0)])
-        assert "outside the open domain" in str(surface.failures[(4, 0)])
+        assert "outside the open domain (0.0, inf)" in str(surface.failures[(4, 0)])
 
     def test_chunks_of_grid_blocks_match_rows_and_columns(self, monkeypatch):
         # 40 kernels x 40 bins: at 3200 doubles a chunk holds 4 rows and a
@@ -760,7 +760,7 @@ class TestBlocks:
         assert_matches_loop_and_messages(model, hist, kernels, shapes)
         assert sorted({i for i, _ in surface.failures}) == [4, 7]
         assert "b/alpha" in str(surface.failures[(4, 0)])
-        assert "outside the open domain" in str(surface.failures[(7, 0)])
+        assert "outside the open domain (0.0, inf)" in str(surface.failures[(7, 0)])
 
     def test_production_grid_blocks_match_rows_and_columns(self):
         # The benchmark's sweep: 81 kernels x 100 bins fit 16 rows in a
