@@ -38,7 +38,6 @@ from .ingest import (
     load_histogram_csv,
     load_pgm,
     load_values_csv,
-    save_histogram_csv,
 )
 from .means import (
     GEOMETRIC_CUTOFF,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import stat
 import sys
 from pathlib import Path
 
@@ -99,26 +100,25 @@ def _report_json(report) -> str:
 
 
 def _cmd_mean(args) -> int:
-    values, file_weights = load_values_csv(args.input)
-    weights = None
-    if args.weights:
-        if file_weights is None:
-            raise DomainError(f"{args.input}: --weights given but the file has no weight column")
-        weights = file_weights
     if args.family == "kolmogorov":
         if args.alpha is not None or args.alpha_grid is not None:
             raise _UsageError("the kolmogorov subcommand takes no exponent (log transform)")
-        if weights is not None:
+        if args.weights:
             raise _UsageError("the kolmogorov f-mean is unweighted")
-        print(_fmt(mean_curve(values, (0.0,), "holder")[0]))
-        return 0
-    if args.alpha is None and args.alpha_grid is None:
-        raise _UsageError("--alpha or --alpha-grid is required for holder/lehmer")
-    if args.alpha is not None:
-        print(_fmt(mean_curve(values, (args.alpha,), args.family, weights)[0]))
+        family, alphas = "holder", (0.0,)
+    elif args.alpha is not None:
+        family, alphas = args.family, (args.alpha,)
+    elif args.alpha_grid is not None:
+        family, alphas = args.family, args.alpha_grid.points()
     else:
-        alphas = args.alpha_grid.points()
-        means = mean_curve(values, alphas, args.family, weights)
+        raise _UsageError("--alpha or --alpha-grid is required for holder/lehmer")
+    values, weights = load_values_csv(args.input)
+    if args.weights and weights is None:
+        raise DomainError(f"{args.input}: --weights given but the file has no weight column")
+    means = mean_curve(values, alphas, family, weights if args.weights else None)
+    if args.alpha_grid is None:
+        print(_fmt(means[0]))
+    else:
         sys.stdout.write("".join(f"{_fmt(a)},{_fmt(m)}\n" for a, m in zip(alphas, means)))
     return 0
 
@@ -135,25 +135,28 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# sweep writes its profile next to its input under this suffix; compare skips such files.
+# sweep writes its profile beside the file --input resolves to; compare skips such files.
 _SIDECAR = ".sweep.csv"
 
 
 def _sidecar_path(input_path) -> Path:
-    p = Path(input_path)
-    return p.with_name(p.stem + _SIDECAR)
+    path = Path(input_path)
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise _UsageError(f"--input {input_path} is not a regular file to put the profile next to")
+    path = path.resolve()
+    return path.with_name(path.stem + _SIDECAR)
 
 
 def _cmd_sweep(args) -> int:
     model = _build_model(args.model, None)
     if args.shape_grid is not None and "alpha" not in model.hyper:
         raise _UsageError(f"--shape-grid does not apply to {args.model}")
+    sidecar = _sidecar_path(args.input)
     hist = load_histogram_csv(args.input)
     kernels = [WeightKernel.power(beta) for beta in args.beta.points()]
     shapes = args.shape_grid.points() if args.shape_grid is not None else None
     surface = fit_surface(model, hist, kernels, shapes)
     best = surface.best()
-    sidecar = _sidecar_path(args.input)
     sidecar.write_text(
         "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile()),
         encoding="utf-8",
@@ -220,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted generalized means and weighted-likelihood histogram fitting.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    beta_grid = dict(type=_grid_type, metavar="LO:HI:STEP", default=SweepGrid(-2.0, 2.0, 0.05),
+                     help="exponent grid (default -2:2:0.05; keep 0 inside it)")
 
     p = sub.add_parser("mean", help="central tendency of a value series")
     p.add_argument("--family", required=True, choices=("holder", "lehmer", "kolmogorov"),
@@ -242,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid-search the power-kernel exponent")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p.add_argument("--beta", type=_grid_type, metavar="LO:HI:STEP",
-                   default=SweepGrid(-2.0, 2.0, 0.05),
-                   help="exponent grid (default -2:2:0.05; keep 0 inside it)")
+    p.add_argument("--beta", **beta_grid)
     p.add_argument("--shape-grid", type=_grid_type, metavar="LO:HI:STEP",
                    help="also sweep the shape hyperparameter of weibull / "
                         "gen-half-normal / gen-gamma (0.2:3:0.05 covers typical tails)")
@@ -262,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="per-kernel win percentages over histograms")
     p.add_argument("--models", required=True, help="comma-separated model names")
     p.add_argument("--inputs", required=True, help="directory of histogram .csv files")
-    p.add_argument("--beta", type=_grid_type, metavar="LO:HI:STEP",
-                   default=SweepGrid(-2.0, 2.0, 0.05),
-                   help="exponent grid (default -2:2:0.05; keep 0 inside it)")
+    p.add_argument("--beta", **beta_grid)
     p.add_argument("--tie-eps", type=float, default=1e-3,
                    help="relative MSE tie tolerance (default 1e-3)")
     p.set_defaults(handler=_cmd_compare)

@@ -146,11 +146,11 @@ def fit_histogram(model: FamilyModel, hist: Histogram, kernel: WeightKernel) -> 
     return fit_surface(model, hist, (kernel,)).report(0, 0)
 
 
-def _report_key(report: FitReport, alpha_last: float = 0.0) -> tuple:
+def _report_key(report: FitReport) -> tuple:
     # Ties go to the exponent of smallest magnitude, then the smaller
     # exponent, then the smaller shape; completion order never matters.
     beta = report.beta if report.beta is not None else 0.0
-    return (report.mse, abs(beta), beta, alpha_last)
+    return (report.mse, abs(beta), beta, report.alpha or 0.0)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ class FitSurface:
             raise SweepError("every exponent in the sweep failed", causes)
         tied = np.argwhere(mse == mse[ok].min())
         reports = (self.report(int(i), int(cols[j])) for i, j in tied)
-        return min(reports, key=lambda r: _report_key(r, r.alpha if self.shape_swept else 0.0))
+        return min(reports, key=_report_key)
 
     def profile(self) -> list[tuple[float, float]]:
         """``(beta, mse)`` per kernel: the minimum over shapes, NaN where

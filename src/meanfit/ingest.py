@@ -26,7 +26,6 @@ __all__ = [
     "load_histogram_csv",
     "load_pgm",
     "load_values_csv",
-    "save_histogram_csv",
 ]
 
 
@@ -47,10 +46,9 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Absolute DCT coefficients plus whether DC terms were excluded."""
+    """Absolute DCT coefficients."""
 
     values: np.ndarray
-    dc_excluded: bool
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
@@ -248,10 +246,6 @@ def format_histogram_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_histogram_csv(hist: Histogram, path) -> None:
-    Path(path).write_text(format_histogram_csv(hist), encoding="utf-8")
-
-
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
@@ -358,7 +352,7 @@ def block_dct8(img: GrayImage, exclude_dc: bool = False) -> CoefficientSet:
     coeffs = np.abs(_dct_blocks(blocks)).reshape(-1, 64)
     if exclude_dc:
         coeffs = coeffs[:, 1:]
-    return CoefficientSet(values=coeffs.reshape(-1).copy(), dc_excluded=exclude_dc)
+    return CoefficientSet(values=coeffs.reshape(-1).copy())
 
 
 def build_histogram(values, bins: int, value_range=None) -> tuple[Histogram, int]:

@@ -109,9 +109,6 @@ class WeightedSeries:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", ws)
 
-    def __len__(self) -> int:
-        return self.values.size
-
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -239,30 +236,25 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def mle_numeric(model: FamilyModel, data: WeightedSeries,
-                bracket: tuple[float, float] = (1e-6, 1e6),
-                tol: float = 1e-9) -> MleResult:
+def mle_numeric(model: FamilyModel, data: WeightedSeries) -> MleResult:
     """Maximize the weighted log-likelihood directly (no closed form used).
 
-    Golden-section search over log(theta), so the bracket is scale-free and
-    the tolerance bounds the relative theta error.  A maximizer pinned to a
-    bracket edge triggers up to three tenfold expansions of that edge before
-    giving up.  The returned curvature is a central second difference of the
-    log-likelihood, keeping this estimate fully independent of the
-    closed-form path.
+    Golden-section search over log(theta) on ``[1e-6, 1e6]`` to ``1e-9``, so
+    the search is scale-free and bounds the relative theta error.  A
+    maximizer pinned to an edge triggers up to three tenfold expansions of
+    that edge before giving up.  The returned curvature is a central second
+    difference of the log-likelihood, keeping this estimate fully independent
+    of the closed-form path.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi) or not math.isfinite(hi):
-        raise DomainError("bracket must satisfy 0 < lo < hi with both finite")
     _check_support(model, data.values)
 
     def objective(t: float) -> float:
         return weighted_loglik(model, math.exp(t), data)
 
-    a, b = math.log(lo), math.log(hi)
+    a, b = math.log(1e-6), math.log(1e6)
     expansions = 0
     while True:
-        t_hat = _golden_max(objective, a, b, tol)
+        t_hat = _golden_max(objective, a, b, 1e-9)
         margin = 0.02 * (b - a)
         if t_hat - a < margin:
             a -= math.log(10.0)

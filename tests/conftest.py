@@ -171,22 +171,23 @@ def loop_points(model, hist, kernels, shapes=None):
     return points
 
 
-def loop_best(points, shape_swept):
+def loop_best(points):
     """The first point of ``loop_points`` that is minimal under ``_report_key``."""
     reports = [r for r in points.values() if not isinstance(r, Exception)]
     if not reports:
         return None
-    return min(reports, key=lambda r: _report_key(r, r.alpha if shape_swept else 0.0))
+    return min(reports, key=_report_key)
 
 
-def run_warnings_as_errors(*argv, **environ):
+def run_warnings_as_errors(*argv, stdin=None, **environ):
     """``python -W error -m meanfit.cli`` with this checkout's package first on
-    the path, and ``environ`` added to the child's environment."""
+    the path, ``stdin`` as its standard input, and ``environ`` added to the
+    child's environment."""
     env = {**os.environ, **environ}
     src = str(Path(meanfit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "error", "-m", "meanfit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdin=stdin, capture_output=True, text=True, env=env, timeout=60)
 
 
 def blocked_dot(a, b, block=8192):

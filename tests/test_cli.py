@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import warnings
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanfit import MODEL_NAMES, SweepGrid, WeightKernel, build_histogram, catalog, \
-    load_histogram_csv, save_histogram_csv
+    format_histogram_csv, load_histogram_csv
 from meanfit import cli
 from meanfit.cli import main
 from meanfit.expfam import HYPERPARAMETERS
@@ -50,7 +51,7 @@ def expo_hist_csv(tmp_path):
     rng = np.random.default_rng(5150)
     hist, _ = build_histogram(rng.exponential(0.5, 20_000), bins=80)
     path = tmp_path / "expo.csv"
-    save_histogram_csv(hist, path)
+    path.write_text(format_histogram_csv(hist), encoding="utf-8")
     return str(path)
 
 
@@ -293,6 +294,42 @@ class TestSweep:
         betas = [float(r.split(",")[0]) for r in rows]
         assert betas == pytest.approx(list(np.arange(-1.0, 1.25, 0.25)))
 
+    def test_profile_of_redirected_stdin_goes_next_to_its_file(self, run, expo_hist_csv,
+                                                                 tmp_path):
+        # `--input /dev/stdin < expo.csv` in a shell
+        sidecar = tmp_path / "expo.sweep.csv"
+        code, out, _ = run("sweep", "--model", "exponential", "--input", expo_hist_csv)
+        assert code == 0
+        by_name = sidecar.read_text()
+        sidecar.unlink()
+        with open(expo_hist_csv, "rb") as stdin:
+            proc = run_warnings_as_errors("sweep", "--model", "exponential",
+                                          "--input", "/dev/stdin", stdin=stdin)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        assert sidecar.read_text() == by_name
+
+    def test_pipe_is_usage_error_before_any_io(self, run, pipe, tmp_path):
+        data = b"0.0,1.0,3\n1.0,2.0,1\n"
+        read_end = pipe(data)
+        # Named through a link, so that a profile put beside the name would land here.
+        link = tmp_path / "h.csv"
+        link.symlink_to(read_end)
+        code, out, err = run("sweep", "--model", "exponential", "--input", str(link))
+        assert (code, out) == (2, "")
+        assert err == f"error: --input {link} is not a regular file to put the profile next to\n"
+        assert os.listdir(tmp_path) == ["h.csv"]
+        assert os.read(int(read_end.rsplit("/", 1)[1]), 64) == data
+
+    def test_profile_goes_next_to_the_symlink_target(self, run, expo_hist_csv, tmp_path):
+        links = tmp_path / "links"
+        links.mkdir()
+        (links / "link.csv").symlink_to(expo_hist_csv)
+        code, _, _ = run("sweep", "--model", "exponential", "--beta=-1:1:0.5",
+                         "--input", str(links / "link.csv"))
+        assert code == 0
+        assert os.listdir(links) == ["link.csv"]
+        assert (tmp_path / "expo.sweep.csv").read_text().count("\n") == 5
+
     def test_deterministic(self, run, expo_hist_csv, tmp_path):
         argv = ("sweep", "--model", "exponential", "--beta=-0.5:0.5:0.25",
                 "--input", expo_hist_csv)
@@ -315,7 +352,7 @@ class TestSweep:
     def test_shape_grid_matches_scalar_loop_with_one_surface(self, run, tmp_path, monkeypatch):
         hist = dct_like_histogram(np.random.default_rng(1))
         path = tmp_path / "dct.csv"
-        save_histogram_csv(hist, path)
+        path.write_text(format_histogram_csv(hist), encoding="utf-8")
         built = []
         real_surface = cli.fit_surface
 
@@ -335,7 +372,7 @@ class TestSweep:
         betas = SweepGrid(-1.0, 1.0, 0.25).points()
         points = loop_points(catalog("weibull", alpha=1.0), load_histogram_csv(path),
                              [WeightKernel.power(b) for b in betas], shapes)
-        want = loop_best(points, shape_swept=True).to_dict()
+        want = loop_best(points).to_dict()
         got = json.loads(out)
         assert got.keys() == want.keys()
         for key, value in want.items():
@@ -444,7 +481,7 @@ class TestCompare:
         hist_dir.mkdir()
         for i in range(3):
             hist, _ = build_histogram(rng.exponential(1.0, 3000), bins=40)
-            save_histogram_csv(hist, hist_dir / f"h{i}.csv")
+            (hist_dir / f"h{i}.csv").write_text(format_histogram_csv(hist), encoding="utf-8")
         code, out, _ = run(
             "compare", "--models", "exponential", "--inputs", str(hist_dir),
             "--beta=-1:1:0.5",
@@ -461,7 +498,7 @@ class TestCompare:
         rng = np.random.default_rng(32)
         for i in range(2):
             hist, _ = build_histogram(rng.exponential(1.0, 2000), bins=30)
-            save_histogram_csv(hist, tmp_path / f"h{i}.csv")
+            (tmp_path / f"h{i}.csv").write_text(format_histogram_csv(hist), encoding="utf-8")
         code, _, _ = run("sweep", "--model", "exponential", "--input", str(tmp_path / "h0.csv"),
                          "--beta=-1:1:0.5")
         assert code == 0 and (tmp_path / "h0.sweep.csv").exists()
@@ -529,6 +566,32 @@ class TestCurves:
     def test_missing_subcommand_is_usage_error(self, run):
         code, _, _ = run()
         assert code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        ("mean --family holder --input MISSING",
+         "error: --alpha or --alpha-grid is required for holder/lehmer"),
+        ("mean --family kolmogorov --weights --input MISSING",
+         "error: the kolmogorov f-mean is unweighted"),
+        ("curves --pair 1,2,3 --alpha-grid=0:1:0.5",
+         "argument --pair: expected X1,X2, got '1,2,3'"),
+        ("curves --pair 1,x --alpha-grid=0:1:0.5", "argument --pair: non-numeric pair '1,x'"),
+        ("fit --model exponential --kernel power:x --input MISSING",
+         "argument --kernel: bad power kernel 'power:x'"),
+        ("fit --model gen-gamma --kernel unit --shape 1,2,3 --input MISSING",
+         "error: gen-gamma --shape must be ALPHA or ALPHA,B"),
+        ("compare --models , --inputs MISSING", "error: --models needs at least one model name"),
+        ("sweep --model exponential --input /dev/null",
+         "error: --input /dev/null is not a regular file to put the profile next to"),
+    ], ids=["mean-no-exponent", "kolmogorov-weights", "pair-count", "pair-non-numeric",
+            "power-kernel", "gen-gamma-shape", "no-models", "sweep-device"])
+    def test_reported_before_the_input_is_read(self, run, tmp_path, argv, message):
+        # MISSING names no file: a usage error must come first, with exit code 2
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(*(missing if a == "MISSING" else a for a in argv.split()))
+        assert (code, out) == (2, "")
+        assert err.endswith(message + "\n")
 
 
 class TestParserReuse:

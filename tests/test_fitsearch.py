@@ -50,12 +50,16 @@ class TestHistogram:
     def test_validates_edges(self):
         with pytest.raises(DomainError):
             Histogram(edges=np.array([0.0, 0.0, 1.0]), counts=np.array([1.0, 1.0]))
+        with pytest.raises(DomainError, match="at least two bin edges"):
+            Histogram(edges=np.array([0.0]), counts=np.array([]))
 
     def test_validates_counts(self):
         with pytest.raises(DomainError):
             Histogram(edges=np.array([0.0, 1.0]), counts=np.array([-1.0]))
         with pytest.raises(DomainError):
             Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([0.0, 0.0]))
+        with pytest.raises(DomainError, match="one entry per bin"):
+            Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1.0]))
 
     def test_derived_quantities(self):
         hist = Histogram(edges=np.array([0.0, 1.0, 3.0]), counts=np.array([3.0, 1.0]))
@@ -199,6 +203,8 @@ class TestSweepGrid:
             SweepGrid(2.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             SweepGrid(0.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            SweepGrid(0.0, math.inf, 0.1)
 
     @pytest.mark.parametrize("lo, hi, step", [
         (0.0, 1.0, 1e-300), (0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0), (0.0, 2.0**60, 1.0)])
@@ -234,6 +240,9 @@ class TestSweepBeta:
         with pytest.raises(SweepError) as excinfo:
             fit_surface(catalog("std-lognormal"), hist, powers(SweepGrid(-1.0, 1.0, 0.5))).best()
         assert len(excinfo.value.causes) == 5
+        assert str(excinfo.value).startswith("every exponent in the sweep failed [-1.0: ")
+        assert str(SweepError("every exponent in the sweep failed")) == \
+            "every exponent in the sweep failed"
 
     def test_deterministic(self, rng):
         hist = dct_like_histogram(rng)
@@ -321,6 +330,11 @@ class TestCompareKernels:
         assert row.pct_log1p == 100.0
         assert row.mean_improvement == 0.0
         assert row.n_scored == 1
+        # weibull(e/2) has density 1 at the center 0.5 of a [0, 1] bin: the unit MSE is 0
+        model, exact = catalog("weibull", alpha=math.e / 2), single_bin_hist(center=0.5)
+        assert fit_histogram(model, exact, WeightKernel.unit()).mse == 0.0
+        rows = compare_kernels([model], [exact], SweepGrid(-1.0, 1.0, 0.5))
+        assert rows[0].mean_improvement == 0.0
 
     def test_power_always_wins_when_grid_has_zero(self, rng):
         hists = [dct_like_histogram(rng) for _ in range(5)]
@@ -365,7 +379,7 @@ class TestCompareKernels:
                 points = loop_points(model, hist, [WeightKernel.unit(), WeightKernel.log_shift()])
                 mses = np.array([
                     points[(0, 0)].mse,
-                    loop_best(loop_points(model, hist, powers), shape_swept=False).mse,
+                    loop_best(loop_points(model, hist, powers)).mse,
                     points[(0, 1)].mse,
                 ])
                 wins += mses <= mses.min() * (1.0 + 1e-3)
@@ -526,7 +540,7 @@ class TestFitSurface:
         points = loop_points(model, hist, kernels, shapes)
         assert_matches_loop(surface, points)
 
-        want = loop_best(points, shapes is not None)
+        want = loop_best(points)
         if want is None:
             with pytest.raises(SweepError) as excinfo:
                 surface.best()

@@ -23,11 +23,11 @@ from meanfit import (
     block_dct8,
     build_histogram,
     dct8,
+    format_histogram_csv,
     idct8,
     load_histogram_csv,
     load_pgm,
     load_values_csv,
-    save_histogram_csv,
 )
 from meanfit import ingest
 from meanfit.cli import _report_json
@@ -174,7 +174,7 @@ class TestHistogramCsv:
         draws = rng.exponential(1.0, 500)
         hist, _ = build_histogram(draws, bins=17, value_range=(0.0, 4.7))
         path = tmp_path / "rt.csv"
-        save_histogram_csv(hist, path)
+        path.write_text(format_histogram_csv(hist), encoding="utf-8")
         back = load_histogram_csv(path)
         np.testing.assert_array_equal(back.edges, hist.edges)
         np.testing.assert_array_equal(back.counts, hist.counts)
@@ -393,6 +393,8 @@ class TestLargeFileByName:
         # Appended to or truncated since it was read.
         assert ingest._name_to_parse(path, len(data) - 1) is None
         assert ingest._name_to_parse(path, len(data) + 1) is None
+        # Removed since it was read.
+        assert ingest._name_to_parse(tmp_path / "gone.csv", len(data)) is None
         small = data[:data.index(b"\n", 4096) + 1]
         path.write_bytes(small)
         assert _outcome(load, path) == _outcome(scan(small), path)
@@ -465,6 +467,18 @@ class TestPgm:
         with pytest.raises(FormatError):
             load_pgm(path)
 
+    @pytest.mark.parametrize("body, message", [
+        (b"P5\n2 2\n", "truncated PGM header"),
+        (b"P5\n0 2\n255\n", "bad image size 0x2"),
+        (b"P5\n2 2\n255", "missing whitespace before pixel data")])
+    def test_malformed_header_rejected(self, tmp_path, body, message):
+        with pytest.raises(FormatError, match=message):
+            load_pgm(make_pgm(tmp_path, body))
+
+    def test_pixels_must_match_the_size(self):
+        with pytest.raises(DomainError, match="does not match the declared size"):
+            GrayImage(width=2, height=2, pixels=np.zeros((2, 3), dtype=np.uint8))
+
 
 class TestDct:
     def test_constant_block_spectrum(self):
@@ -478,6 +492,11 @@ class TestDct:
     def test_round_trip(self, rng):
         block = rng.uniform(0.0, 255.0, (8, 8))
         np.testing.assert_allclose(idct8(dct8(block)), block, atol=1e-10)
+
+    @pytest.mark.parametrize("transform", [dct8, idct8])
+    def test_block_must_be_8x8(self, transform):
+        with pytest.raises(DomainError, match="expects an 8x8 block"):
+            transform(np.zeros((8, 7)))
 
     def test_matches_scipy_orthonormal_dct(self, rng):
         # independent oracle for the transform definition
@@ -500,12 +519,10 @@ class TestDct:
         assert coeffs.values.size == 128
         assert coeffs.values[0] == pytest.approx(80.0)
         assert coeffs.values[64] == pytest.approx(160.0)
-        assert not coeffs.dc_excluded
 
     def test_exclude_dc(self):
         img = GrayImage(width=8, height=8, pixels=np.full((8, 8), 50, dtype=np.uint8))
         coeffs = block_dct8(img, exclude_dc=True)
-        assert coeffs.dc_excluded
         assert coeffs.values.size == 63
         assert np.max(coeffs.values) < 1e-12
 
@@ -546,9 +563,11 @@ class TestBuildHistogram:
         assert hist.counts[0] == 2.0
 
     def test_accepts_coefficient_set(self):
-        coeffs = CoefficientSet(values=np.array([0.5, 1.5]), dc_excluded=False)
+        coeffs = CoefficientSet(values=np.array([0.5, 1.5]))
         hist, _ = build_histogram(coeffs, bins=2, value_range=(0.0, 2.0))
         assert hist.total == 2.0
+        with pytest.raises(DomainError, match="non-empty set of finite non-negative"):
+            CoefficientSet(values=np.array([]))
 
     def test_validation(self):
         with pytest.raises(EmptyDataError):
@@ -557,3 +576,5 @@ class TestBuildHistogram:
             build_histogram([1.0], bins=1)
         with pytest.raises(DomainError):
             build_histogram([1.0], bins=4, value_range=(2.0, 1.0))
+        with pytest.raises(DomainError, match="values must be finite"):
+            build_histogram([1.0, math.nan], bins=4)

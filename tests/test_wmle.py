@@ -73,6 +73,8 @@ class TestWeightedSeries:
     def test_validates_lengths(self):
         with pytest.raises(DomainError):
             WeightedSeries(np.array([1.0, 2.0]), np.array([1.0]))
+        with pytest.raises(DomainError, match="at least one point"):
+            WeightedSeries(np.array([]), np.array([]))
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(DomainError):
@@ -111,6 +113,14 @@ class TestApplyKernel:
     def test_negative_base_weight_rejected(self):
         with pytest.raises(DomainError):
             apply_kernel([1.0], WeightKernel.unit(), base_weights=[-1.0])
+
+    @pytest.mark.parametrize("values, base, message", [
+        ([1.0, -1.0], None, "values must be finite and non-negative"),
+        ([1.0, math.inf], None, "values must be finite and non-negative"),
+        ([1.0, 2.0], [1.0], "base weights must match the series length")])
+    def test_malformed_series_rejected(self, values, base, message):
+        with pytest.raises(DomainError, match=message):
+            apply_kernel(values, WeightKernel.unit(), base_weights=base)
 
     def test_negative_power_at_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -275,14 +285,16 @@ class TestNumericOracle:
         assert res.theta_hat == pytest.approx(1.0, rel=1e-6)
 
     def test_bracket_expansion_reaches_extreme_theta(self):
-        # mean 1e7 pushes theta past the default bracket edge of 1e-6
-        res = mle_numeric(EXPO, unit_series([1e7, 1.1e7]))
-        assert res.theta_hat == pytest.approx(mle_closed_form(
-            EXPO, unit_series([1e7, 1.1e7])).theta_hat, rel=1e-6)
+        # theta ~ 9.5e-8 and ~ 9.5e6 lie past the edges 1e-6 and 1e6 of the search
+        for values in ([1e7, 1.1e7], [1e-7, 1.1e-7]):
+            res = mle_numeric(EXPO, unit_series(values))
+            assert res.theta_hat == pytest.approx(mle_closed_form(
+                EXPO, unit_series(values)).theta_hat, rel=1e-6)
 
-    def test_bad_bracket_rejected(self):
-        with pytest.raises(DomainError):
-            mle_numeric(EXPO, unit_series([1.0]), bracket=(-1.0, 2.0))
+    def test_no_maximum_inside_three_expansions(self):
+        # theta ~ 9.5e-11 lies past 1e-9, the lower edge after three expansions
+        with pytest.raises(NoSolutionError, match="expanded bracket"):
+            mle_numeric(EXPO, unit_series([1e10, 1.1e10]))
 
 
 class TestLeastSquares:
