@@ -9,7 +9,8 @@ Subcommands::
     compare   per-kernel win percentages over a directory of histograms
     curves    mean and v-weight curves for a value pair over an exponent grid
 
-Exit codes: 0 success, 1 computation or data failure, 2 usage error.
+Exit codes: 0 success, 1 computation or data failure, 2 usage error.  A
+reader that closes stdout early does not make a run fail.
 All numeric output uses full-precision repr, so emitted CSV round-trips.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import stat
 import sys
 from pathlib import Path
@@ -284,7 +286,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush at
+        # exit does not fail again (see "Note on SIGPIPE" in the signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

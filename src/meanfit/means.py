@@ -17,8 +17,14 @@ clamped to the data range, which it can leave only by rounding.
 
 A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
 for OpenBLAS to split across threads, and the block sums are added exactly,
-in order.  Its rounding error grows with the block, not with the series, and
-no result depends on the BLAS thread count.
+in order.  Its rounding error grows with the block, not with the series.  A
+plain sum ``sum w x^p`` takes its powers a slice of 16 blocks at a time into
+one reusable buffer per thread, so it allocates no array of the series'
+length.  On a long series with no zero value, ``mean_curve`` computes the
+plain sums of its grid on every CPU the process may run on, each CPU taking
+the exponents in turn.  Each sum is the same block dots added exactly,
+whichever thread takes it, so no result depends on the CPU count or the BLAS
+thread count.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
@@ -29,6 +35,8 @@ only where every power of them is finite and no ``r = s`` limit is taken.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -54,25 +62,47 @@ _TINY = float(np.finfo(float).tiny)
 # a dot across its threads.
 _DOT_BLOCK = 8192
 
+# Terms per slice of a plain power sum: whole blocks, 1 MiB of doubles.
+_CHUNK = 16 * _DOT_BLOCK
+
+# Shortest series whose plain sums ``mean_curve`` spreads over the CPUs.
+_PARALLEL_TERMS = 4 * _DOT_BLOCK
+
 
 def _normal(s):
     """Whether ``s`` is a normal finite double; elementwise for an array."""
     return (_TINY <= s) & (s < math.inf)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
-    """``sum a*b`` of two equal-length series: one BLAS dot per block of
-    ``_DOT_BLOCK`` terms, and the block sums and the tail's dot added exactly,
-    in order.  A series of at most one block is all tail: the plain ``a @ b``."""
+def _dot_parts(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """The parts of ``sum a*b`` of two equal-length series: one BLAS dot per
+    block of ``_DOT_BLOCK`` terms, then the tail's dot.  A series of at most
+    one block is all tail: the plain ``a @ b``."""
     n = a.size - a.size % _DOT_BLOCK
     blocks = np.matmul(a[:n].reshape(-1, 1, _DOT_BLOCK), b[:n].reshape(-1, _DOT_BLOCK, 1))
-    parts = [*blocks.ravel().tolist(), a[n:] @ b[n:]]
+    return [*blocks.ravel().tolist(), float(a[n:] @ b[n:])]
+
+
+def _exact_sum(parts: list[float]) -> np.float64:
     try:
         return np.float64(math.fsum(parts))
     except OverflowError:
         # The exact sum is beyond the doubles; the terms of every sum that
         # can get there are non-negative.
         return np.float64(math.inf)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """``sum a*b`` of two equal-length series: its ``_dot_parts`` added
+    exactly, in order."""
+    return _exact_sum(_dot_parts(a, b))
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _as_values(values) -> np.ndarray:
@@ -125,6 +155,7 @@ class _PowerSums:
         # smallest subnormal, so a plain sum of at least this keeps its digits.
         self.floor = (float(ws.sum()) + xs.size) * _TINY
         self._sums = {}
+        self._local = threading.local()   # each thread's buffer for a slice of powers
 
     def dominant(self, p: float) -> int:
         """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
@@ -161,13 +192,26 @@ class _PowerSums:
                 terms[lost] = np.exp(logs)
         return terms
 
+    def _plain(self, p: float) -> np.float64:
+        """``sum w x^p`` as ``_dot(self.terms(p), self.ws)`` adds it: the same
+        block dots, of powers taken ``_CHUNK`` at a time into this thread's
+        buffer."""
+        buf = getattr(self._local, "buf", None)
+        if buf is None:
+            buf = self._local.buf = np.empty(min(_CHUNK, self.xs.size))
+        parts = []
+        with np.errstate(over="ignore"):
+            for start in range(0, self.xs.size, _CHUNK):
+                xs, ws = self.xs[start:start + _CHUNK], self.ws[start:start + _CHUNK]
+                parts += _dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
+        return _exact_sum(parts)
+
     def __call__(self, p: float, i: int | None = None) -> float:
         """``sum w x^p``, or ``sum (w / w_i) (x / x_i)^p`` for an index ``i``."""
         key = (p, i)
         if key not in self._sums:
             if i is None:
-                with np.errstate(over="ignore"):
-                    self._sums[key] = _dot(self.terms(p), self.ws)
+                self._sums[key] = self._plain(p)
             else:
                 terms = self.relative(p, i)
                 self._sums[key] = _dot(terms, np.ones(terms.size))
@@ -226,21 +270,72 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     return min(max(math.exp(min(log_mean, high)), sums.xmin), sums.xmax)
 
 
+def _sum_on_every_cpu(sums: _PowerSums, exponents: list[float], cpus: int) -> None:
+    """Compute the plain sum at every exponent, which ``sums`` then keeps:
+    one thread per CPU, the calling thread one of them, each taking the
+    exponents in turn.  Every thread is joined before an exception of any of
+    them is raised."""
+    workers = min(cpus, len(exponents))
+    if workers < 2:
+        return
+    errors = []
+
+    def take(share):
+        try:
+            for p in share:
+                sums(p)
+        except Exception as exc:   # raised in the calling thread, once all are joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=take, args=(exponents[k::workers],))
+               for k in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        take(exponents[::workers])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:   # started
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     """Holder ``G(a, 0)`` or Lehmer ``G(a, a-1)`` means at every exponent of ``alphas``.
 
     ``values`` and ``weights`` are validated once, and each weighted power
     sum is computed once, so on a grid of step ``1/k`` the Lehmer numerator
-    at ``a`` is the denominator at ``a + 1``.  The first exponent that fails,
-    in grid order, raises its ``DomainError``.
+    at ``a`` is the denominator at ``a + 1``.  On a series of at least
+    ``_PARALLEL_TERMS`` values, none of them 0, the plain sums are computed
+    on every CPU first.  The first exponent that fails, in grid order, raises
+    its ``DomainError``.
     """
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
     xs = _as_values(values)
     sums = _PowerSums(xs, _as_weights(weights, xs.size))
-    return [_gini_at(sums, a, a - 1.0 if kind == "lehmer" else 0.0)
-            for a in map(_checked_alpha, alphas)]
+    alphas = list(alphas)
+
+    def partner(a):
+        return a - 1.0 if kind == "lehmer" else 0.0
+
+    cpus = _cpu_count() if xs.size >= _PARALLEL_TERMS and sums.xmin > 0.0 else 1
+    if cpus > 1:
+        # The plain sums the means below take, up to the first exponent that
+        # fails its check; the loop below raises that failure in grid order.
+        exponents = {}
+        for alpha in alphas:
+            try:
+                a = _checked_alpha(alpha)
+            except Exception:
+                break
+            if math.isfinite(a):
+                s = partner(a)
+                exponents.update(dict.fromkeys((s,) if abs(a - s) < GEOMETRIC_CUTOFF else (a, s)))
+        _sum_on_every_cpu(sums, list(exponents), cpus)
+    return [_gini_at(sums, a, partner(a)) for a in map(_checked_alpha, alphas)]
 
 
 def gini_mean(values, r, s, weights=None) -> float:

@@ -179,15 +179,25 @@ def loop_best(points):
     return min(reports, key=_report_key)
 
 
-def run_warnings_as_errors(*argv, stdin=None, **environ):
+def run_warnings_as_errors(*argv, stdin=None, stdout=subprocess.PIPE, **environ):
     """``python -W error -m meanfit.cli`` with this checkout's package first on
-    the path, ``stdin`` as its standard input, and ``environ`` added to the
-    child's environment."""
+    the path, ``stdin`` and ``stdout`` as its standard input and output (its
+    output captured by default, its error output always), and ``environ``
+    added to the child's environment."""
     env = {**os.environ, **environ}
     src = str(Path(meanfit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "error", "-m", "meanfit.cli", *argv],
-                          stdin=stdin, capture_output=True, text=True, env=env, timeout=60)
+                          stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
+
+
+def closed_pipe():
+    """The write end of a pipe whose read end is already closed: every write
+    to it fails with ``EPIPE``."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
 
 
 def blocked_dot(a, b, block=8192):

@@ -19,7 +19,7 @@ from meanfit import cli
 from meanfit.cli import main
 from meanfit.expfam import HYPERPARAMETERS
 
-from conftest import EXTREME_VALUES, dct_like_histogram, loop_best, loop_points, \
+from conftest import EXTREME_VALUES, closed_pipe, dct_like_histogram, loop_best, loop_points, \
     reference_means, run_warnings_as_errors
 
 
@@ -592,6 +592,32 @@ class TestUsageErrors:
         code, out, err = run(*(missing if a == "MISSING" else a for a in argv.split()))
         assert (code, out) == (2, "")
         assert err.endswith(message + "\n")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the CLI writes is not a failed run."""
+
+    def run_into_closed_pipe(self, *argv):
+        write_end = closed_pipe()
+        try:
+            return run_warnings_as_errors(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+
+    def test_sweep_exits_zero_and_writes_its_profile(self, expo_hist_csv, tmp_path):
+        proc = self.run_into_closed_pipe("sweep", "--model", "exponential", "--beta=-1:1:0.5",
+                                         "--input", expo_hist_csv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len((tmp_path / "expo.sweep.csv").read_text().splitlines()) == 5
+
+    def test_mean_grid_larger_than_the_pipe_exits_zero(self, tmp_path):
+        # About 130 kB of rows: the write fails inside the subcommand, not
+        # only at the final flush.
+        path = tmp_path / "values.csv"
+        path.write_text("0.6\n2\n")
+        proc = self.run_into_closed_pipe("mean", "--family", "lehmer",
+                                         "--alpha-grid=-3:3:0.001", "--input", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestParserReuse:

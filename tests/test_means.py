@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import threading
+import time
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -20,8 +23,9 @@ from meanfit import (
     v_weights,
 )
 
+from meanfit import means
 from meanfit.cli import main
-from meanfit.means import _PowerSums
+from meanfit.means import _CHUNK, _DOT_BLOCK, _PowerSums
 
 from conftest import EXTREME_VALUES, blocked_dot, random_series, reference_means, \
     run_warnings_as_errors
@@ -317,6 +321,110 @@ class TestBlockedSums:
     def test_total_beyond_the_doubles_takes_the_anchor(self, mean):
         # Each block sum of x^2 is finite; only their total overflows.
         assert mean(np.full(20_000, 1e152), 2.0) == 1e152
+
+    @given(
+        n=st.one_of(
+            st.integers(1, 3 * _CHUNK + _DOT_BLOCK + 7),
+            st.sampled_from([k * size + d for size in (_DOT_BLOCK, _CHUNK)
+                             for k in (1, 2, 3) for d in (-1, 0, 1)]),
+        ),
+        p=st.one_of(st.sampled_from([2.0, 0.5, -1.0, 0.0, 1.0, -0.5, 3.0]),
+                    st.floats(-30.0, 30.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sliced_plain_sum_is_the_blocked_dot(self, n, p, seed):
+        # numpy takes 2, 0.5 and -1 by fast paths; each slice of powers is
+        # the same block dots as the whole series, so the sums are equal.
+        rng = np.random.default_rng(seed)
+        values, weights = 10.0 ** rng.uniform(-3.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+        assert _PowerSums(values, weights)(p) == blocked_dot(np.power(values, p), weights)
+
+    def test_sliced_total_beyond_the_doubles_is_inf(self):
+        # Each block sum of x^2 is finite; their total, over two slices, is not.
+        values = np.full(_CHUNK + 3 * _DOT_BLOCK, 1e152)
+        weights = np.ones(values.size)
+        assert blocked_dot(values ** 2, weights) == math.inf
+        assert _PowerSums(values, weights)(2.0) == math.inf
+
+    def test_mean_csv_grid_allocates_no_series_length_array(self, monkeypatch):
+        # Two threads of one 1 MiB buffer each, and the validation's boolean
+        # masks (1 MB): a power sum that allocated its 8 MB of powers fails.
+        monkeypatch.setattr(means, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(3)
+        values, weights = 10.0 ** rng.uniform(-3.0, 1.0, 1_000_000), rng.uniform(0.5, 2.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@pytest.fixture(params=[1, 2, 8])
+def cpus(request, monkeypatch):
+    """The CPU count ``mean_curve`` sees."""
+    monkeypatch.setattr(means, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+class TestAcrossCpus:
+    """The plain sums of a long series are taken on every CPU; no result or
+    failure depends on how many there are."""
+
+    @pytest.mark.parametrize("family", ["holder", "lehmer"])
+    def test_mean_csv_grid_is_bit_identical(self, cpus, family, monkeypatch):
+        values, weights = pin_series()
+        alphas = SweepGrid(-3.0, 3.0, 0.25).points()
+        threads = set()
+        plain = _PowerSums._plain
+
+        def spy(self, p):
+            threads.add(threading.current_thread().name)
+            return plain(self, p)
+
+        monkeypatch.setattr(_PowerSums, "_plain", spy)
+        got = mean_curve(values, alphas, family, weights=weights)
+        assert len(threads) == cpus
+        monkeypatch.setattr(means, "_cpu_count", lambda: 1)
+        assert got == mean_curve(values, alphas, family, weights=weights)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["holder", "lehmer"])
+    def test_zero_value_raises_before_any_power(self, cpus, family):
+        # A sum at -1 taken early would warn of a division by zero.
+        values, weights = pin_series()
+        values[50_000] = 0.0
+        with pytest.raises(DomainError, match=r"^zero values are not admitted for exponent -1.0$"):
+            mean_curve(values, [1.0, -1.0, math.nan], family, weights=weights)
+
+    def test_nan_after_a_valid_exponent(self, cpus):
+        values, weights = pin_series()
+        with pytest.raises(DomainError, match=r"^exponent must not be NaN$"):
+            mean_curve(values, [0.5, math.nan], "lehmer", weights=weights)
+
+    def test_exception_in_a_thread_is_raised_once_all_are_joined(self, cpus, monkeypatch):
+        values, weights = pin_series()
+        raised_in = set()
+        plain = _PowerSums._plain
+
+        def failing(self, p):
+            # Every other thread fails its first sum, after the calling
+            # thread has had time to take its own share.
+            thread = threading.current_thread()
+            if thread is not threading.main_thread() or cpus == 1 and p == 2.0:
+                time.sleep(0.1)
+                raised_in.add(thread.name)
+                raise RuntimeError("injected")
+            return plain(self, p)
+
+        monkeypatch.setattr(_PowerSums, "_plain", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^injected$"):
+            mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
+        assert threading.active_count() == before
+        assert len(raised_in) == max(cpus - 1, 1)
 
 
 class TestMeanCurve:
