@@ -101,7 +101,10 @@ def _report_json(report) -> str:
     return json.dumps(report.to_dict(), indent=2, allow_nan=False)
 
 
-def _cmd_mean(args) -> int:
+# Each _cmd_* handler returns its stdout text, which only main writes: so main
+# can tell a closed stdout from a broken pipe anywhere else.
+
+def _cmd_mean(args) -> str:
     if args.family == "kolmogorov":
         if args.alpha is not None or args.alpha_grid is not None:
             raise _UsageError("the kolmogorov subcommand takes no exponent (log transform)")
@@ -119,22 +122,19 @@ def _cmd_mean(args) -> int:
         raise DomainError(f"{args.input}: --weights given but the file has no weight column")
     means = mean_curve(values, alphas, family, weights if args.weights else None)
     if args.alpha_grid is None:
-        print(_fmt(means[0]))
-    else:
-        sys.stdout.write("".join(f"{_fmt(a)},{_fmt(m)}\n" for a, m in zip(alphas, means)))
-    return 0
+        return _fmt(means[0]) + "\n"
+    return "".join(f"{_fmt(a)},{_fmt(m)}\n" for a, m in zip(alphas, means))
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> str:
     model = _build_model(args.model, args.shape)
     hist = load_histogram_csv(args.input)
     report = fit_histogram(model, hist, args.kernel)
-    payload = _report_json(report)
+    payload = _report_json(report) + "\n"
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
-    return 0
+        Path(args.out).write_text(payload, encoding="utf-8")
+        return ""
+    return payload
 
 
 # sweep writes its profile beside the file --input resolves to; compare skips such files.
@@ -149,7 +149,7 @@ def _sidecar_path(input_path) -> Path:
     return path.with_name(path.stem + _SIDECAR)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     model = _build_model(args.model, None)
     if args.shape_grid is not None and "alpha" not in model.hyper:
         raise _UsageError(f"--shape-grid does not apply to {args.model}")
@@ -163,19 +163,17 @@ def _cmd_sweep(args) -> int:
         "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile()),
         encoding="utf-8",
     )
-    print(_report_json(best))
-    return 0
+    return _report_json(best) + "\n"
 
 
-def _cmd_dct_hist(args) -> int:
+def _cmd_dct_hist(args) -> str:
     img = load_pgm(args.input)
     coeffs = block_dct8(img, exclude_dc=args.exclude_dc)
     hist, _ = build_histogram(coeffs, bins=args.bins, value_range=args.range)
-    sys.stdout.write(format_histogram_csv(hist))
-    return 0
+    return format_histogram_csv(hist)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     if not names:
         raise _UsageError("--models needs at least one model name")
@@ -188,16 +186,14 @@ def _cmd_compare(args) -> int:
         raise EmptyDataError(f"{args.inputs}: no .csv histograms found")
     hists = [load_histogram_csv(p) for p in files]
     rows = compare_kernels(models, hists, args.beta, args.tie_eps)
-    print("model,pct_unit,pct_power,pct_log1p,mean_improvement,n_scored,n_failed")
-    for row in rows:
-        print(
-            f"{row.model},{_fmt(row.pct_unit)},{_fmt(row.pct_power)},{_fmt(row.pct_log1p)},"
-            f"{_fmt(row.mean_improvement)},{row.n_scored},{len(row.failures)}"
-        )
-    return 0
+    return "model,pct_unit,pct_power,pct_log1p,mean_improvement,n_scored,n_failed\n" + "".join(
+        f"{row.model},{_fmt(row.pct_unit)},{_fmt(row.pct_power)},{_fmt(row.pct_log1p)},"
+        f"{_fmt(row.mean_improvement)},{row.n_scored},{len(row.failures)}\n"
+        for row in rows
+    )
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> str:
     x1, x2 = args.pair
     if x1 <= 0.0 or x2 <= 0.0:
         raise DomainError("both pair values must be positive")
@@ -209,8 +205,7 @@ def _cmd_curves(args) -> int:
         vh = v_weights(pair, alpha, "holder")
         vl = v_weights(pair, alpha, "lehmer")
         rows.append(",".join(_fmt(v) for v in (alpha, h, le, vh[0], vl[0], vh[1], vl[1])) + "\n")
-    sys.stdout.write("alpha,holder,lehmer,vh_x1,vl_x1,vh_x2,vl_x2\n" + "".join(rows))
-    return 0
+    return "alpha,holder,lehmer,vh_x1,vl_x1,vh_x2,vl_x2\n" + "".join(rows)
 
 
 @functools.cache
@@ -286,15 +281,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.handler(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull, so that the flush at
-        # exit does not fail again (see "Note on SIGPIPE" in the signal docs).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        output = args.handler(args)
+        try:
+            sys.stdout.write(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout.  Point it at devnull, so that the flush
+            # at exit does not fail again (see "Note on SIGPIPE" in the signal
+            # docs).  A broken pipe anywhere else is a failed run, below.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,13 +18,14 @@ clamped to the data range, which it can leave only by rounding.
 A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
 for OpenBLAS to split across threads, and the block sums are added exactly,
 in order.  Its rounding error grows with the block, not with the series.  A
-plain sum ``sum w x^p`` takes its powers a slice of 16 blocks at a time into
-one reusable buffer per thread, so it allocates no array of the series'
-length.  On a long series with no zero value, ``mean_curve`` computes the
-plain sums of its grid on every CPU the process may run on, each CPU taking
-the exponents in turn.  Each sum is the same block dots added exactly,
-whichever thread takes it, so no result depends on the CPU count or the BLAS
-thread count.
+plain sum ``sum w x^p`` takes its powers a slice of 4 blocks at a time into
+one buffer, so it allocates no array of the series' length.  On a series of
+at least two slices with no zero value, ``mean_curve`` computes the plain
+sums of its grid on one thread per CPU the process may run on, but on no
+more threads than the series has slices, so that their buffers together
+never hold more than the series' length.  Each sum is the same block dots
+added exactly, whichever thread takes it, so no result depends on the CPU
+count or the BLAS thread count.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
@@ -62,11 +63,11 @@ _TINY = float(np.finfo(float).tiny)
 # a dot across its threads.
 _DOT_BLOCK = 8192
 
-# Terms per slice of a plain power sum: whole blocks, 1 MiB of doubles.
-_CHUNK = 16 * _DOT_BLOCK
-
-# Shortest series whose plain sums ``mean_curve`` spreads over the CPUs.
-_PARALLEL_TERMS = 4 * _DOT_BLOCK
+# Terms per slice of a plain power sum: whole blocks, 256 KiB of doubles.
+# ``mean_curve`` starts at most one thread per slice of the series, so a
+# series of fewer than two slices is summed on the calling thread alone.  A
+# one-block slice makes a sum slower; a larger slice starts threads later.
+_CHUNK = 4 * _DOT_BLOCK
 
 
 def _normal(s):
@@ -155,7 +156,6 @@ class _PowerSums:
         # smallest subnormal, so a plain sum of at least this keeps its digits.
         self.floor = (float(ws.sum()) + xs.size) * _TINY
         self._sums = {}
-        self._local = threading.local()   # each thread's buffer for a slice of powers
 
     def dominant(self, p: float) -> int:
         """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
@@ -194,11 +194,8 @@ class _PowerSums:
 
     def _plain(self, p: float) -> np.float64:
         """``sum w x^p`` as ``_dot(self.terms(p), self.ws)`` adds it: the same
-        block dots, of powers taken ``_CHUNK`` at a time into this thread's
-        buffer."""
-        buf = getattr(self._local, "buf", None)
-        if buf is None:
-            buf = self._local.buf = np.empty(min(_CHUNK, self.xs.size))
+        block dots, of powers taken ``_CHUNK`` at a time into one buffer."""
+        buf = np.empty(min(_CHUNK, self.xs.size))
         parts = []
         with np.errstate(over="ignore"):
             for start in range(0, self.xs.size, _CHUNK):
@@ -270,12 +267,12 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     return min(max(math.exp(min(log_mean, high)), sums.xmin), sums.xmax)
 
 
-def _sum_on_every_cpu(sums: _PowerSums, exponents: list[float], cpus: int) -> None:
+def _sum_on_threads(sums: _PowerSums, exponents: list[float], workers: int) -> None:
     """Compute the plain sum at every exponent, which ``sums`` then keeps:
-    one thread per CPU, the calling thread one of them, each taking the
-    exponents in turn.  Every thread is joined before an exception of any of
-    them is raised."""
-    workers = min(cpus, len(exponents))
+    on up to ``workers`` threads, the calling thread one of them, each taking
+    the exponents in turn.  Every thread is joined before an exception of any
+    of them is raised."""
+    workers = min(workers, len(exponents))
     if workers < 2:
         return
     errors = []
@@ -306,10 +303,10 @@ def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
 
     ``values`` and ``weights`` are validated once, and each weighted power
     sum is computed once, so on a grid of step ``1/k`` the Lehmer numerator
-    at ``a`` is the denominator at ``a + 1``.  On a series of at least
-    ``_PARALLEL_TERMS`` values, none of them 0, the plain sums are computed
-    on every CPU first.  The first exponent that fails, in grid order, raises
-    its ``DomainError``.
+    at ``a`` is the denominator at ``a + 1``.  On a series of at least two
+    slices of ``_CHUNK`` values, none of them 0, the plain sums are computed
+    first, on one thread per CPU and per slice at most.  The first exponent
+    that fails, in grid order, raises its ``DomainError``.
     """
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
@@ -321,8 +318,9 @@ def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     def partner(a):
         return a - 1.0 if kind == "lehmer" else 0.0
 
-    cpus = _cpu_count() if xs.size >= _PARALLEL_TERMS and sums.xmin > 0.0 else 1
-    if cpus > 1:
+    # On data with a 0, a negative exponent must raise before any power is taken.
+    workers = min(_cpu_count(), xs.size // _CHUNK) if sums.xmin > 0.0 else 1
+    if workers > 1:
         # The plain sums the means below take, up to the first exponent that
         # fails its check; the loop below raises that failure in grid order.
         exponents = {}
@@ -334,7 +332,7 @@ def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
             if math.isfinite(a):
                 s = partner(a)
                 exponents.update(dict.fromkeys((s,) if abs(a - s) < GEOMETRIC_CUTOFF else (a, s)))
-        _sum_on_every_cpu(sums, list(exponents), cpus)
+        _sum_on_threads(sums, list(exponents), workers)
     return [_gini_at(sums, a, partner(a)) for a in map(_checked_alpha, alphas)]
 
 

@@ -611,13 +611,25 @@ class TestClosedStdout:
         assert len((tmp_path / "expo.sweep.csv").read_text().splitlines()) == 5
 
     def test_mean_grid_larger_than_the_pipe_exits_zero(self, tmp_path):
-        # About 130 kB of rows: the write fails inside the subcommand, not
-        # only at the final flush.
+        # About 130 kB of rows, more than stdout buffers: the write itself
+        # fails, not only the final flush.
         path = tmp_path / "values.csv"
         path.write_text("0.6\n2\n")
         proc = self.run_into_closed_pipe("mean", "--family", "lehmer",
                                          "--alpha-grid=-3:3:0.001", "--input", str(path))
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_broken_pipe_of_an_output_file_is_a_failure(self, expo_hist_csv, tmp_path,
+                                                        monkeypatch, capsys):
+        # Only a closed stdout is benign: a --out whose reader has gone
+        # delivered nothing.
+        def closed_reader(self, *args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli.Path, "write_text", closed_reader)
+        code = main(["fit", "--model", "exponential", "--kernel", "unit",
+                     "--input", expo_hist_csv, "--out", str(tmp_path / "report.json")])
+        assert (code, capsys.readouterr()) == (1, ("", "error: [Errno 32] Broken pipe\n"))
 
 
 class TestParserReuse:

@@ -348,7 +348,7 @@ class TestBlockedSums:
         assert _PowerSums(values, weights)(2.0) == math.inf
 
     def test_mean_csv_grid_allocates_no_series_length_array(self, monkeypatch):
-        # Two threads of one 1 MiB buffer each, and the validation's boolean
+        # Two threads of one 256 KiB buffer each, and the validation's boolean
         # masks (1 MB): a power sum that allocated its 8 MB of powers fails.
         monkeypatch.setattr(means, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(3)
@@ -369,26 +369,41 @@ def cpus(request, monkeypatch):
     return request.param
 
 
+def summing_threads(monkeypatch):
+    """The names of the threads that take a plain sum, from now on."""
+    names = set()
+    plain = _PowerSums._plain
+
+    def spy(self, p):
+        names.add(threading.current_thread().name)
+        return plain(self, p)
+
+    monkeypatch.setattr(_PowerSums, "_plain", spy)
+    return names
+
+
 class TestAcrossCpus:
-    """The plain sums of a long series are taken on every CPU; no result or
-    failure depends on how many there are."""
+    """The plain sums of a long series are taken on one thread per CPU and
+    per slice at most; no result or failure depends on how many there are."""
 
     @pytest.mark.parametrize("family", ["holder", "lehmer"])
     def test_mean_csv_grid_is_bit_identical(self, cpus, family, monkeypatch):
         values, weights = pin_series()
         alphas = SweepGrid(-3.0, 3.0, 0.25).points()
-        threads = set()
-        plain = _PowerSums._plain
-
-        def spy(self, p):
-            threads.add(threading.current_thread().name)
-            return plain(self, p)
-
-        monkeypatch.setattr(_PowerSums, "_plain", spy)
+        threads = summing_threads(monkeypatch)
         got = mean_curve(values, alphas, family, weights=weights)
-        assert len(threads) == cpus
+        assert len(threads) == min(cpus, values.size // _CHUNK)
         monkeypatch.setattr(means, "_cpu_count", lambda: 1)
         assert got == mean_curve(values, alphas, family, weights=weights)
+
+    @pytest.mark.parametrize("n, want", [(2 * _CHUNK - 1, 1), (2 * _CHUNK, 2), (5 * _CHUNK + 7, 5)])
+    def test_no_more_threads_than_slices(self, n, want, monkeypatch):
+        # Each thread holds one slice of powers at a time, so the threads
+        # together never hold more than the series' length.
+        monkeypatch.setattr(means, "_cpu_count", lambda: 64)
+        threads = summing_threads(monkeypatch)
+        mean_curve(np.linspace(1.0, 2.0, n), SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer")
+        assert len(threads) == want
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", ["holder", "lehmer"])
@@ -424,7 +439,7 @@ class TestAcrossCpus:
         with pytest.raises(RuntimeError, match="^injected$"):
             mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
         assert threading.active_count() == before
-        assert len(raised_in) == max(cpus - 1, 1)
+        assert len(raised_in) == max(min(cpus, values.size // _CHUNK) - 1, 1)
 
 
 class TestMeanCurve:
