@@ -181,7 +181,8 @@ def _cmd_compare(args) -> str:
     if unknown:
         raise _UsageError(f"unknown model(s) {', '.join(unknown)}; choose from {', '.join(MODEL_NAMES)}")
     models = [_build_model(n, None) for n in names]
-    files = sorted(p for p in Path(args.inputs).glob("*.csv") if not p.name.endswith(_SIDECAR))
+    files = sorted(p for p in Path(args.inputs).glob("*.csv")
+                   if p.is_file() and not p.name.endswith(_SIDECAR))
     if not files:
         raise EmptyDataError(f"{args.inputs}: no .csv histograms found")
     hists = [load_histogram_csv(p) for p in files]

@@ -19,13 +19,13 @@ A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
 for OpenBLAS to split across threads, and the block sums are added exactly,
 in order.  Its rounding error grows with the block, not with the series.  A
 plain sum ``sum w x^p`` takes its powers a slice of 4 blocks at a time into
-one buffer, so it allocates no array of the series' length.  On a series of
-at least two slices with no zero value, ``mean_curve`` computes the plain
-sums of its grid on one thread per CPU the process may run on, but on no
+one buffer per thread, so it allocates no array of the series' length.  In a
+call to ``mean_curve`` or ``gini_mean``, each slice goes to the next free of
+one thread per CPU the process may run on, started once per call, but of no
 more threads than the series has slices, so that their buffers together
-never hold more than the series' length.  Each sum is the same block dots
-added exactly, whichever thread takes it, so no result depends on the CPU
-count or the BLAS thread count.
+never hold more than the series' length.  Each slice is the same block dots
+whichever thread takes it, so no result depends on the CPU count or the BLAS
+thread count.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 
 import numpy as np
@@ -64,9 +65,9 @@ _TINY = float(np.finfo(float).tiny)
 _DOT_BLOCK = 8192
 
 # Terms per slice of a plain power sum: whole blocks, 256 KiB of doubles.
-# ``mean_curve`` starts at most one thread per slice of the series, so a
-# series of fewer than two slices is summed on the calling thread alone.  A
-# one-block slice makes a sum slower; a larger slice starts threads later.
+# A series has at most one thread per slice, so one of fewer than two slices
+# is summed on the calling thread alone.  A one-block slice makes a sum
+# slower; a larger slice starts threads later.
 _CHUNK = 4 * _DOT_BLOCK
 
 
@@ -144,7 +145,8 @@ class _PowerSums:
     where both powers are normal doubles, so that no term is lost to a ratio
     beyond the double range, and the power of the ratio elsewhere.  Callers
     ignore overflow: a plain power may overflow, and so may ``x / anchor``,
-    whose power is then exactly 0.
+    whose power is then exactly 0.  Within ``with``, helper threads share
+    the slices of each plain sum.
     """
 
     def __init__(self, xs: np.ndarray, ws: np.ndarray):
@@ -156,6 +158,7 @@ class _PowerSums:
         # smallest subnormal, so a plain sum of at least this keeps its digits.
         self.floor = (float(ws.sum()) + xs.size) * _TINY
         self._sums = {}
+        self._helpers, self._tasks, self._done = [], queue.SimpleQueue(), queue.SimpleQueue()
 
     def dominant(self, p: float) -> int:
         """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
@@ -192,16 +195,59 @@ class _PowerSums:
                 terms[lost] = np.exp(logs)
         return terms
 
+    def __enter__(self) -> _PowerSums:
+        """Start the threads that help the calling one take each plain sum's
+        slices: one per further CPU, but no more threads than the series has
+        slices.  A thread that cannot start leaves its slices to the others."""
+        for _ in range(1, min(_cpu_count(), self.xs.size // _CHUNK)):
+            thread = threading.Thread(target=self._help)
+            try:
+                thread.start()
+            except RuntimeError:   # can't start new thread
+                break
+            self._helpers.append(thread)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for _ in self._helpers:
+            self._tasks.put(None)
+        for thread in self._helpers:
+            thread.join()
+
+    def _help(self) -> None:
+        buf = np.empty(_CHUNK)
+        for task in iter(self._tasks.get, None):
+            self._take(*task, buf)
+            self._done.put(None)
+
+    def _take(self, p: float, slices: queue.SimpleQueue, parts: list, errors: list, buf) -> None:
+        """Store the block dots of each slice of ``sum w x^p`` that ``slices``
+        hands out at its index in ``parts``, until it hands out None."""
+        try:
+            with np.errstate(over="ignore"):
+                for k in iter(slices.get, None):
+                    xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
+                    parts[k] = _dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
+        except Exception as exc:   # raised by the calling thread, once every helper is done
+            errors.append(exc)
+
     def _plain(self, p: float) -> np.float64:
         """``sum w x^p`` as ``_dot(self.terms(p), self.ws)`` adds it: the same
-        block dots, of powers taken ``_CHUNK`` at a time into one buffer."""
-        buf = np.empty(min(_CHUNK, self.xs.size))
-        parts = []
-        with np.errstate(over="ignore"):
-            for start in range(0, self.xs.size, _CHUNK):
-                xs, ws = self.xs[start:start + _CHUNK], self.ws[start:start + _CHUNK]
-                parts += _dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
-        return _exact_sum(parts)
+        block dots, of powers taken ``_CHUNK`` at a time into one buffer per
+        thread, each slice by the next free thread."""
+        count = -(-self.xs.size // _CHUNK)
+        # A slice left out stays None in ``parts``, and the sum fails.
+        slices, parts, errors = queue.SimpleQueue(), [None] * count, []
+        for k in [*range(count), *[None] * (1 + len(self._helpers))]:
+            slices.put(k)
+        for _ in self._helpers:
+            self._tasks.put((p, slices, parts, errors))
+        self._take(p, slices, parts, errors, np.empty(min(_CHUNK, self.xs.size)))
+        for _ in self._helpers:
+            self._done.get()
+        if errors:
+            raise errors[0]
+        return _exact_sum([part for slice_parts in parts for part in slice_parts])
 
     def __call__(self, p: float, i: int | None = None) -> float:
         """``sum w x^p``, or ``sum (w / w_i) (x / x_i)^p`` for an index ``i``."""
@@ -267,73 +313,21 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     return min(max(math.exp(min(log_mean, high)), sums.xmin), sums.xmax)
 
 
-def _sum_on_threads(sums: _PowerSums, exponents: list[float], workers: int) -> None:
-    """Compute the plain sum at every exponent, which ``sums`` then keeps:
-    on up to ``workers`` threads, the calling thread one of them, each taking
-    the exponents in turn.  Every thread is joined before an exception of any
-    of them is raised."""
-    workers = min(workers, len(exponents))
-    if workers < 2:
-        return
-    errors = []
-
-    def take(share):
-        try:
-            for p in share:
-                sums(p)
-        except Exception as exc:   # raised in the calling thread, once all are joined
-            errors.append(exc)
-
-    threads = [threading.Thread(target=take, args=(exponents[k::workers],))
-               for k in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        take(exponents[::workers])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:   # started
-                thread.join()
-    if errors:
-        raise errors[0]
-
-
 def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     """Holder ``G(a, 0)`` or Lehmer ``G(a, a-1)`` means at every exponent of ``alphas``.
 
     ``values`` and ``weights`` are validated once, and each weighted power
     sum is computed once, so on a grid of step ``1/k`` the Lehmer numerator
-    at ``a`` is the denominator at ``a + 1``.  On a series of at least two
-    slices of ``_CHUNK`` values, none of them 0, the plain sums are computed
-    first, on one thread per CPU and per slice at most.  The first exponent
-    that fails, in grid order, raises its ``DomainError``.
+    at ``a`` is the denominator at ``a + 1``.  The first exponent that fails,
+    in grid order, raises its ``DomainError``.
     """
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
     xs = _as_values(values)
-    sums = _PowerSums(xs, _as_weights(weights, xs.size))
-    alphas = list(alphas)
-
-    def partner(a):
-        return a - 1.0 if kind == "lehmer" else 0.0
-
-    # On data with a 0, a negative exponent must raise before any power is taken.
-    workers = min(_cpu_count(), xs.size // _CHUNK) if sums.xmin > 0.0 else 1
-    if workers > 1:
-        # The plain sums the means below take, up to the first exponent that
-        # fails its check; the loop below raises that failure in grid order.
-        exponents = {}
-        for alpha in alphas:
-            try:
-                a = _checked_alpha(alpha)
-            except Exception:
-                break
-            if math.isfinite(a):
-                s = partner(a)
-                exponents.update(dict.fromkeys((s,) if abs(a - s) < GEOMETRIC_CUTOFF else (a, s)))
-        _sum_on_threads(sums, list(exponents), workers)
-    return [_gini_at(sums, a, partner(a)) for a in map(_checked_alpha, alphas)]
+    with _PowerSums(xs, _as_weights(weights, xs.size)) as sums:
+        return [_gini_at(sums, a, a - 1.0 if kind == "lehmer" else 0.0)
+                for a in map(_checked_alpha, alphas)]
 
 
 def gini_mean(values, r, s, weights=None) -> float:
@@ -347,7 +341,8 @@ def gini_mean(values, r, s, weights=None) -> float:
     if math.isnan(r + s):
         raise DomainError("exponents must not be infinite with opposite signs")
     xs = _as_values(values)
-    return _gini_at(_PowerSums(xs, _as_weights(weights, xs.size)), r, s)
+    with _PowerSums(xs, _as_weights(weights, xs.size)) as sums:
+        return _gini_at(sums, r, s)
 
 
 def holder_mean(values, alpha, weights=None) -> float:

@@ -507,6 +507,19 @@ class TestCompare:
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[5:] == ["2", "0"]
 
+    def test_skips_directories_and_fifos_named_csv(self, tmp_path):
+        # Opening the FIFO would block until a writer came, so the run is a
+        # subprocess that fails on its timeout instead of hanging.
+        hist, _ = build_histogram(np.random.default_rng(33).exponential(1.0, 2000), bins=30)
+        (tmp_path / "h0.csv").write_text(format_histogram_csv(hist), encoding="utf-8")
+        argv = ("compare", "--models", "exponential", "--inputs", str(tmp_path), "--beta=-1:1:0.5")
+        alone = run_warnings_as_errors(*argv)
+        (tmp_path / "dir.csv").mkdir()
+        os.mkfifo(tmp_path / "fifo.csv")
+        beside = run_warnings_as_errors(*argv)
+        assert (alone.returncode, alone.stderr) == (0, "")
+        assert (beside.returncode, beside.stdout, beside.stderr) == (0, alone.stdout, "")
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_tie_epsilon_fails(self, run, tmp_path, eps):
         # nan would make every kernel lose (0.0 each); inf makes the tie bound

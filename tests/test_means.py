@@ -1,7 +1,9 @@
 """Unit and property tests for the central-tendency module."""
 
+import collections
 import itertools
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -370,40 +372,130 @@ def cpus(request, monkeypatch):
 
 
 def summing_threads(monkeypatch):
-    """The names of the threads that take a plain sum, from now on."""
-    names = set()
-    plain = _PowerSums._plain
+    """From now on, the functions of the threads started, one entry per
+    thread, whether or not it takes a slice."""
+    started = []
 
-    def spy(self, p):
-        names.add(threading.current_thread().name)
-        return plain(self, p)
+    class Counting(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.function = kwargs.get("target")
 
-    monkeypatch.setattr(_PowerSums, "_plain", spy)
-    return names
+        def start(self):
+            super().start()
+            started.append(self.function)
+
+    monkeypatch.setattr(means.threading, "Thread", Counting)
+    return started
+
+
+def per_call(started):
+    """The thread counts of the calls that started a thread, the calling
+    thread included, or ``{1}`` where none did: the threads of one call
+    share their function."""
+    return {count + 1 for count in collections.Counter(started).values()} or {1}
 
 
 class TestAcrossCpus:
-    """The plain sums of a long series are taken on one thread per CPU and
-    per slice at most; no result or failure depends on how many there are."""
+    """The slices of a long series' plain sums are taken on one thread per
+    CPU and per slice at most, started once per call; no result or failure
+    depends on how many there are."""
 
     @pytest.mark.parametrize("family", ["holder", "lehmer"])
     def test_mean_csv_grid_is_bit_identical(self, cpus, family, monkeypatch):
         values, weights = pin_series()
         alphas = SweepGrid(-3.0, 3.0, 0.25).points()
-        threads = summing_threads(monkeypatch)
+        started = summing_threads(monkeypatch)
         got = mean_curve(values, alphas, family, weights=weights)
-        assert len(threads) == min(cpus, values.size // _CHUNK)
+        assert per_call(started) == {min(cpus, values.size // _CHUNK)}
         monkeypatch.setattr(means, "_cpu_count", lambda: 1)
         assert got == mean_curve(values, alphas, family, weights=weights)
+
+    @pytest.mark.parametrize("n", [100_000, 9 * _CHUNK + 5])
+    def test_single_means_are_bit_identical(self, cpus, n, monkeypatch):
+        rng = np.random.default_rng(4)
+        values, weights = 10.0 ** rng.uniform(-3.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+
+        def single():
+            return [gini_mean(values, 2.5, -1.5, weights), gini_mean(values, 0.75, 0.75, weights),
+                    holder_mean(values, -2.0, weights), lehmer_mean(values, 0.75, weights)]
+
+        started = summing_threads(monkeypatch)
+        got = single()
+        assert per_call(started) == {min(cpus, n // _CHUNK)}
+        monkeypatch.setattr(means, "_cpu_count", lambda: 1)
+        assert got == single()
+
+    def test_threads_start_once_per_call(self, cpus, monkeypatch):
+        # Not once per sum: the grid takes 29 sums, of 3 slices each.
+        values, weights = pin_series()
+        started = summing_threads(monkeypatch)
+        mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
+        assert len(started) == min(cpus, values.size // _CHUNK) - 1
 
     @pytest.mark.parametrize("n, want", [(2 * _CHUNK - 1, 1), (2 * _CHUNK, 2), (5 * _CHUNK + 7, 5)])
     def test_no_more_threads_than_slices(self, n, want, monkeypatch):
         # Each thread holds one slice of powers at a time, so the threads
         # together never hold more than the series' length.
         monkeypatch.setattr(means, "_cpu_count", lambda: 64)
-        threads = summing_threads(monkeypatch)
+        started = summing_threads(monkeypatch)
         mean_curve(np.linspace(1.0, 2.0, n), SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer")
-        assert len(threads) == want
+        assert per_call(started) == {want}
+
+    def test_every_slice_is_summed_once_under_frequent_switches(self, monkeypatch):
+        # More threads than cores, switching every microsecond: each slice of
+        # each sum is powered by one thread only, and lands at its index.
+        monkeypatch.setattr(means, "_cpu_count", lambda: 8)
+        rng = np.random.default_rng(4)
+        n = 9 * _CHUNK + 5
+        values, weights = 10.0 ** rng.uniform(-3.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+        exponents = np.linspace(-3.0, 3.0, 13)
+        dot_parts, starts = means._dot_parts, []
+
+        def counting(a, b):
+            starts.append((b.ctypes.data - weights.ctypes.data) // b.itemsize)
+            return dot_parts(a, b)
+
+        monkeypatch.setattr(means, "_dot_parts", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _PowerSums(values, weights) as sums:
+                got = [sums(p) for p in exponents]
+        finally:
+            sys.setswitchinterval(interval)
+        assert collections.Counter(starts) == {k * _CHUNK: exponents.size for k in range(10)}
+        assert got == [blocked_dot(np.power(values, p), weights) for p in exponents]
+
+    @pytest.mark.parametrize("refused_after", [0, 1])
+    def test_a_thread_that_cannot_start_leaves_its_slices_to_the_others(
+            self, refused_after, tmp_path, capsys, monkeypatch):
+        values, weights = pin_series()
+        path = tmp_path / "values.csv"
+        np.savetxt(path, np.column_stack([values, weights]), fmt="%.17g", delimiter=",")
+        alphas = SweepGrid(-1.0, 1.0, 0.5).points()
+        argv = ["mean", "--family", "lehmer", "--alpha-grid=-1:1:0.5", "--weights",
+                "--input", str(path)]
+        monkeypatch.setattr(means, "_cpu_count", lambda: 1)
+        serial = mean_curve(values, alphas, "lehmer", weights=weights)
+        assert main(argv) == 0
+        serial_out = capsys.readouterr().out
+        calls = itertools.count()
+        start = threading.Thread.start
+
+        def refuse(thread):
+            # Each call on 3 slices tries 2 threads; the first
+            # ``refused_after`` of them start.
+            if next(calls) % 2 >= refused_after:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(means, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(means.threading.Thread, "start", refuse)
+        before = threading.active_count()
+        assert mean_curve(values, alphas, "lehmer", weights=weights) == serial
+        assert (main(argv), capsys.readouterr()) == (0, (serial_out, ""))
+        assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", ["holder", "lehmer"])
@@ -422,19 +514,21 @@ class TestAcrossCpus:
     def test_exception_in_a_thread_is_raised_once_all_are_joined(self, cpus, monkeypatch):
         values, weights = pin_series()
         raised_in = set()
-        plain = _PowerSums._plain
+        dot_parts = means._dot_parts
 
-        def failing(self, p):
-            # Every other thread fails its first sum, after the calling
-            # thread has had time to take its own share.
+        def failing(a, b):
+            # Every other thread fails its first slice, after the calling
+            # thread has had time to take its own; with no other thread,
+            # the calling thread fails.
             thread = threading.current_thread()
-            if thread is not threading.main_thread() or cpus == 1 and p == 2.0:
-                time.sleep(0.1)
-                raised_in.add(thread.name)
-                raise RuntimeError("injected")
-            return plain(self, p)
+            if thread is threading.main_thread() and cpus > 1:
+                time.sleep(0.01)
+                return dot_parts(a, b)
+            time.sleep(0.1)
+            raised_in.add(thread.name)
+            raise RuntimeError("injected")
 
-        monkeypatch.setattr(_PowerSums, "_plain", failing)
+        monkeypatch.setattr(means, "_dot_parts", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^injected$"):
             mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
