@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
@@ -55,6 +56,18 @@ def _floats(form: str, noun: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"non-numeric {noun} {text!r}") from None
     return parse
+
+
+def _checked(parse, ok, message: str):
+    """The argparse type of ``parse`` whose values must satisfy ``ok``: so a
+    bad value is a usage error before any input is read."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    check.__name__ = parse.__name__   # argparse names the type of a ValueError
+    return check
 
 
 def _grid_type(text: str) -> SweepGrid:
@@ -228,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("holder", "lehmer", "kolmogorov"),
                    help="kolmogorov: the geometric mean, holder --alpha 0")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--alpha", type=float, help="exponent (inf/-inf allowed)")
+    group.add_argument("--alpha", type=_checked(float, lambda a: not math.isnan(a),
+                                                "exponent must not be NaN"),
+                       help="exponent (inf/-inf allowed)")
     group.add_argument("--alpha-grid", type=_grid_type, metavar="LO:HI:STEP",
                        help="emit alpha,mean rows over this grid")
     p.add_argument("--input", required=True, help="values CSV: value[,weight] per line")
@@ -254,8 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dct-hist", help="histogram of |DCT| coefficients of a PGM image")
     p.add_argument("--input", required=True, help="binary PGM (P5), maxval <= 255")
-    p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--range", type=_floats("LO:HI", "range"), metavar="LO:HI",
+    p.add_argument("--bins", type=_checked(int, lambda bins: bins >= 2,
+                                           "need an integer bin count of at least 2"),
+                   default=100)
+    p.add_argument("--range", type=_checked(_floats("LO:HI", "range"),
+                                            lambda span: -math.inf < span[0] < span[1] < math.inf,
+                                            "range must satisfy lo < hi"), metavar="LO:HI",
                    help="histogram range (default 0:max)")
     p.add_argument("--exclude-dc", action="store_true", help="drop the (0,0) coefficients")
     p.set_defaults(handler=_cmd_dct_hist)
@@ -264,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="comma-separated model names")
     p.add_argument("--inputs", required=True, help="directory of histogram .csv files")
     p.add_argument("--beta", **beta_grid)
-    p.add_argument("--tie-eps", type=float, default=1e-3,
-                   help="relative MSE tie tolerance (default 1e-3)")
+    p.add_argument("--tie-eps", type=_checked(float, lambda eps: 0.0 <= eps < math.inf,
+                                              "tie epsilon must be finite and non-negative"),
+                   default=1e-3, help="relative MSE tie tolerance (default 1e-3)")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("curves", help="mean and v-weight curves for a value pair")

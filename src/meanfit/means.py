@@ -18,14 +18,14 @@ clamped to the data range, which it can leave only by rounding.
 A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
 for OpenBLAS to split across threads, and the block sums are added exactly,
 in order.  Its rounding error grows with the block, not with the series.  A
-plain sum ``sum w x^p`` takes its powers a slice of 4 blocks at a time into
-one buffer per thread, so it allocates no array of the series' length.  In a
-call to ``mean_curve`` or ``gini_mean``, each slice goes to the next free of
-one thread per CPU the process may run on, started once per call, but of no
-more threads than the series has slices, so that their buffers together
-never hold more than the series' length.  Each slice is the same block dots
-whichever thread takes it, so no result depends on the CPU count or the BLAS
-thread count.
+call to ``mean_curve`` or ``gini_mean`` takes all its plain sums ``sum w
+x^p`` in one pass over the series: each slice of 4 blocks goes to the next
+free of one thread per CPU the process may run on, but of no more threads
+than the series has slices, and is powered at every exponent into that
+thread's one buffer, so no array of the series' length is allocated.  The
+threads are joined before the pass returns.  Each slice is the same block
+dots whichever thread takes it, so no result depends on the CPU count or the
+BLAS thread count.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 
 import numpy as np
@@ -65,9 +64,10 @@ _TINY = float(np.finfo(float).tiny)
 _DOT_BLOCK = 8192
 
 # Terms per slice of a plain power sum: whole blocks, 256 KiB of doubles.
-# A series has at most one thread per slice, so one of fewer than two slices
-# is summed on the calling thread alone.  A one-block slice makes a sum
-# slower; a larger slice starts threads later.
+# A pass over the series has at most one thread per slice, so a series of
+# fewer than two slices is summed on the calling thread alone; it holds at
+# most this many block dots.  A one-block slice makes a sum slower; a larger
+# slice starts threads later.
 _CHUNK = 4 * _DOT_BLOCK
 
 
@@ -145,8 +145,7 @@ class _PowerSums:
     where both powers are normal doubles, so that no term is lost to a ratio
     beyond the double range, and the power of the ratio elsewhere.  Callers
     ignore overflow: a plain power may overflow, and so may ``x / anchor``,
-    whose power is then exactly 0.  Within ``with``, helper threads share
-    the slices of each plain sum.
+    whose power is then exactly 0.
     """
 
     def __init__(self, xs: np.ndarray, ws: np.ndarray):
@@ -158,7 +157,6 @@ class _PowerSums:
         # smallest subnormal, so a plain sum of at least this keeps its digits.
         self.floor = (float(ws.sum()) + xs.size) * _TINY
         self._sums = {}
-        self._helpers, self._tasks, self._done = [], queue.SimpleQueue(), queue.SimpleQueue()
 
     def dominant(self, p: float) -> int:
         """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
@@ -195,66 +193,63 @@ class _PowerSums:
                 terms[lost] = np.exp(logs)
         return terms
 
-    def __enter__(self) -> _PowerSums:
-        """Start the threads that help the calling one take each plain sum's
-        slices: one per further CPU, but no more threads than the series has
-        slices.  A thread that cannot start leaves its slices to the others."""
-        for _ in range(1, min(_cpu_count(), self.xs.size // _CHUNK)):
-            thread = threading.Thread(target=self._help)
+    def take(self, exponents) -> None:
+        """Take the plain sums ``sum w x^p`` at ``exponents`` from the block dots
+        of ``_dot(self.terms(p), self.ws)``, in passes over the series that hold
+        at most ``_CHUNK`` dots each.  In a pass, each slice goes to the next
+        free of one thread per CPU, but of no more threads than the series has
+        slices, which powers it at every exponent of the pass into its own
+        buffer; every thread is joined before the pass ends.  Exponents not
+        finite, already taken, or negative on a series with a zero
+        (``_gini_at`` raises first) are skipped."""
+        todo = [p for p in dict.fromkeys(exponents) if math.isfinite(p)
+                and (p, None) not in self._sums and (p >= 0.0 or self.xmin > 0.0)]
+        n = self.xs.size
+        count, helpers = -(-n // _CHUNK), min(_cpu_count(), n // _CHUNK) - 1
+        step = max(1, _CHUNK // (count * (_CHUNK // _DOT_BLOCK + 1)))
+        for ps in (todo[i:i + step] for i in range(0, len(todo), step)):
+            # A slice left out stays None in ``parts``, and its sums fail.
+            parts, errors, lock, slices = [None] * count, [], threading.Lock(), iter(range(count))
+
+            def next_slice():
+                with lock:
+                    return next(slices, None)
+
+            def work():
+                buf = np.empty(min(_CHUNK, n))
+                try:
+                    with np.errstate(over="ignore"):
+                        for k in iter(next_slice, None):
+                            xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
+                            parts[k] = [_dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
+                                        for p in ps]
+                except Exception as exc:   # raised once every thread is joined
+                    errors.append(exc)
+
+            threads = []
+            for _ in range(helpers):
+                thread = threading.Thread(target=work)
+                try:
+                    thread.start()
+                except RuntimeError:   # can't start new thread: the others take its slices
+                    break
+                threads.append(thread)
             try:
-                thread.start()
-            except RuntimeError:   # can't start new thread
-                break
-            self._helpers.append(thread)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for _ in self._helpers:
-            self._tasks.put(None)
-        for thread in self._helpers:
-            thread.join()
-
-    def _help(self) -> None:
-        buf = np.empty(_CHUNK)
-        for task in iter(self._tasks.get, None):
-            self._take(*task, buf)
-            self._done.put(None)
-
-    def _take(self, p: float, slices: queue.SimpleQueue, parts: list, errors: list, buf) -> None:
-        """Store the block dots of each slice of ``sum w x^p`` that ``slices``
-        hands out at its index in ``parts``, until it hands out None."""
-        try:
-            with np.errstate(over="ignore"):
-                for k in iter(slices.get, None):
-                    xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
-                    parts[k] = _dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
-        except Exception as exc:   # raised by the calling thread, once every helper is done
-            errors.append(exc)
-
-    def _plain(self, p: float) -> np.float64:
-        """``sum w x^p`` as ``_dot(self.terms(p), self.ws)`` adds it: the same
-        block dots, of powers taken ``_CHUNK`` at a time into one buffer per
-        thread, each slice by the next free thread."""
-        count = -(-self.xs.size // _CHUNK)
-        # A slice left out stays None in ``parts``, and the sum fails.
-        slices, parts, errors = queue.SimpleQueue(), [None] * count, []
-        for k in [*range(count), *[None] * (1 + len(self._helpers))]:
-            slices.put(k)
-        for _ in self._helpers:
-            self._tasks.put((p, slices, parts, errors))
-        self._take(p, slices, parts, errors, np.empty(min(_CHUNK, self.xs.size)))
-        for _ in self._helpers:
-            self._done.get()
-        if errors:
-            raise errors[0]
-        return _exact_sum([part for slice_parts in parts for part in slice_parts])
+                work()
+            finally:
+                for thread in threads:
+                    thread.join()
+            if errors:
+                raise errors[0]
+            for j, p in enumerate(ps):
+                self._sums[p, None] = _exact_sum([part for dots in parts for part in dots[j]])
 
     def __call__(self, p: float, i: int | None = None) -> float:
         """``sum w x^p``, or ``sum (w / w_i) (x / x_i)^p`` for an index ``i``."""
         key = (p, i)
         if key not in self._sums:
             if i is None:
-                self._sums[key] = self._plain(p)
+                self.take((p,))
             else:
                 terms = self.relative(p, i)
                 self._sums[key] = _dot(terms, np.ones(terms.size))
@@ -317,17 +312,18 @@ def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     """Holder ``G(a, 0)`` or Lehmer ``G(a, a-1)`` means at every exponent of ``alphas``.
 
     ``values`` and ``weights`` are validated once, and each weighted power
-    sum is computed once, so on a grid of step ``1/k`` the Lehmer numerator
-    at ``a`` is the denominator at ``a + 1``.  The first exponent that fails,
-    in grid order, raises its ``DomainError``.
+    sum is computed once, all in one pass over the series, so on a grid of
+    step ``1/k`` the Lehmer numerator at ``a`` is the denominator at ``a + 1``.
+    The first exponent that fails, in grid order, raises its ``DomainError``.
     """
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
     xs = _as_values(values)
-    with _PowerSums(xs, _as_weights(weights, xs.size)) as sums:
-        return [_gini_at(sums, a, a - 1.0 if kind == "lehmer" else 0.0)
-                for a in map(_checked_alpha, alphas)]
+    sums = _PowerSums(xs, _as_weights(weights, xs.size))
+    pairs = [(a, a - 1.0 if kind == "lehmer" else 0.0) for a in map(float, alphas)]
+    sums.take(p for pair in pairs for p in pair)
+    return [_gini_at(sums, _checked_alpha(r), s) for r, s in pairs]
 
 
 def gini_mean(values, r, s, weights=None) -> float:
@@ -341,8 +337,9 @@ def gini_mean(values, r, s, weights=None) -> float:
     if math.isnan(r + s):
         raise DomainError("exponents must not be infinite with opposite signs")
     xs = _as_values(values)
-    with _PowerSums(xs, _as_weights(weights, xs.size)) as sums:
-        return _gini_at(sums, r, s)
+    sums = _PowerSums(xs, _as_weights(weights, xs.size))
+    sums.take((r, s))
+    return _gini_at(sums, r, s)
 
 
 def holder_mean(values, alpha, weights=None) -> float:

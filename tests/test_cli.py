@@ -527,7 +527,8 @@ class TestCompare:
         (tmp_path / "one.csv").write_text("1.5,2.5,5\n")
         code, out, err = run("compare", "--models", "exponential", "--inputs", str(tmp_path),
                              "--tie-eps", eps)
-        assert (code, out, err) == (1, "", "error: tie epsilon must be finite and non-negative\n")
+        assert (code, out) == (2, "")
+        assert err.endswith("argument --tie-eps: tie epsilon must be finite and non-negative\n")
 
     def test_unknown_model_is_usage_error(self, run, tmp_path):
         code, _, _ = run(
@@ -597,8 +598,18 @@ class TestUsageErrors:
         ("compare --models , --inputs MISSING", "error: --models needs at least one model name"),
         ("sweep --model exponential --input /dev/null",
          "error: --input /dev/null is not a regular file to put the profile next to"),
+        ("dct-hist --input MISSING --bins 1",
+         "argument --bins: need an integer bin count of at least 2"),
+        ("dct-hist --input MISSING --range 5:1", "argument --range: range must satisfy lo < hi"),
+        ("compare --models exponential --inputs MISSING --tie-eps nan",
+         "argument --tie-eps: tie epsilon must be finite and non-negative"),
+        ("compare --models exponential --inputs MISSING --tie-eps=-1",
+         "argument --tie-eps: tie epsilon must be finite and non-negative"),
+        ("mean --family lehmer --alpha nan --input MISSING",
+         "argument --alpha: exponent must not be NaN"),
     ], ids=["mean-no-exponent", "kolmogorov-weights", "pair-count", "pair-non-numeric",
-            "power-kernel", "gen-gamma-shape", "no-models", "sweep-device"])
+            "power-kernel", "gen-gamma-shape", "no-models", "sweep-device", "one-bin",
+            "reversed-range", "nan-tie-eps", "negative-tie-eps", "nan-alpha"])
     def test_reported_before_the_input_is_read(self, run, tmp_path, argv, message):
         # MISSING names no file: a usage error must come first, with exit code 2
         missing = str(tmp_path / "missing.csv")

@@ -460,12 +460,52 @@ class TestAcrossCpus:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with _PowerSums(values, weights) as sums:
-                got = [sums(p) for p in exponents]
+            sums = _PowerSums(values, weights)
+            sums.take(exponents)
+            got = [sums(p) for p in exponents]
         finally:
             sys.setswitchinterval(interval)
         assert collections.Counter(starts) == {k * _CHUNK: exponents.size for k in range(10)}
         assert got == [blocked_dot(np.power(values, p), weights) for p in exponents]
+
+    def test_a_call_powers_each_slice_at_every_exponent_in_turn(self, monkeypatch):
+        # One pass over the series: every sum of the grid (29 exponents)
+        # takes slice 0 before any takes slice 1.
+        monkeypatch.setattr(means, "_cpu_count", lambda: 1)
+        values, weights = pin_series()
+        dot_parts, starts = means._dot_parts, []
+
+        def recording(a, b):
+            starts.append((b.ctypes.data - weights.ctypes.data) // b.itemsize)
+            return dot_parts(a, b)
+
+        monkeypatch.setattr(means, "_dot_parts", recording)
+        mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
+        assert starts == [k * _CHUNK for k in range(-(-values.size // _CHUNK)) for _ in range(29)]
+
+    def test_passes_hold_a_bounded_number_of_block_dots(self, monkeypatch):
+        # 1400 exponents of 10 slices' 5 block dots each are 70 000 dots, over
+        # the 32 768 of one pass: three passes, each starting its thread.  One
+        # pass of them all peaks at about 3.4 MiB, most of it Python floats.
+        monkeypatch.setattr(means, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(5)
+        n = 9 * _CHUNK + 5
+        values, weights = 10.0 ** rng.uniform(-3.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+        exponents = np.linspace(-3.0, 3.0, 1400).tolist()
+        started = summing_threads(monkeypatch)
+        sums = _PowerSums(values, weights)
+        tracemalloc.start()
+        try:
+            sums.take(exponents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(started) == 3
+        assert peak < 2.5 * 2**20
+        monkeypatch.setattr(means, "_cpu_count", lambda: 1)
+        serial = _PowerSums(values, weights)
+        serial.take(exponents)
+        assert [sums(p) for p in exponents] == [serial(p) for p in exponents]
 
     @pytest.mark.parametrize("refused_after", [0, 1])
     def test_a_thread_that_cannot_start_leaves_its_slices_to_the_others(
