@@ -184,7 +184,7 @@ def _checked_theta(model: FamilyModel, theta) -> np.float64:
     # A numpy scalar overflows to inf like an array instead of raising.
     th = float(theta)
     if not 0.0 < th < math.inf:   # NaN fails the comparison too
-        raise DomainError(f"{model.name}: theta={theta!r} outside the open domain (0.0, inf)")
+        raise DomainError(f"{model.name}: theta={th!r} outside the open domain (0.0, inf)")
     return np.float64(th)
 
 
@@ -198,7 +198,7 @@ def _check_support(model: FamilyModel, xs: np.ndarray) -> None:
     ok = in_support(model, xs)
     if not np.all(ok):
         bad = np.asarray(xs, dtype=float)[~ok]
-        raise DomainError(f"{model.name}: value {bad.flat[0]!r} outside the support")
+        raise DomainError(f"{model.name}: value {float(bad.flat[0])!r} outside the support")
 
 
 def pdf(model: FamilyModel, theta, x):
@@ -222,7 +222,7 @@ def stat_mean_inverse(model: FamilyModel, m) -> float:
     mv = float(m)
     if not math.isfinite(mv) or mv >= 0.0:
         raise NoSolutionError(
-            f"{model.name}: mean statistic {m!r} outside the attainable range (negative reals)"
+            f"{model.name}: mean statistic {mv!r} outside the attainable range (negative reals)"
         )
     with np.errstate(all="ignore"):
         theta = float(model.mean_inverse(np.float64(mv)))

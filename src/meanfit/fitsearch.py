@@ -14,9 +14,11 @@ a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
 (shape x kernel) grid in bounded chunks of shape rows, the closed form and
 the checks one array pass per chunk and the density grid of the MSE one
 bounded block at a time (the shapes' constants are the columns of one
-model, ``shape_columns``);
-``fit_histogram`` is its one-point surface, and a sweep, a grid search with
-deterministic tie-breaking, is its ``best()`` and ``profile()``.
+model, ``shape_columns``); ``fit_histogram`` is its one-point surface, and a
+sweep, a grid search with deterministic tie-breaking, is its ``best()`` and
+``profile()``.  Every weighted sum is ``means._dot``'s, as on the scalar path,
+in 8192-term blocks where it has more than 8191 terms: no fit or
+log-likelihood depends on the BLAS thread count or its inputs' layout.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError, SweepError
 from .expfam import FamilyModel, in_support, shape_columns
+from .means import _dot
 from .wmle import WeightKernel, _kernel_weights, _loglik_at_max
 
 __all__ = [
@@ -258,8 +261,8 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     w = _kernel_weights(kernels, centers, np.where(centers > 0.0, hist.counts, 0.0))
     keep = w > 0.0
     dropped_bins = hist.nbins - np.count_nonzero(keep, axis=1)
-    # compress, not w[:, used], which is strided: a strided row sums in
-    # another order than the scalar path's contiguous one.
+    # compress, not w[:, used], whose rows are strided: ``sum`` adds a strided
+    # row in another order than the scalar path's contiguous one.
     used = keep.any(axis=0)
     w, keep = np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
     drop = None if keep.all() else ~keep
@@ -270,7 +273,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         wsum = w.sum(axis=1)
         v = w / wsum[:, None]
         # Every used center is positive, so ln x is finite; and it is shape-free.
-        mean_log = _row_dots(v, np.log(centers[used]))
+        mean_log = _dot(v, np.log(centers[used]))
 
     theta_hat, mse, loglik = np.full((3, len(alphas), len(kernels)), np.nan)
     spec, rejected = shape_columns(model, shapes)
@@ -339,10 +342,10 @@ def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empiric
         step = scratch.size // (v.shape[0] * max(1, xs.size))
         blocks = [slice(start, start + step) for start in range(0, ln_a.shape[0], step)]
         if drop is None:
-            m = _row_dots(v, tx)
+            m = _dot(v, tx)
         else:
             # The masked statistics are a (rows x kernels x bins) grid too.
-            m = np.concatenate([_row_dots(v, np.where(drop, 0.0, tx[b])) for b in blocks])
+            m = np.concatenate([_dot(v, np.where(drop, 0.0, tx[b])) for b in blocks])
         theta = spec.mean_inverse(m)
         eta = spec.natural_param(theta)
         log_norm = spec.log_normalizer(theta)
@@ -386,13 +389,6 @@ def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empiric
                 failures.setdefault((r, j), error(r, j))   # the first failed check wins
         theta[failed] = mse[failed] = loglik[failed] = np.nan
     return theta, mse, loglik, failures
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a[k] @ b[..., k] per row (b may hold one row, shared by every row of a),
-    # through the BLAS dot that the scalar path's ``weights @ values`` uses,
-    # so both sum in the same order.
-    return np.matmul(a[:, None, :], b[..., None])[..., 0, 0]
 
 
 def compare_kernels(models, hists, beta_grid: SweepGrid,

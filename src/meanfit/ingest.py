@@ -150,8 +150,8 @@ def load_values_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     table = _read_table(path, data)
     if table is None or table.shape[1] > 2:
         return _scan_values(path, data)
-    # Contiguous columns, as the scanner builds them: a strided array would
-    # change how BLAS sums the power sums of the means.
+    # Contiguous columns, as the scanner builds them, so that both readers
+    # return arrays of one layout.
     columns = np.ascontiguousarray(table.T)
     values = columns[0]
     weights = columns[1] if len(columns) == 2 else None
@@ -163,9 +163,7 @@ def load_values_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
     """``load_values_csv`` line by line: the error of the first bad line."""
-    values = []
-    weights = []
-    ncols = None
+    values, weights, ncols = [], [], None
     for lineno, line in _scan_lines(path, data):
         parts = line.split(",")
         if ncols is None:
@@ -183,9 +181,7 @@ def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
         values.append(fields[0])
         if ncols == 2:
             if not math.isfinite(fields[1]) or fields[1] <= 0.0:
-                raise FormatError(
-                    f"{path}: line {lineno}: weights must be finite and positive"
-                )
+                raise FormatError(f"{path}: line {lineno}: weights must be finite and positive")
             weights.append(fields[1])
     if not values:
         raise EmptyDataError(f"{path}: no data rows")
@@ -198,8 +194,8 @@ def load_histogram_csv(path) -> Histogram:
     table = _read_table(path, data)
     if table is None or table.shape[1] != 3:
         return _scan_histogram(path, data)
-    # Contiguous columns, as the scanner builds them: strided counts would
-    # sum in another order.
+    # Contiguous columns, as the scanner builds them, so that both readers
+    # return arrays of one layout.
     left, right, counts = np.ascontiguousarray(table.T)
     if not (np.isfinite(table).all() and np.all(right > left) and np.all(counts >= 0.0)
             and np.all(left[1:] == right[:-1])):
@@ -209,8 +205,7 @@ def load_histogram_csv(path) -> Histogram:
 
 def _scan_histogram(path, data: bytes) -> Histogram:
     """``load_histogram_csv`` line by line: the error of the first bad line."""
-    edges = []
-    counts = []
+    edges, counts = [], []
     for lineno, line in _scan_lines(path, data):
         parts = line.split(",")
         if len(parts) != 3:
@@ -224,14 +219,11 @@ def _scan_histogram(path, data: bytes) -> Histogram:
         if not math.isfinite(count) or count < 0.0:
             raise FormatError(f"{path}: line {lineno}: counts must be non-negative")
         if not edges:
-            edges.extend((left, right))
-        else:
-            if left != edges[-1]:
-                raise FormatError(
-                    f"{path}: line {lineno}: bins must be contiguous "
-                    f"(expected left edge {edges[-1]!r}, got {left!r})"
-                )
-            edges.append(right)
+            edges.append(left)
+        elif left != edges[-1]:
+            raise FormatError(f"{path}: line {lineno}: bins must be contiguous "
+                              f"(expected left edge {edges[-1]!r}, got {left!r})")
+        edges.append(right)
         counts.append(count)
     if not counts:
         raise EmptyDataError(f"{path}: no histogram rows")

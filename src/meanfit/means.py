@@ -15,17 +15,19 @@ is taken over its largest term ``w x^p``, found by ``ln w + p ln x``: so a
 weight beyond the double range still scales its power.  Every mean is
 clamped to the data range, which it can leave only by rounding.
 
-A sum of more than 8192 terms is one BLAS dot per block of 8192, too short
-for OpenBLAS to split across threads, and the block sums are added exactly,
-in order.  Its rounding error grows with the block, not with the series.  A
-call to ``mean_curve`` or ``gini_mean`` takes all its plain sums ``sum w
-x^p`` in one pass over the series: each slice of 4 blocks goes to the next
-free of one thread per CPU the process may run on, but of no more threads
-than the series has slices, and is powered at every exponent into that
-thread's one buffer, so no array of the series' length is allocated.  The
-threads are joined before the pass returns.  Each slice is the same block
-dots whichever thread takes it, so no result depends on the CPU count or the
-BLAS thread count.
+Every weighted sum of the library is ``_dot``'s: one of more than 8191
+terms is one BLAS dot per block of 8192 terms of contiguous operands, too
+short for OpenBLAS to split across threads, and the block sums are added
+exactly, in order.  So no fit, log-likelihood or mean depends on the BLAS
+thread count or its inputs' layout, and a sum's rounding error grows with
+the block, not the series.  A call to ``mean_curve`` or ``gini_mean`` takes
+all its plain sums ``sum w x^p`` in one pass over the series: each slice of
+4 blocks goes to the next free of one thread per CPU the process may run on,
+but of no more threads than the series has slices, and is powered at every
+exponent into that thread's one buffer, so no array of the series' length is
+allocated.  The threads are joined before the pass returns.  Each slice is
+the same block dots whichever thread takes it, so no result depends on the
+CPU count either.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
@@ -76,28 +78,38 @@ def _normal(s):
     return (_TINY <= s) & (s < math.inf)
 
 
-def _dot_parts(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """The parts of ``sum a*b`` of two equal-length series: one BLAS dot per
-    block of ``_DOT_BLOCK`` terms, then the tail's dot.  A series of at most
-    one block is all tail: the plain ``a @ b``."""
-    n = a.size - a.size % _DOT_BLOCK
-    blocks = np.matmul(a[:n].reshape(-1, 1, _DOT_BLOCK), b[:n].reshape(-1, _DOT_BLOCK, 1))
-    return [*blocks.ravel().tolist(), float(a[n:] @ b[n:])]
+def _dot_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The parts of ``sum a*b`` over the last axis of contiguous operands, broadcast
+    over the leading ones: one BLAS dot per block of ``_DOT_BLOCK`` terms, then
+    the tail's dot.  A series of fewer than one block is all tail: ``a @ b``."""
+    n = a.shape[-1] - a.shape[-1] % _DOT_BLOCK
+    blocks = np.matmul(a[..., :n].reshape(*a.shape[:-1], -1, 1, _DOT_BLOCK),
+                       b[..., :n].reshape(*b.shape[:-1], -1, _DOT_BLOCK, 1))
+    tail = np.matmul(a[..., None, n:], b[..., n:, None])
+    return np.concatenate([blocks, tail[..., None, :, :]], axis=-3)[..., 0, 0]
 
 
-def _exact_sum(parts: list[float]) -> np.float64:
+def _exact_sum(parts: list[float]) -> float:
+    """``parts`` added exactly and rounded once; NaN where they hold both infinities."""
     try:
-        return np.float64(math.fsum(parts))
-    except OverflowError:
-        # The exact sum is beyond the doubles; the terms of every sum that
-        # can get there are non-negative.
-        return np.float64(math.inf)
+        return math.fsum(parts)
+    except OverflowError:   # a partial sum left the doubles; one of the scaled parts cannot
+        scale = 2.0 ** len(parts).bit_length()
+        return _exact_sum([part / scale for part in parts]) * scale
+    except ValueError:   # inf - inf
+        return math.nan
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
-    """``sum a*b`` of two equal-length series: its ``_dot_parts`` added
-    exactly, in order."""
-    return _exact_sum(_dot_parts(a, b))
+def _dot(a, b):
+    """``sum a*b`` over the last axis, broadcast over the leading ones, of contiguous
+    copies of strided operands: below ``_DOT_BLOCK`` terms one batched BLAS call,
+    one dot per pair; else each pair's ``_dot_parts`` added exactly, in order."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.shape[-1] < _DOT_BLOCK:
+        return np.matmul(a[..., None, :], b[..., None])[..., 0, 0][()]
+    parts = _dot_parts(a, b)
+    sums = [_exact_sum(pair) for pair in parts.reshape(-1, parts.shape[-1]).tolist()]
+    return np.reshape(sums, parts.shape[:-1])[()]
 
 
 def _cpu_count() -> int:
@@ -149,13 +161,11 @@ class _PowerSums:
     """
 
     def __init__(self, xs: np.ndarray, ws: np.ndarray):
-        self.xs = xs
-        self.ws = ws
-        self.xmin = float(xs.min())
-        self.xmax = float(xs.max())
+        self.xs, self.ws = np.ascontiguousarray(xs), np.ascontiguousarray(ws)
+        self.xmin, self.xmax = float(xs.min()), float(xs.max())
         # A power or term below the normal doubles is off by at most half the
         # smallest subnormal, so a plain sum of at least this keeps its digits.
-        self.floor = (float(ws.sum()) + xs.size) * _TINY
+        self.floor = (float(self.ws.sum()) + xs.size) * _TINY
         self._sums = {}
 
     def dominant(self, p: float) -> int:
@@ -222,7 +232,7 @@ class _PowerSums:
                         for k in iter(next_slice, None):
                             xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
                             parts[k] = [_dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
-                                        for p in ps]
+                                        .tolist() for p in ps]
                 except Exception as exc:   # raised once every thread is joined
                     errors.append(exc)
 
@@ -242,7 +252,7 @@ class _PowerSums:
             if errors:
                 raise errors[0]
             for j, p in enumerate(ps):
-                self._sums[p, None] = _exact_sum([part for dots in parts for part in dots[j]])
+                self._sums[p, None] = np.float64(_exact_sum([x for dots in parts for x in dots[j]]))
 
     def __call__(self, p: float, i: int | None = None) -> float:
         """``sum w x^p``, or ``sum (w / w_i) (x / x_i)^p`` for an index ``i``."""

@@ -10,7 +10,9 @@ v-weights ``v = u / sum u``: a weighted generalized mean.  ``mle_closed_form``
 evaluates it; ``mle_numeric`` maximizes the likelihood directly and serves as
 an independent cross-check.  The weighted least-squares functional
 ``sum u (T(x) - O(theta))^2`` has the same critical point when ``O`` is the
-model mean function, which ``lse_critical`` exposes.
+model mean function, which ``lse_critical`` exposes.  Every weighted sum is
+``means._dot``'s, in 8192-term blocks where it has more than 8191 terms: no
+fit or log-likelihood depends on the BLAS thread count or its inputs' layout.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError
 from .expfam import FamilyModel, _check_support, _checked_theta, stat_mean_inverse
-from .means import _PowerSums, _normal
+from .means import _PowerSums, _dot, _normal
 
 __all__ = [
     "KERNEL_KINDS",
@@ -178,13 +180,13 @@ def weighted_loglik(model: FamilyModel, theta, data: WeightedSeries) -> float:
     """Weighted log-likelihood sum u (ln a + eta(theta) T - H(theta))."""
     th = _checked_theta(model, theta)
     _check_support(model, data.values)
-    return float(data.weights @ model.log_pdf(th, data.values))
+    return float(_dot(data.weights, model.log_pdf(th, data.values)))
 
 
 def sufficient_mean(model: FamilyModel, data: WeightedSeries) -> float:
     """Weight-averaged sufficient statistic ``sum v T(x)``, ``v = u / sum u``."""
     _check_support(model, data.values)
-    return float(data.weights / data.total_weight @ model.suff_stat(data.values))
+    return float(_dot(data.weights / data.total_weight, model.suff_stat(data.values)))
 
 
 def _loglik_at_max(model: FamilyModel, log_theta, total, mean_log):
@@ -207,7 +209,7 @@ def mle_closed_form(model: FamilyModel, data: WeightedSeries) -> MleResult:
     m = sufficient_mean(model, data)
     theta = stat_mean_inverse(model, m)
     v = data.weights / data.total_weight
-    mean_log = 0.0 if model.d == 1.0 else float(v @ np.log(data.values))
+    mean_log = 0.0 if model.d == 1.0 else float(_dot(v, np.log(data.values)))
     loglik = _loglik_at_max(model, math.log(theta), data.total_weight, mean_log)
     if not math.isfinite(loglik):
         raise DomainError(f"{model.name}: log-likelihood {loglik!r} at theta={theta!r} is not finite")
@@ -280,9 +282,8 @@ def lse_objective(model: FamilyModel, data: WeightedSeries, theta, transform) ->
     """Weighted least-squares functional ``sum u (T(x) - O(theta))^2``."""
     th = _checked_theta(model, theta)
     _check_support(model, data.values)
-    offset = float(transform(th))
-    residual = model.suff_stat(data.values) - offset
-    return float(data.weights @ residual**2)
+    residual = model.suff_stat(data.values) - float(transform(th))
+    return float(_dot(data.weights, residual**2))
 
 
 def lse_critical(model: FamilyModel, data: WeightedSeries, transform, transform_inverse) -> float:

@@ -226,6 +226,19 @@ class TestPdf:
             assert str(err.value) == \
                 f"{model.name}: theta={theta!r} outside the open domain (0.0, inf)"
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pdf(catalog("weibull", alpha=0.5), 1.0, 0.0),
+         "weibull: value 0.0 outside the support"),
+        (lambda: pdf(catalog("exponential"), np.float64(-1.0), 1.0),
+         "exponential: theta=-1.0 outside the open domain (0.0, inf)"),
+        (lambda: stat_mean_inverse(catalog("exponential"), np.float64(0.5)),
+         "exponential: mean statistic 0.5 outside the attainable range (negative reals)"),
+    ], ids=["support", "theta", "mean-statistic"])
+    def test_numpy_scalars_are_reported_as_floats(self, call, message):
+        with pytest.raises((DomainError, NoSolutionError)) as err:
+            call()
+        assert str(err.value) == message
+
     def test_negative_x_rejected(self, model):
         with pytest.raises(DomainError):
             pdf(model, 1.0, -0.5)

@@ -23,13 +23,14 @@ from meanfit import (
     compare_kernels,
     fit_histogram,
     fit_surface,
+    mle_closed_form,
     mle_numeric,
     pdf,
 )
 from meanfit import expfam, fitsearch
 
 from conftest import dct_like_histogram, desk_models, loop_best, loop_points, model_ids, \
-    reference_mse
+    reference_mse, run_warnings_as_errors
 
 EXPO = catalog("exponential")
 
@@ -884,3 +885,43 @@ class TestNonFiniteFits:
         report = fit_histogram(EXPO, hist, WeightKernel.unit())
         assert math.isfinite(report.mse) and math.isfinite(report.loglik)
         assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.unit()])
+
+
+def dense_histogram(seed, bins=12_000):
+    """``bins`` equal bins over [0, 12) of a seeded exponential sample, every
+    count positive: each weighted sum of a fit has more than one 8192-term block."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0.0, 12.0, bins + 1)
+    counts = rng.poisson(5000.0 * np.exp(-0.5 * (edges[:-1] + edges[1:]))) + 1.0
+    return Histogram(edges=edges, counts=counts)
+
+
+class TestLongSums:
+    """Sums of more than one block go through ``means._dot`` on both paths."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_does_not_depend_on_the_blas_thread_count(self, seed, tmp_path):
+        hist = dense_histogram(seed)
+        path = tmp_path / "dense.csv"
+        np.savetxt(path, np.column_stack([hist.edges[:-1], hist.edges[1:], hist.counts]),
+                   fmt="%.17g", delimiter=",")
+        runs = []
+        for threads in ("1", "2"):
+            proc = run_warnings_as_errors("sweep", "--model", "weibull", "--shape-grid",
+                                          "0.8:1.3:0.5", "--input", str(path),
+                                          OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, (tmp_path / "dense.sweep.csv").read_text()))
+        assert runs[0] == runs[1]
+
+    def test_surface_sums_as_the_scalar_path_does(self):
+        hist = dense_histogram(0)
+        model = catalog("weibull", alpha=1.3)
+        kernels = [WeightKernel.unit(), WeightKernel.power(-0.5), WeightKernel.log_shift()]
+        surface = fit_surface(model, hist, kernels)
+        for j, kernel in enumerate(kernels):
+            series, dropped = apply_kernel(hist.centers, kernel, hist.counts)
+            scalar = mle_closed_form(model, series)
+            assert dropped == 0
+            assert surface.theta_hat[0, j] == scalar.theta_hat
+            assert surface.loglik[0, j] == scalar.loglik

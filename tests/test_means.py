@@ -301,6 +301,14 @@ class TestBlockedSums:
         assert len(runs[0].stdout.splitlines()) == 25
         assert runs[0].stdout == runs[1].stdout
 
+    def test_strided_columns_give_the_means_of_contiguous_ones(self):
+        rng = np.random.default_rng(2)
+        table = np.column_stack([10.0 ** rng.uniform(-3.0, 1.0, 300_000),
+                                 rng.uniform(0.5, 2.0, 300_000)])
+        alphas = SweepGrid(-3.0, 3.0, 0.25).points()
+        strided = mean_curve(table[:, 0], alphas, "lehmer", table[:, 1])
+        assert strided == mean_curve(table[:, 0].copy(), alphas, "lehmer", table[:, 1].copy())
+
     def test_power_sums_are_as_accurate_as_their_worst_block(self):
         # Adding the block sums exactly costs a few roundings, so a sum of
         # 100 000 positive terms is as accurate as one 8192-term dot, whatever

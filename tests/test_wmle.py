@@ -1,12 +1,17 @@
 """Weighted-likelihood estimation: kernels, closed forms, numeric oracle, LSE."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import meanfit
 from meanfit import (
     DomainError,
     EmptyDataError,
@@ -396,3 +401,52 @@ class TestMeanCorrespondences:
         series, _ = apply_kernel(xs, WeightKernel.unit())
         theta = mle_closed_form(HALF_NORMAL, series).theta_hat
         assert 1.0 / theta**2 == pytest.approx(holder_mean(xs, 2.0) ** 2, rel=1e-12)
+
+
+class TestLongSums:
+    """Weighted sums do not depend on the BLAS thread count or the layout."""
+
+    CHILD = (
+        "import numpy as np\n"
+        "from meanfit import WeightedSeries, catalog, mle_closed_form, weighted_loglik\n"
+        "rng = np.random.default_rng(3)\n"
+        "data = WeightedSeries(rng.exponential(2.0, 30_000), rng.uniform(0.5, 2.0, 30_000))\n"
+        "model = catalog('weibull', alpha=1.3)\n"
+        "fit = mle_closed_form(model, data)\n"
+        "print(repr(fit.theta_hat), repr(fit.loglik), repr(weighted_loglik(model, 0.7, data)))\n"
+    )
+
+    def test_fits_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(meanfit.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-W", "error", "-c", self.CHILD],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_a_sum_beyond_the_doubles_keeps_its_sign(self):
+        # Each block of these terms is a finite double; their sum is not.
+        big = WeightedSeries(np.ones(30_000), np.full(30_000, 1e304))
+        assert weighted_loglik(EXPO, 1.0, big) == -math.inf
+        # One block's dot overflows to inf, the other's to -inf.
+        xs = np.concatenate([np.full(8192, 1e-12), np.ones(8192)])
+        with np.errstate(over="ignore"):
+            assert math.isnan(weighted_loglik(EXPO, 1e10, WeightedSeries(xs, np.full(16_384, 1e307))))
+
+    @pytest.mark.parametrize("n", [300, 20_000])
+    def test_strided_columns_sum_as_contiguous_ones(self, n):
+        rng = np.random.default_rng(n)
+        table = np.column_stack([rng.exponential(2.0, n), rng.uniform(0.5, 2.0, n)])
+        strided = WeightedSeries(table[:, 0], table[:, 1])
+        contiguous = WeightedSeries(table[:, 0].copy(), table[:, 1].copy())
+        model = catalog("weibull", alpha=1.3)
+        transform = lambda t: stat_mean(model, t)
+        for theta in (0.3, 0.7, 2.0):
+            assert weighted_loglik(model, theta, strided) \
+                == weighted_loglik(model, theta, contiguous)
+            assert lse_objective(model, strided, theta, transform) \
+                == lse_objective(model, contiguous, theta, transform)
