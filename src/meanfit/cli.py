@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid-search the power-kernel exponent")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--beta", **beta_grid)
-    p.add_argument("--shape-grid", type=_grid_type, metavar="LO:HI:STEP",
+    p.add_argument("--shape-grid", type=_checked(_grid_type, lambda grid: grid.lo > 0.0,
+                                                 "shape grid values must be positive"),
+                   metavar="LO:HI:STEP",
                    help="also sweep the shape hyperparameter of weibull / "
                         "gen-half-normal / gen-gamma (0.2:3:0.05 covers typical tails)")
     p.add_argument("--input", required=True, help="histogram CSV")

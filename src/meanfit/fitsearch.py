@@ -8,17 +8,18 @@ Fit quality is the mean squared difference between the empirical bin density
 center lies in the model support, zero-count bins included (an empty bin is
 honest evidence of density 0).  A fit is either finite or a typed failure,
 checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
-weight (``DomainError``), no solution for the mean statistic
-(``NoSolutionError``), theta outside its domain, a non-finite log-likelihood,
-a non-finite MSE (each ``DomainError``).  ``fit_surface`` scores a whole
-(shape x kernel) grid in bounded chunks of shape rows, the closed form and
-the checks one array pass per chunk and the density grid of the MSE one
-bounded block at a time (the shapes' constants are the columns of one
-model, ``shape_columns``); ``fit_histogram`` is its one-point surface, and a
-sweep, a grid search with deterministic tie-breaking, is its ``best()`` and
-``profile()``.  Every weighted sum is ``means._dot``'s, as on the scalar path,
-in 8192-term blocks where it has more than 8191 terms: no fit or
-log-likelihood depends on the BLAS thread count or its inputs' layout.
+weight, a kernel weight total beyond the doubles (each ``DomainError``), no
+solution for the mean statistic (``NoSolutionError``), theta outside its
+domain, a non-finite log-likelihood, a non-finite MSE (each ``DomainError``).
+``fit_surface`` scores a whole (shape x kernel) grid in bounded chunks of
+shape rows, the closed form and the checks one array pass per chunk and the
+density grid of the MSE one bounded block at a time (the shapes' constants
+are the columns of one model, ``shape_columns``); ``fit_histogram`` is its
+one-point surface, and a sweep, a grid search with deterministic
+tie-breaking, is its ``best()`` and ``profile()``.  Every weighted sum is
+``means._dot``'s, as on the scalar path, in 8192-term blocks where it has
+more than 8191 terms: no fit or log-likelihood depends on the BLAS thread
+count or its inputs' layout.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class Histogram:
             raise DomainError("counts must have one entry per bin")
         if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
             raise DomainError("counts must be finite and non-negative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(counts.sum()):
+                raise DomainError("counts must be finite and non-negative, with a finite sum")
         if not np.any(counts > 0.0):
             raise DomainError("at least one count must be positive")
         object.__setattr__(self, "edges", edges)
@@ -368,6 +372,8 @@ def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empiric
     checks = (
         (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
         (bad_weights, lambda r, j: DomainError("weights must be finite and strictly positive")),
+        (~np.isfinite(wsum), lambda r, j: DomainError(
+            "weights must be finite and strictly positive, with a finite sum")),
         (~(np.isfinite(m) & (m < 0.0)), lambda r, j: NoSolutionError(
             f"{name}: mean statistic {float(m[r, j])!r} outside the attainable range "
             f"(negative reals)")),

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,36 +239,25 @@ def format_histogram_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-def _pgm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n:
-        if buf[pos] in _WHITESPACE:
-            pos += 1
-        elif buf[pos] == 0x23:  # '#' comment runs to end of line
-            while pos < n and buf[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and buf[pos] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated PGM header")
-    return buf[start:pos], pos
+def _pgm_token(path, buf: bytes, pos: int) -> tuple[bytes, int]:
+    """The header token at or after ``pos`` and the position past it: the
+    run of non-whitespace after any whitespace and ``#`` comments, each
+    comment to the end of its line."""
+    match = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)").match(buf, pos)
+    if not match[1]:
+        raise FormatError(f"{path}: truncated PGM header")
+    return match[1], match.end()
 
 
 def load_pgm(path) -> GrayImage:
     """Read a binary PGM ("P5") with maxval <= 255; header comments allowed."""
     buf = Path(path).read_bytes()
-    magic, pos = _pgm_token(buf, 0)
+    magic, pos = _pgm_token(path, buf, 0)
     if magic != b"P5":
         raise FormatError(f"{path}: unsupported PGM magic {magic!r} (binary 'P5' required)")
     fields = []
     for _ in range(3):
-        token, pos = _pgm_token(buf, pos)
+        token, pos = _pgm_token(path, buf, pos)
         try:
             fields.append(int(token))
         except ValueError:
@@ -277,13 +267,11 @@ def load_pgm(path) -> GrayImage:
         raise FormatError(f"{path}: bad image size {width}x{height}")
     if not 1 <= maxval <= 255:
         raise FormatError(f"{path}: maxval {maxval} outside the supported 1..255")
-    if pos >= len(buf) or buf[pos] not in _WHITESPACE:
+    if not buf[pos:pos + 1].isspace():
         raise FormatError(f"{path}: missing whitespace before pixel data")
-    pos += 1
-    data = buf[pos:pos + width * height]
-    if len(data) < width * height:
+    if len(buf) - (pos + 1) < width * height:
         raise FormatError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(buf, np.uint8, width * height, pos + 1).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
 
 

@@ -113,7 +113,9 @@ class WeightedSeries:
 
     @property
     def total_weight(self) -> float:
-        return float(self.weights.sum())
+        """``sum u``, inf where it is beyond the doubles."""
+        with np.errstate(over="ignore"):
+            return float(self.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,8 @@ def weighted_loglik(model: FamilyModel, theta, data: WeightedSeries) -> float:
 def sufficient_mean(model: FamilyModel, data: WeightedSeries) -> float:
     """Weight-averaged sufficient statistic ``sum v T(x)``, ``v = u / sum u``."""
     _check_support(model, data.values)
+    if not math.isfinite(data.total_weight):
+        raise DomainError("weights must be finite and strictly positive, with a finite sum")
     return float(_dot(data.weights / data.total_weight, model.suff_stat(data.values)))
 
 

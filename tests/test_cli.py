@@ -188,6 +188,14 @@ class TestMean:
 
 
 class TestFit:
+    def test_counts_summing_beyond_the_doubles_are_a_data_error(self, run, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("0,1,1e308\n1,2,1e308\n2,3,1e308\n")
+        code, out, err = run("fit", "--model", "exponential", "--kernel", "unit",
+                             "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: counts must be finite and non-negative, with a finite sum\n"
+
     def test_recovers_theta_and_writes_json(self, run, expo_hist_csv, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(
@@ -394,6 +402,14 @@ class TestSweep:
             "--shape-grid", "1:2:0.5", "--input", expo_hist_csv,
         )
         assert code == 2
+
+    def test_counts_summing_beyond_the_doubles_fail_without_a_profile(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("0,1,1e308\n1,2,1e308\n2,3,1e308\n")
+        proc = run_warnings_as_errors("sweep", "--model", "exponential", "--input", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: counts must be finite and non-negative, with a finite sum\n"
+        assert not (tmp_path / "huge.sweep.csv").exists()
 
     def test_malformed_grid_is_usage_error(self, run, expo_hist_csv):
         code, _, _ = run(
@@ -607,9 +623,11 @@ class TestUsageErrors:
          "argument --tie-eps: tie epsilon must be finite and non-negative"),
         ("mean --family lehmer --alpha nan --input MISSING",
          "argument --alpha: exponent must not be NaN"),
+        ("sweep --model weibull --shape-grid 0:1:0.5 --input MISSING",
+         "argument --shape-grid: shape grid values must be positive"),
     ], ids=["mean-no-exponent", "kolmogorov-weights", "pair-count", "pair-non-numeric",
             "power-kernel", "gen-gamma-shape", "no-models", "sweep-device", "one-bin",
-            "reversed-range", "nan-tie-eps", "negative-tie-eps", "nan-alpha"])
+            "reversed-range", "nan-tie-eps", "negative-tie-eps", "nan-alpha", "zero-shape"])
     def test_reported_before_the_input_is_read(self, run, tmp_path, argv, message):
         # MISSING names no file: a usage error must come first, with exit code 2
         missing = str(tmp_path / "missing.csv")

@@ -62,6 +62,14 @@ class TestHistogram:
         with pytest.raises(DomainError, match="one entry per bin"):
             Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_counts_summing_beyond_the_doubles(self):
+        # Every count is finite, their total is not: no fit could be scored
+        # against the empirical density count / (total * width).
+        with pytest.raises(DomainError, match="^counts must be finite and non-negative, "
+                                              "with a finite sum$"):
+            Histogram(edges=np.arange(4.0), counts=np.full(3, 1e308))
+
     def test_derived_quantities(self):
         hist = Histogram(edges=np.array([0.0, 1.0, 3.0]), counts=np.array([3.0, 1.0]))
         np.testing.assert_allclose(hist.centers, [0.5, 2.0])
@@ -658,6 +666,38 @@ class TestFitSurface:
             DomainError, "weights must be finite and strictly positive")
         with pytest.raises(DomainError, match="weights must be finite"):
             fit_histogram(EXPO, hist, WeightKernel.log_shift())
+
+    @pytest.mark.filterwarnings("error")
+    def test_log1p_weight_total_beyond_the_doubles_fails_as_the_scalar_path(self):
+        # Each weight 0.85e308 * ln(1 + x), at x = 2 and 2.1, is finite; their
+        # sum is not, so the v-weights u / sum u would all be 0, and so the
+        # statistic.
+        hist = Histogram(np.array([1.95, 2.05, 2.15]), np.array([0.85e308, 0.85e308]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.log_shift()])
+        exc = surface.failures[(0, 0)]
+        message = "weights must be finite and strictly positive, with a finite sum"
+        assert (type(exc), str(exc)) == (DomainError, message)
+        series, _ = apply_kernel(hist.centers, WeightKernel.log_shift(), hist.counts)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            mle_closed_form(EXPO, series)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_statistic_at_a_dropped_bin_is_masked(self):
+        # T(1e200) = -(1e200)^2 is -inf.  The unit kernel sums it; power -2
+        # weighs 1e200 by 1e-400, which underflows, so that bin is dropped
+        # and its -inf must not meet a zero v-weight (0 * -inf is NaN).
+        hist = Histogram(np.array([0.5, 1.5, 2e200 - 1.5]), np.array([3.0, 1.0]))
+        model = catalog("weibull", alpha=2.0)
+        surface = assert_matches_loop_and_messages(
+            model, hist, [WeightKernel.unit(), WeightKernel.power(-2.0)])
+        exc = surface.failures[(0, 0)]
+        assert (type(exc), str(exc)) == (
+            NoSolutionError,
+            "weibull: mean statistic -inf outside the attainable range (negative reals)")
+        assert list(surface.failures) == [(0, 0)]
+        assert surface.theta_hat[0, 1] == 1.0
+        assert surface.dropped_bins.tolist() == [0, 1]
+        assert surface.report(0, 1) == fit_histogram(model, hist, WeightKernel.power(-2.0))
 
     @pytest.mark.parametrize("seed", [26, 297])
     def test_small_shape_matches_loop_exactly(self, seed):

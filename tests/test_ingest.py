@@ -475,6 +475,27 @@ class TestPgm:
         with pytest.raises(FormatError, match=message):
             load_pgm(make_pgm(tmp_path, body))
 
+    @pytest.mark.parametrize("body, outcome", [
+        (b"P5 \t\r\n\x0b\x0c2\x0b1\x0c255\r" + bytes([7, 9]), [[7, 9]]),
+        (b"P5\n#one\r#two\n2 1\n255\n" + bytes([7, 9]), [[7, 9]]),
+        (b"P5 2#x 1 255\n" + bytes(2), "bad header token b'2#x'"),
+        (b"P5#c 2 1 255\n" + bytes(2), "unsupported PGM magic b'P5#c' (binary 'P5' required)"),
+        (b"P5 2 1 255#\n" + bytes(2), "bad header token b'255#'"),
+        (b"P5 2 1\n# no maxval", "truncated PGM header"),
+        (b"", "truncated PGM header"),
+    ], ids=["whitespace", "cr-comment", "hash-in-size", "hash-in-magic",
+            "hash-in-maxval", "ends-in-comment", "empty"])
+    def test_header_tokens(self, tmp_path, body, outcome):
+        # A token runs to the next whitespace byte, '#' included; a comment
+        # starts only where a token could, and ends at CR or LF.
+        path = make_pgm(tmp_path, body)
+        if isinstance(outcome, str):
+            with pytest.raises(FormatError) as excinfo:
+                load_pgm(path)
+            assert str(excinfo.value) == f"{path}: {outcome}"
+        else:
+            np.testing.assert_array_equal(load_pgm(path).pixels, outcome)
+
     def test_pixels_must_match_the_size(self):
         with pytest.raises(DomainError, match="does not match the declared size"):
             GrayImage(width=2, height=2, pixels=np.zeros((2, 3), dtype=np.uint8))

@@ -437,6 +437,21 @@ class TestLongSums:
         with np.errstate(over="ignore"):
             assert math.isnan(weighted_loglik(EXPO, 1e10, WeightedSeries(xs, np.full(16_384, 1e307))))
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_weight_total_beyond_the_doubles_has_no_estimate(self):
+        # Equal weights put theta at 0.5, but u / sum u is 0 at every point,
+        # so the statistic would be 0: each estimate raises instead.
+        data = WeightedSeries([1.0, 2.0, 3.0], [1e308] * 3)
+        assert data.total_weight == math.inf
+        message = "^weights must be finite and strictly positive, with a finite sum$"
+        for estimate in (
+                lambda: sufficient_mean(EXPO, data),
+                lambda: mle_closed_form(EXPO, data),
+                lambda: lse_critical(EXPO, data, lambda t: stat_mean(EXPO, t),
+                                     lambda m: stat_mean_inverse(EXPO, m))):
+            with pytest.raises(DomainError, match=message):
+                estimate()
+
     @pytest.mark.parametrize("n", [300, 20_000])
     def test_strided_columns_sum_as_contiguous_ones(self, n):
         rng = np.random.default_rng(n)
