@@ -198,11 +198,21 @@ def _cmd_compare(args) -> str:
                    if p.is_file() and not p.name.endswith(_SIDECAR))
     if not files:
         raise EmptyDataError(f"{args.inputs}: no .csv histograms found")
-    hists = [load_histogram_csv(p) for p in files]
+    # A file that does not load fails every model, and the rest are scored.
+    hists, errors = [], []
+    for path in files:
+        try:
+            hists.append(load_histogram_csv(path))
+        except (FormatError, DomainError, EmptyDataError, OSError) as exc:
+            errors.append(exc)
+    if not hists:
+        raise errors[0]
+    for exc in errors:
+        print(f"warning: {exc}", file=sys.stderr)
     rows = compare_kernels(models, hists, args.beta, args.tie_eps)
     return "model,pct_unit,pct_power,pct_log1p,mean_improvement,n_scored,n_failed\n" + "".join(
         f"{row.model},{_fmt(row.pct_unit)},{_fmt(row.pct_power)},{_fmt(row.pct_log1p)},"
-        f"{_fmt(row.mean_improvement)},{row.n_scored},{len(row.failures)}\n"
+        f"{_fmt(row.mean_improvement)},{row.n_scored},{len(row.failures) + len(errors)}\n"
         for row in rows
     )
 

@@ -10,16 +10,17 @@ honest evidence of density 0).  A fit is either finite or a typed failure,
 checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
 weight, a kernel weight total beyond the doubles (each ``DomainError``), no
 solution for the mean statistic (``NoSolutionError``), theta outside its
-domain, a non-finite log-likelihood, a non-finite MSE (each ``DomainError``).
+domain, a non-finite log-likelihood, a non-finite MSE (each ``DomainError``);
+a point fails with the first check it fails.
 ``fit_surface`` scores a whole (shape x kernel) grid in bounded chunks of
-shape rows, the closed form and the checks one array pass per chunk and the
-density grid of the MSE one bounded block at a time (the shapes' constants
-are the columns of one model, ``shape_columns``); ``fit_histogram`` is its
-one-point surface, and a sweep, a grid search with deterministic
-tie-breaking, is its ``best()`` and ``profile()``.  Every weighted sum is
-``means._dot``'s, as on the scalar path, in 8192-term blocks where it has
-more than 8191 terms: no fit or log-likelihood depends on the BLAS thread
-count or its inputs' layout.
+shape rows that share one support, the closed form and the checks one array
+pass per chunk and the density grid of the MSE one bounded block at a time
+(the shapes' constants are the columns of one model, ``shape_columns``);
+``fit_histogram`` is its one-point surface, and a sweep, a grid search with
+deterministic tie-breaking, is its ``best()`` and ``profile()``.  Every
+weighted sum is ``means._dot``'s, as on the scalar path, in 8192-term blocks
+where it has more than 8191 terms: no fit or log-likelihood depends on the
+BLAS thread count or its inputs' layout.
 """
 
 from __future__ import annotations
@@ -235,12 +236,12 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     Each point is the closed-form fit of the shaped model under the kernel,
     scored and checked as the module docstring says: ``m = V @ T`` with the
     v-weights ``V = W / W.sum(1)``, and the closed forms over all ``m``.  A
-    chunk is a run of shape rows with one support, as many as about 16
-    ``rows x kernels`` and 4 ``rows x bins`` arrays fit in ``_BLOCK``
-    doubles (at least one); its MSE grid goes through grid blocks, as many
-    rows as one ``_BLOCK``-double scratch buffer holds (at least one, at
-    most a chunk's).  So memory stays bounded, and no result depends on where a
-    chunk or block ends.
+    chunk is a run of shape rows with one support, so one set of MSE bins:
+    as many as about 16 ``rows x kernels`` and 4 ``rows x bins`` arrays fit
+    in ``_BLOCK`` doubles (at least one).  Its MSE grid goes through grid
+    blocks, as many rows as one ``_BLOCK``-double scratch buffer holds (at
+    least one, at most a chunk's).  So memory stays bounded, and no result
+    depends on where a chunk or block ends.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed, every shape a row of one ``shape_columns`` model;
     a shape that ``catalog`` rejects fails its row with ``catalog``'s error.
@@ -279,7 +280,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
         # Every used center is positive, so ln x is finite; and it is shape-free.
         mean_log = _dot(v, np.log(centers[used]))
 
-    theta_hat, mse, loglik = np.full((3, len(alphas), len(kernels)), np.nan)
+    fits = np.full((3, len(alphas), len(kernels)), np.nan)   # theta, MSE, log-likelihood
     spec, rejected = shape_columns(model, shapes)
     failures = {(i, j): exc for i, exc in rejected.items() for j in range(len(kernels))}
     fitted = [i for i in range(len(alphas)) if i not in rejected]
@@ -291,110 +292,83 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     # Only a center at 0 can be in one shape's support and not another's.
     zero_in = np.logical_and(0.0 in centers, spec.zero_in_support,
                              out=np.zeros((len(alphas), 1), dtype=bool))[:, 0]
-    for _, run in itertools.groupby(fitted, zero_in.__getitem__):
-        run = list(run)
-        for start in range(0, len(run), chunk):
-            index = run[start:start + chunk]
-            # The rows are increasing, so as many as the grid has are all of them.
-            part = spec if len(index) == len(alphas) else spec.rows(index)
-            theta_hat[index], mse[index], loglik[index], found = _fit_rows(
-                part, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch)
-            failures.update(((index[r], j), exc) for (r, j), exc in found.items())
+    runs = (list(run) for _, run in itertools.groupby(fitted, zero_in.__getitem__))
+    for index in (run[start:start + chunk] for run in runs for start in range(0, len(run), chunk)):
+        # The rows are increasing, so as many as the grid has are all of them.
+        part = spec if len(index) == len(alphas) else spec.rows(index)
+        # Used centers are positive, hence in the support: once a bin is kept, the MSE has one.
+        support = np.atleast_2d(in_support(part, centers))[0]
+        xs, in_x = centers[support], used[support]
+        with np.errstate(all="ignore"):
+            # Each constant is a column, so every step is one array operation
+            # over the chunk, but for the powers x^p, base^(1/q) and theta^q:
+            # each takes one numpy call per row, since numpy rounds a power with
+            # a scalar exponent of 2, 0.5 or -1 otherwise than with an array.
+            ln_a = part.log_base(xs)
+            t = np.broadcast_to(part.suff_stat(xs), ln_a.shape)
+            tx = np.compress(in_x, t, axis=1)[:, None, :]
+            step = scratch.size // (v.shape[0] * max(1, xs.size))
+            blocks = [slice(start, start + step) for start in range(0, ln_a.shape[0], step)]
+            if drop is None:
+                m = _dot(v, tx)
+            else:
+                # The masked statistics are a (rows x kernels x bins) grid too.
+                m = np.concatenate([_dot(v, np.where(drop, 0.0, tx[b])) for b in blocks])
+            theta = part.mean_inverse(m)
+            eta = part.natural_param(theta)
+            log_norm = part.log_normalizer(theta)
+            loglik = _loglik_at_max(part, np.log(theta), wsum, mean_log)
+            mse = np.empty(theta.shape)
+            observed = empirical[support]
+            for b in blocks:
+                # ln a + eta T - H in log_pdf's order; each einsum element is one product.
+                shape = (*theta[b].shape, xs.size)
+                density = np.einsum("bk,bn->bkn", eta[b], t[b],
+                                    out=scratch[:math.prod(shape)].reshape(shape))
+                density += ln_a[b, None, :]
+                density -= log_norm[b, :, None]
+                np.exp(density, out=density)
+                np.subtract(observed, density, out=density)
+                np.square(density, out=density)
+                mse[b] = density.sum(axis=2) / xs.size
+            bad_theta = ~((0.0 < theta) & (theta < np.inf))
+        checks = (
+            (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
+            (bad_weights, lambda r, j: DomainError("weights must be finite and strictly positive")),
+            (~np.isfinite(wsum), lambda r, j: DomainError(
+                "weights must be finite and strictly positive, with a finite sum")),
+            (~(np.isfinite(m) & (m < 0.0)), lambda r, j: NoSolutionError(
+                f"{part.name}: mean statistic {float(m[r, j])!r} outside the attainable range "
+                f"(negative reals)")),
+            (bad_theta, lambda r, j: DomainError(
+                f"{part.name}: theta={float(theta[r, j])!r} outside the open domain (0.0, inf)")),
+            (~np.isfinite(loglik), lambda r, j: DomainError(
+                f"{part.name}: log-likelihood {float(loglik[r, j])!r} at "
+                f"theta={float(theta[r, j])!r} is not finite")),
+            (~np.isfinite(mse), lambda r, j: DomainError(
+                f"{part.name}: MSE {float(mse[r, j])!r} at theta={float(theta[r, j])!r} "
+                f"is not finite")),
+        )
+        failed = np.zeros(theta.shape, dtype=bool)
+        for mask, _ in checks:
+            failed |= mask
+        if failed.any():
+            for mask, error in checks:
+                for r, j in np.argwhere(np.broadcast_to(mask, theta.shape)).tolist():
+                    failures.setdefault((index[r], j), error(r, j))   # the first failed check wins
+            theta[failed] = mse[failed] = loglik[failed] = np.nan
+        fits[:, index] = theta, mse, loglik
     return FitSurface(
         model=model.name,
         alphas=alphas,
         kernels=kernels,
         shape_swept=shapes is not None,
-        theta_hat=theta_hat,
-        mse=mse,
-        loglik=loglik,
+        theta_hat=fits[0],
+        mse=fits[1],
+        loglik=fits[2],
         dropped_bins=dropped_bins,
         failures=dict(sorted(failures.items())),
     )
-
-
-def _fit_rows(spec, used, v, wsum, bad_weights, mean_log, drop, centers, empirical, scratch):
-    """One chunk of ``fit_surface``: the rows of the ``shape_columns`` model
-    ``spec``, which share one support, under every kernel's v-weights ``v``
-    at once.
-
-    ``used`` marks the centers ``v`` weights, ``wsum`` holds the total weights
-    (0 where no bin is kept), ``bad_weights`` flags a non-finite weight,
-    ``mean_log`` is ``sum v ln x``, and ``drop`` masks the used centers a
-    kernel drops (None if none).  The closed form, the log-likelihood and the
-    failure checks are one array pass over the chunk.  The MSE is
-    ``mean((count / (total * width) - exp(log_pdf(center)))^2)`` over the
-    support, zero counts included; its ``rows x kernels x bins`` grid is
-    built one grid block at a time in the buffer ``scratch``, each block as
-    many rows as the buffer holds, and each point by the scalar path's
-    operations in their order.
-
-    Returns theta, MSE and log-likelihood per (row, kernel), NaN where failed,
-    and the failures keyed ``(row, kernel)``, each the first failed check.
-    """
-    # Used centers are positive, hence in the support: once a bin is kept, the MSE has one.
-    support = np.atleast_2d(in_support(spec, centers))[0]
-    xs, in_x = centers[support], used[support]
-    with np.errstate(all="ignore"):
-        # Each constant is a column, so every step is one array operation
-        # over the chunk, but for the powers x^p, base^(1/q) and theta^q:
-        # each takes one numpy call per row, since numpy rounds a power with
-        # a scalar exponent of 2, 0.5 or -1 otherwise than with an array.
-        ln_a = spec.log_base(xs)
-        t = np.broadcast_to(spec.suff_stat(xs), ln_a.shape)
-        tx = np.compress(in_x, t, axis=1)[:, None, :]
-        step = scratch.size // (v.shape[0] * max(1, xs.size))
-        blocks = [slice(start, start + step) for start in range(0, ln_a.shape[0], step)]
-        if drop is None:
-            m = _dot(v, tx)
-        else:
-            # The masked statistics are a (rows x kernels x bins) grid too.
-            m = np.concatenate([_dot(v, np.where(drop, 0.0, tx[b])) for b in blocks])
-        theta = spec.mean_inverse(m)
-        eta = spec.natural_param(theta)
-        log_norm = spec.log_normalizer(theta)
-        loglik = _loglik_at_max(spec, np.log(theta), wsum, mean_log)
-        mse = np.empty(theta.shape)
-        observed = empirical[support]
-        for b in blocks:
-            # ln a + eta T - H in log_pdf's order; each einsum element is one product.
-            shape = (*theta[b].shape, xs.size)
-            density = np.einsum("bk,bn->bkn", eta[b], t[b],
-                                out=scratch[:math.prod(shape)].reshape(shape))
-            density += ln_a[b, None, :]
-            density -= log_norm[b, :, None]
-            np.exp(density, out=density)
-            np.subtract(observed, density, out=density)
-            np.square(density, out=density)
-            mse[b] = density.sum(axis=2) / xs.size
-        bad_theta = ~((0.0 < theta) & (theta < np.inf))
-    name = spec.name
-    checks = (
-        (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
-        (bad_weights, lambda r, j: DomainError("weights must be finite and strictly positive")),
-        (~np.isfinite(wsum), lambda r, j: DomainError(
-            "weights must be finite and strictly positive, with a finite sum")),
-        (~(np.isfinite(m) & (m < 0.0)), lambda r, j: NoSolutionError(
-            f"{name}: mean statistic {float(m[r, j])!r} outside the attainable range "
-            f"(negative reals)")),
-        (bad_theta, lambda r, j: DomainError(
-            f"{name}: theta={float(theta[r, j])!r} outside the open domain (0.0, inf)")),
-        (~np.isfinite(loglik), lambda r, j: DomainError(
-            f"{name}: log-likelihood {float(loglik[r, j])!r} at theta={float(theta[r, j])!r} "
-            f"is not finite")),
-        (~np.isfinite(mse), lambda r, j: DomainError(
-            f"{name}: MSE {float(mse[r, j])!r} at theta={float(theta[r, j])!r} is not finite")),
-    )
-    failed = np.zeros(theta.shape, dtype=bool)
-    for mask, _ in checks:
-        failed |= mask
-    failures = {}
-    if failed.any():
-        for mask, error in checks:
-            for r, j in np.argwhere(np.broadcast_to(mask, theta.shape)).tolist():
-                failures.setdefault((r, j), error(r, j))   # the first failed check wins
-        theta[failed] = mse[failed] = loglik[failed] = np.nan
-    return theta, mse, loglik, failures
 
 
 def compare_kernels(models, hists, beta_grid: SweepGrid,

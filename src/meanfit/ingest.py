@@ -190,7 +190,8 @@ def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def load_histogram_csv(path) -> Histogram:
-    """Read `bin_left,bin_right,count` rows with contiguous increasing bins."""
+    """Read `bin_left,bin_right,count` rows with contiguous increasing bins;
+    every error names ``path``."""
     data = _read_bytes(path)
     table = _read_table(path, data)
     if table is None or table.shape[1] != 3:
@@ -201,7 +202,15 @@ def load_histogram_csv(path) -> Histogram:
     if not (np.isfinite(table).all() and np.all(right > left) and np.all(counts >= 0.0)
             and np.all(left[1:] == right[:-1])):
         return _scan_histogram(path, data)
-    return Histogram(edges=np.concatenate((left[:1], right)), counts=counts)
+    return _histogram(path, np.concatenate((left[:1], right)), counts)
+
+
+def _histogram(path, edges, counts) -> Histogram:
+    """``Histogram(edges, counts)``, its error of the whole table naming ``path``."""
+    try:
+        return Histogram(edges=edges, counts=counts)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _scan_histogram(path, data: bytes) -> Histogram:
@@ -228,7 +237,7 @@ def _scan_histogram(path, data: bytes) -> Histogram:
         counts.append(count)
     if not counts:
         raise EmptyDataError(f"{path}: no histogram rows")
-    return Histogram(edges=np.asarray(edges), counts=np.asarray(counts))
+    return _histogram(path, np.asarray(edges), np.asarray(counts))
 
 
 def format_histogram_csv(hist: Histogram) -> str:

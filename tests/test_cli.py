@@ -194,7 +194,7 @@ class TestFit:
         code, out, err = run("fit", "--model", "exponential", "--kernel", "unit",
                              "--input", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: counts must be finite and non-negative, with a finite sum\n"
+        assert err == f"error: {path}: counts must be finite and non-negative, with a finite sum\n"
 
     def test_recovers_theta_and_writes_json(self, run, expo_hist_csv, tmp_path):
         out_path = tmp_path / "report.json"
@@ -408,7 +408,8 @@ class TestSweep:
         path.write_text("0,1,1e308\n1,2,1e308\n2,3,1e308\n")
         proc = run_warnings_as_errors("sweep", "--model", "exponential", "--input", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: counts must be finite and non-negative, with a finite sum\n"
+        assert proc.stderr == (
+            f"error: {path}: counts must be finite and non-negative, with a finite sum\n")
         assert not (tmp_path / "huge.sweep.csv").exists()
 
     def test_malformed_grid_is_usage_error(self, run, expo_hist_csv):
@@ -522,6 +523,24 @@ class TestCompare:
                              "--beta=-1:1:0.5")
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[5:] == ["2", "0"]
+
+    def test_names_and_counts_a_file_that_does_not_load(self, run, tmp_path):
+        hist, _ = build_histogram(np.random.default_rng(34).exponential(1.0, 2000), bins=30)
+        (tmp_path / "a.csv").write_text(format_histogram_csv(hist), encoding="utf-8")
+        (tmp_path / "b.csv").write_text("0,1,0\n1,2,0\n")
+        code, out, err = run("compare", "--models", "exponential,weibull",
+                             "--inputs", str(tmp_path), "--beta=-1:1:0.5")
+        assert code == 0
+        assert err == f"warning: {tmp_path / 'b.csv'}: at least one count must be positive\n"
+        assert [line.split(",")[5:] for line in out.splitlines()[1:]] == [["1", "1"]] * 2
+
+    def test_fails_when_no_file_loads(self, run, tmp_path):
+        (tmp_path / "a.csv").write_text("0,1,0\n")
+        (tmp_path / "b.csv").write_text("0,1,x\n")
+        code, out, err = run("compare", "--models", "exponential", "--inputs", str(tmp_path),
+                             "--beta=-1:1:0.5")
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path / 'a.csv'}: at least one count must be positive\n"
 
     def test_skips_directories_and_fifos_named_csv(self, tmp_path):
         # Opening the FIFO would block until a writer came, so the run is a

@@ -858,11 +858,14 @@ class TestBlocks:
                 got = surface.failures[(list(shapes).index(alpha), j)]
                 assert (type(got), str(got)) == (want.type, str(want.value))
 
-    def test_zero_center_splits_blocks_by_support(self):
+    def test_zero_center_splits_blocks_by_support(self, small_blocks):
         # Only alpha = 1 has x = 0 in its support, so only its MSE counts
-        # the first bin, whose center is 0.
+        # the first bin, whose center is 0.  At 300 doubles a chunk holds 2
+        # rows, so the three shapes on each side of alpha = 1 make the chunks
+        # (0, 1), (2), (3), (4, 5) and (6): each run spans a chunk boundary.
         hist = Histogram(np.array([-1.0, 1.0, 3.0, 5.0]), np.array([2.0, 3.0, 1.0]))
-        model, shapes = catalog("weibull", alpha=1.0), [0.5, 1.0, 2.0]
+        model, shapes = catalog("weibull", alpha=1.0), [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]
+        assert fitsearch._BLOCK // (16 * len(MIXED_KERNELS) + 4 * hist.nbins) == 2
         assert_block_invariant(model, hist, MIXED_KERNELS, shapes)
         assert_matches_loop_and_messages(model, hist, MIXED_KERNELS, shapes)
 
