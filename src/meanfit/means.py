@@ -6,14 +6,15 @@ Holder and Lehmer means are weighted Gini means (C. Gini, Metron 13, 1938)
 ``G(a, a-1)`` (arithmetic at 1, harmonic at 0, geometric at 0.5 for two
 values only), and both are non-decreasing in ``a``.  The Kolmogorov f-mean
 with ``f = ln``, the geometric mean, is Holder(0).  One rule evaluates every
-``G``: max or min at an infinite exponent; the limit ``exp(sum w x^s ln x /
-S(s))`` where ``|r - s| < GEOMETRIC_CUTOFF``; else the root of the quotient
-of the two sums, in log space where they need two anchors or the quotient
-leaves the normal doubles.  A plain sum that may have lost digits, one that
-is not finite or is below ``(sum w + n)`` times the smallest normal double,
-is taken over its largest term ``w x^p``, found by ``ln w + p ln x``: so a
-weight beyond the double range still scales its power.  Every mean is
-clamped to the data range, which it can leave only by rounding.
+``G``: max or min at an infinite exponent; where ``|r - s| <
+GEOMETRIC_CUTOFF``, the limit ``exp(L(s) / S(s))`` of the two sums ``S(s)``
+and ``L(s) = sum w x^s ln x``; else the root of ``S(r) / S(s)``, in log space
+where the sums need two anchors or the quotient leaves the normal doubles.
+One anchor rule serves every sum that may have lost digits, one not finite
+or below ``(sum w + n)`` times the smallest normal double, and the v-weights:
+its terms are taken over the largest term ``w x^p``, found by ``ln w + p ln
+x``, so a weight beyond the double range still scales its power.  Every mean
+is clamped to the data range, which it can leave only by rounding.
 
 Every weighted sum of the library is ``_dot``'s: one of more than 8191
 terms is one BLAS dot per block of 8192 terms of contiguous operands, too
@@ -21,8 +22,8 @@ short for OpenBLAS to split across threads, and the block sums are added
 exactly, in order.  So no fit, log-likelihood or mean depends on the BLAS
 thread count or its inputs' layout, and a sum's rounding error grows with
 the block, not the series.  A call to ``mean_curve`` or ``gini_mean`` takes
-all its plain sums ``sum w x^p`` in one pass over the series: each slice of
-4 blocks goes to the next free of one thread per CPU the process may run on,
+all its sums ``S`` and ``L`` in one pass over the series: each slice of 4
+blocks goes to the next free of one thread per CPU the process may run on,
 but of no more threads than the series has slices, and is powered at every
 exponent into that thread's one buffer, so no array of the series' length is
 allocated.  The threads are joined before the pass returns.  Each slice is
@@ -150,15 +151,7 @@ def _checked_alpha(alpha) -> float:
 
 
 class _PowerSums:
-    """Weighted power sums of one validated series, each computed once per
-    exponent and anchor.
-
-    Anchored at ``anchor``, a term is ``(x / anchor)^p``: ``x^p / anchor^p``
-    where both powers are normal doubles, so that no term is lost to a ratio
-    beyond the double range, and the power of the ratio elsewhere.  Callers
-    ignore overflow: a plain power may overflow, and so may ``x / anchor``,
-    whose power is then exactly 0.
-    """
+    """Weighted power sums of one validated series, and their ``ln x`` sums, each taken once."""
 
     def __init__(self, xs: np.ndarray, ws: np.ndarray):
         self.xs, self.ws = np.ascontiguousarray(xs), np.ascontiguousarray(ws)
@@ -171,49 +164,47 @@ class _PowerSums:
     def dominant(self, p: float) -> int:
         """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
         logs = np.log(self.ws)
-        if p:   # 0^0 is 1, and no zero value meets a negative exponent
+        if p:   # 0^0 is 1, and 0^p, for p < 0, is the largest term
             with np.errstate(divide="ignore"):
                 logs += p * np.log(self.xs)
         return int(np.argmax(logs))
 
-    def terms(self, p: float, anchor: float | None = None) -> np.ndarray:
-        powers = np.power(self.xs, p)
-        if anchor is None:
-            return powers
-        scale = np.power(anchor, p)
-        ratios = np.power(self.xs / anchor, p)
-        if not _normal(scale):
-            return ratios
-        return np.where(powers < _TINY, ratios, powers / scale)
-
     def relative(self, p: float, i: int) -> np.ndarray:
-        """The terms of ``sum w x^p`` over the term at index ``i``:
-        ``(w / w_i) (x / x_i)^p``.  Where a factor leaves the normal doubles,
-        the term is ``exp(ln(w / w_i) + p ln(x / x_i))``, so that a weight
-        beyond the double range still scales a power of the ratio."""
+        """The terms of ``sum w x^p`` over the term at index ``i``: ``(w / w_i)
+        (x / x_i)^p``, the power of the ratio as ``x^p / x_i^p`` where both are
+        normal doubles, so that no term is lost to a ratio beyond the doubles.
+        Where a factor leaves the normal doubles, the term is ``exp(ln(w / w_i)
+        + p ln(x / x_i))``, so a weight beyond the doubles still scales it."""
         with np.errstate(all="ignore"):
             scales = self.ws / self.ws[i]
-            powers = self.terms(p, float(self.xs[i]))
-            terms = scales * powers
-            lost = np.flatnonzero(~(_normal(scales) & _normal(powers)))
+            powers, scale = np.power(self.xs, p), np.power(self.xs[i], p)
+            ratios = np.power(self.xs / self.xs[i], p)
+            if _normal(scale):
+                ratios = np.where(powers < _TINY, ratios, powers / scale)
+            terms = scales * ratios
+            lost = np.flatnonzero(~(_normal(scales) & _normal(ratios)))
             if lost.size:
                 logs = np.log(self.ws[lost]) - math.log(self.ws[i])
-                if p:   # 0^0 is 1
-                    logs += p * (np.log(self.xs[lost]) - math.log(self.xs[i]))
+                if p:   # 0^0 is 1; over a zero x_i, every ratio is infinite or NaN
+                    anchor = math.log(self.xs[i]) if self.xs[i] else -math.inf
+                    logs += p * (np.log(self.xs[lost]) - anchor)
                 terms[lost] = np.exp(logs)
         return terms
 
-    def take(self, exponents) -> None:
-        """Take the plain sums ``sum w x^p`` at ``exponents`` from the block dots
-        of ``_dot(self.terms(p), self.ws)``, in passes over the series that hold
-        at most ``_CHUNK`` dots each.  In a pass, each slice goes to the next
-        free of one thread per CPU, but of no more threads than the series has
-        slices, which powers it at every exponent of the pass into its own
-        buffer; every thread is joined before the pass ends.  Exponents not
-        finite, already taken, or negative on a series with a zero
-        (``_gini_at`` raises first) are skipped."""
-        todo = [p for p in dict.fromkeys(exponents) if math.isfinite(p)
-                and (p, None) not in self._sums and (p >= 0.0 or self.xmin > 0.0)]
+    def take(self, exponents, log_exponents=()) -> None:
+        """Take the plain sums ``sum w x^p`` at ``exponents`` and the log sums
+        ``sum w x^p ln x`` at ``log_exponents``, from the block dots of
+        ``_dot(x^p, w)`` and ``_dot(x^p ln x, w)``, in passes over the series
+        that hold at most ``_CHUNK`` dots each.  In a pass, each slice goes to
+        the next free of one thread per CPU, but of no more threads than the
+        series has slices, which powers it at every exponent of the pass, and
+        takes its ``ln x`` at every log one, into its own buffer; every thread
+        is joined before the pass ends.  Sums taken already or at an exponent
+        not finite are skipped, and on a series with a zero, log sums and
+        negative exponents too (``_gini_at`` raises first)."""
+        keys = [*((p, None, False) for p in exponents), *((p, None, True) for p in log_exponents)]
+        todo = [(p, i, log) for p, i, log in dict.fromkeys(keys) if math.isfinite(p)
+                and (p, i, log) not in self._sums and (p >= 0.0 and not log or self.xmin > 0.0)]
         n = self.xs.size
         count, helpers = -(-n // _CHUNK), min(_cpu_count(), n // _CHUNK) - 1
         step = max(1, _CHUNK // (count * (_CHUNK // _DOT_BLOCK + 1)))
@@ -226,13 +217,17 @@ class _PowerSums:
                     return next(slices, None)
 
             def work():
-                buf = np.empty(min(_CHUNK, n))
+                buf = np.empty((1 + any(log for *_, log in ps), min(_CHUNK, n)))
                 try:
                     with np.errstate(over="ignore"):
                         for k in iter(next_slice, None):
                             xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
-                            parts[k] = [_dot_parts(np.power(xs, p, out=buf[:xs.size]), ws)
-                                        .tolist() for p in ps]
+                            parts[k] = []
+                            for p, _, log in ps:
+                                powers = np.power(xs, p, out=buf[0, :xs.size])
+                                if log:
+                                    powers *= np.log(xs, out=buf[1, :xs.size])
+                                parts[k].append(_dot_parts(powers, ws).tolist())
                 except Exception as exc:   # raised once every thread is joined
                     errors.append(exc)
 
@@ -251,18 +246,18 @@ class _PowerSums:
                     thread.join()
             if errors:
                 raise errors[0]
-            for j, p in enumerate(ps):
-                self._sums[p, None] = np.float64(_exact_sum([x for dots in parts for x in dots[j]]))
+            for j, key in enumerate(ps):
+                self._sums[key] = np.float64(_exact_sum([x for dots in parts for x in dots[j]]))
 
-    def __call__(self, p: float, i: int | None = None) -> float:
-        """``sum w x^p``, or ``sum (w / w_i) (x / x_i)^p`` for an index ``i``."""
-        key = (p, i)
+    def __call__(self, p: float, i: int | None = None, log: bool = False) -> float:
+        """``sum w x^p``, or its terms over the one at index ``i``; times ``ln x`` if ``log``."""
+        key = (p, i, log)
         if key not in self._sums:
             if i is None:
-                self.take((p,))
+                self.take(() if log else (p,), (p,) if log else ())
             else:
                 terms = self.relative(p, i)
-                self._sums[key] = _dot(terms, np.ones(terms.size))
+                self._sums[key] = _dot(terms, np.log(self.xs) if log else np.ones(terms.size))
         return self._sums[key]
 
     def plain(self, p: float) -> bool:
@@ -283,9 +278,11 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     if math.isinf(r) or math.isinf(s):
         return sums.xmax if r + s > 0.0 else sums.xmin
     if abs(r - s) < GEOMETRIC_CUTOFF:
+        # L(s) / S(s) of the plain sums where they keep their digits; no anchor changes it.
+        i = None if sums.plain(s) and math.isfinite(sums(s, log=True)) else sums.dominant(s)
         with np.errstate(over="ignore"):
-            v = sums.ws * sums.terms(s) if sums.plain(s) else sums.relative(s, sums.dominant(s))
-        return min(max(float(np.exp(_dot(np.log(sums.xs), v / v.sum()))), sums.xmin), sums.xmax)
+            mean = np.exp(sums(s, i, log=True) / sums(s, i))
+        return min(max(float(mean), sums.xmin), sums.xmax)
     top = bottom = None
     num, den = sums(r), sums(s)
     if not (sums.plain(r) and sums.plain(s)):
@@ -318,6 +315,15 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     return min(max(math.exp(min(log_mean, high)), sums.xmin), sums.xmax)
 
 
+def _gini_means(values, pairs, weights) -> list[float]:
+    """The means ``G(r, s)`` at ``pairs`` of one series, from the sums of one pass."""
+    xs = _as_values(values)
+    sums = _PowerSums(xs, _as_weights(weights, xs.size))
+    limits = [s for r, s in pairs if abs(r - s) < GEOMETRIC_CUTOFF]
+    sums.take([p for pair in pairs for p in pair], limits)
+    return [_gini_at(sums, _checked_alpha(r), s) for r, s in pairs]
+
+
 def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     """Holder ``G(a, 0)`` or Lehmer ``G(a, a-1)`` means at every exponent of ``alphas``.
 
@@ -329,11 +335,8 @@ def mean_curve(values, alphas, family: str, weights=None) -> list[float]:
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
-    xs = _as_values(values)
-    sums = _PowerSums(xs, _as_weights(weights, xs.size))
     pairs = [(a, a - 1.0 if kind == "lehmer" else 0.0) for a in map(float, alphas)]
-    sums.take(p for pair in pairs for p in pair)
-    return [_gini_at(sums, _checked_alpha(r), s) for r, s in pairs]
+    return _gini_means(values, pairs, weights)
 
 
 def gini_mean(values, r, s, weights=None) -> float:
@@ -346,10 +349,7 @@ def gini_mean(values, r, s, weights=None) -> float:
     r, s = _checked_alpha(r), _checked_alpha(s)
     if math.isnan(r + s):
         raise DomainError("exponents must not be infinite with opposite signs")
-    xs = _as_values(values)
-    sums = _PowerSums(xs, _as_weights(weights, xs.size))
-    sums.take((r, s))
-    return _gini_at(sums, r, s)
+    return _gini_means(values, [(r, s)], weights)[0]
 
 
 def holder_mean(values, alpha, weights=None) -> float:
@@ -375,9 +375,9 @@ def v_weights(values, alpha, family: str) -> np.ndarray:
     """Per-value relevance weights ``x^(alpha-1)`` of the chosen family.
 
     Holder weights are normalized by ``n`` (they sum to the (alpha-1)-power
-    mean raised to ``alpha-1``).  Lehmer weights are the terms
-    ``(x / x*)^(alpha-1)`` relative to the dominant value ``x*``, normalized
-    by their own sum.  Weights that are not finite raise ``DomainError``.
+    mean raised to ``alpha-1``).  Lehmer weights are the terms ``(x /
+    x*)^(alpha-1)`` over the largest, as an anchored power sum takes them,
+    normalized by their own sum.  Weights not finite raise ``DomainError``.
     """
     xs = _as_values(values)
     a = _checked_alpha(alpha)
@@ -386,12 +386,12 @@ def v_weights(values, alpha, family: str) -> np.ndarray:
     kind = family.lower()
     if kind not in ("holder", "lehmer"):
         raise DomainError(f"unknown mean family {family!r} (use 'holder' or 'lehmer')")
-    sums = _PowerSums(xs, np.ones(xs.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if kind == "holder":
-            v = sums.terms(a - 1.0) / xs.size
+            v = np.power(xs, a - 1.0) / xs.size
         else:
-            terms = sums.terms(a - 1.0, sums.xmax if a >= 1.0 else sums.xmin)
+            sums = _PowerSums(xs, np.ones(xs.size))
+            terms = sums.relative(a - 1.0, sums.dominant(a - 1.0))
             v = terms / terms.sum()
     if not np.all(np.isfinite(v)):
         raise DomainError(f"{kind} v-weights are not finite at exponent {a}")
@@ -413,9 +413,9 @@ def holder_lehmer_link(values, alpha) -> tuple[float, float]:
         raise DomainError("the rescaled-weight identity needs a finite nonzero exponent")
     v = v_weights(xs, a, "lehmer")
     with np.errstate(divide="ignore", over="ignore"):
-        # A v-weight below the normal doubles has lost its digits, so its
-        # value's share of the mean must be below one ulp of the dominant's.
-        shares = a * (np.log(xs[v < _TINY]) - np.log(xs.max() if a >= 1.0 else xs.min()))
+        # A v-weight below the normal doubles has lost its digits, so its value's
+        # share of the mean must be below one ulp of the anchor's, the largest v.
+        shares = a * (np.log(xs[v < _TINY]) - np.log(xs[np.argmax(v)]))
         bases = [_dot(v, xs), lehmer_mean(xs, a)]
         routes = np.power(bases, 1.0 / a)
     if np.any(shares > math.log(np.finfo(float).eps)) or not all(map(_normal, [*bases, *routes])):

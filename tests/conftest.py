@@ -284,7 +284,7 @@ def reference_means(values, alphas, family, weights=None):
             continue
         if abs(r - s) < GEOMETRIC_CUTOFF:
             v = ws if plain(0.0) else ws / ws[largest(0.0)]
-            mean = float(np.exp(blocked_dot(np.log(xs), v / v.sum())))
+            mean = float(np.exp(blocked_dot(v, np.log(xs)) / blocked_dot(v, np.ones(xs.size))))
             means.append(min(max(mean, xs.min()), xs.max()))
             continue
         top = bottom = None

@@ -275,6 +275,28 @@ class TestGiniMean:
             assert mean <= top
             assert mean == pytest.approx(top, rel=1e-12, abs=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean, values, exponents, weights", [
+        # S(1) is a plain sum, but L(1) = sum x ln x overflows.
+        pytest.param(gini_mean, [1e300, 1.5e308], (1.0, 1.0), None, id="L-overflows"),
+        # S(-1) is about 1.3e306, and L(-1) about -9.4e308.
+        pytest.param(gini_mean, [1e-306, 3e-306], (-1.0, -1.0), None, id="L-overflows-below"),
+        # S(0), the sum of the weights, is below the normal doubles.
+        pytest.param(holder_mean, [2.0, 3.0], (0.0,), [5e-324, 1e-320], id="S-subnormal"),
+    ])
+    def test_limit_over_the_largest_term(self, mean, values, exponents, weights):
+        # exp(L(s) / S(s)) of both sums over the largest term w x^s, against
+        # the same quotient in extended precision: exp amplifies the error of
+        # the quotient by |ln m|.
+        x = np.asarray(values, dtype=np.longdouble)
+        w = np.ones(x.size, dtype=np.longdouble) if weights is None else \
+            np.asarray(weights, dtype=np.longdouble)
+        logs = np.log(w) + exponents[-1] * np.log(x)
+        v = np.exp(logs - logs.max())
+        want = float(np.exp((v * np.log(x)).sum() / v.sum()))
+        got = mean(values, *exponents, weights=weights)
+        assert abs(got - want) <= 8 * math.ulp(1.0) * (1 + abs(math.log(want))) * want
+
     def test_infinite_exponents(self):
         assert gini_mean(PAIR, math.inf, 3.0) == 2.0
         assert gini_mean(PAIR, -5.0, -math.inf) == 0.6
@@ -357,15 +379,18 @@ class TestBlockedSums:
         assert blocked_dot(values ** 2, weights) == math.inf
         assert _PowerSums(values, weights)(2.0) == math.inf
 
-    def test_mean_csv_grid_allocates_no_series_length_array(self, monkeypatch):
-        # Two threads of one 256 KiB buffer each, and the validation's boolean
-        # masks (1 MB): a power sum that allocated its 8 MB of powers fails.
+    @pytest.mark.parametrize("family", ["holder", "lehmer"])
+    def test_mean_csv_grid_allocates_no_series_length_array(self, family, monkeypatch):
+        # Two threads of one buffer each, of two 256 KiB rows where the pass
+        # takes the ln x sum of the Holder limit at 0, and the validation's
+        # boolean masks (1 MB): a sum that allocated its 8 MB of powers or
+        # logs fails.
         monkeypatch.setattr(means, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(3)
         values, weights = 10.0 ** rng.uniform(-3.0, 1.0, 1_000_000), rng.uniform(0.5, 2.0, 1_000_000)
         tracemalloc.start()
         try:
-            mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
+            mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), family, weights=weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,7 +451,8 @@ class TestAcrossCpus:
 
         def single():
             return [gini_mean(values, 2.5, -1.5, weights), gini_mean(values, 0.75, 0.75, weights),
-                    holder_mean(values, -2.0, weights), lehmer_mean(values, 0.75, weights)]
+                    holder_mean(values, -2.0, weights), lehmer_mean(values, 0.75, weights),
+                    holder_mean(values, 0.0, weights)]
 
         started = summing_threads(monkeypatch)
         got = single()
@@ -546,13 +572,19 @@ class TestAcrossCpus:
         assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("family", ["holder", "lehmer"])
-    def test_zero_value_raises_before_any_power(self, cpus, family):
-        # A sum at -1 taken early would warn of a division by zero.
+    @pytest.mark.parametrize("family, alphas, exponent", [
+        pytest.param("holder", [1.0, -1.0, math.nan], "-1.0", id="holder"),
+        pytest.param("lehmer", [1.0, -1.0, math.nan], "-1.0", id="lehmer"),
+        pytest.param("holder", [1.0, 0.0], "0.0", id="holder-limit"),
+    ])
+    def test_zero_value_raises_before_any_power(self, cpus, family, alphas, exponent):
+        # A sum at -1, or the ln x sum of the limit at 0, taken early would
+        # warn of a division by zero.
         values, weights = pin_series()
         values[50_000] = 0.0
-        with pytest.raises(DomainError, match=r"^zero values are not admitted for exponent -1.0$"):
-            mean_curve(values, [1.0, -1.0, math.nan], family, weights=weights)
+        message = rf"^zero values are not admitted for exponent {exponent}$"
+        with pytest.raises(DomainError, match=message):
+            mean_curve(values, alphas, family, weights=weights)
 
     def test_nan_after_a_valid_exponent(self, cpus):
         values, weights = pin_series()
