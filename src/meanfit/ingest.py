@@ -95,35 +95,32 @@ def _name_to_parse(path, size: int) -> str | None:
     return name if stat.S_ISREG(info.st_mode) and info.st_size == size else None
 
 
-def _read_table(path, data: bytes) -> np.ndarray | None:
-    """Every row of a numeric CSV as one float table, parsed in one numpy pass.
-
-    ``data`` is what ``path`` held; numpy parses the file by its name where
-    ``_name_to_parse`` allows, and a text stream over ``data`` otherwise.
-    Returns None when numpy cannot read the file as ``float`` would: it has
-    no rows, is ragged or not ASCII, or holds a field numpy does not parse or
-    an ASCII separator byte.  The line scanner then runs on the same bytes;
-    it raises the error of the first bad line, or reads the few lines that
-    ``float`` accepts and numpy does not (whitespace-only lines, ``1_000``).
-    """
+def _read_csv(path, widths) -> tuple[bytes, np.ndarray | None]:
+    """The bytes of ``path``, read once so that a pipe works, and the columns
+    of its table, each contiguous as the scanners build them, that numpy
+    parses in one pass: by the file's name where ``_name_to_parse`` allows,
+    else from a text stream over the bytes.  The columns are None where the
+    table is not ``widths`` wide or numpy cannot read the file as ``float``
+    would: it has no rows, is ragged or not ASCII, or holds a field numpy
+    does not parse or an ASCII separator byte.  The line scanner then runs on
+    the same bytes; it raises the error of the first bad line, or reads the
+    few lines that ``float`` accepts and numpy does not (whitespace-only
+    lines, ``1_000``)."""
+    with open(path, "rb") as fh:   # open() names the path as given
+        data = fh.read()
     if not data or data.isspace() or not data.isascii() \
             or any(sep in data for sep in _SEPARATORS):
-        return None
+        return data, None
     # The bytes are ASCII, which utf-8, a codec the interpreter has already
     # loaded, decodes alike.
     source = _name_to_parse(path, len(data)) \
         or io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
-        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=float,
-                          encoding="ascii")
+        table = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=float,
+                           encoding="ascii")
     except (ValueError, OSError):
-        return None
-
-
-def _read_bytes(path) -> bytes:
-    # Read once, so that a pipe works; open() names the path as given.
-    with open(path, "rb") as fh:
-        return fh.read()
+        return data, None
+    return data, (np.ascontiguousarray(table.T) if table.shape[1] in widths else None)
 
 
 def _scan_lines(path, data: bytes):
@@ -144,16 +141,11 @@ def _scan_lines(path, data: bytes):
 def load_values_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read `value` or `value,weight` lines; formats must not be mixed.
 
-    Returns ``(values, weights)`` with ``weights`` None for the one-column
-    format.
+    Returns ``(values, weights)``, ``weights`` None for the one-column format.
     """
-    data = _read_bytes(path)
-    table = _read_table(path, data)
-    if table is None or table.shape[1] > 2:
+    data, columns = _read_csv(path, (1, 2))
+    if columns is None:
         return _scan_values(path, data)
-    # Contiguous columns, as the scanner builds them, so that both readers
-    # return arrays of one layout.
-    columns = np.ascontiguousarray(table.T)
     values = columns[0]
     weights = columns[1] if len(columns) == 2 else None
     if not np.all((values >= 0.0) & (values < np.inf)) or (
@@ -191,26 +183,17 @@ def _scan_values(path, data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
 
 def load_histogram_csv(path) -> Histogram:
     """Read `bin_left,bin_right,count` rows with contiguous increasing bins;
-    every error names ``path``."""
-    data = _read_bytes(path)
-    table = _read_table(path, data)
-    if table is None or table.shape[1] != 3:
-        return _scan_histogram(path, data)
-    # Contiguous columns, as the scanner builds them, so that both readers
-    # return arrays of one layout.
-    left, right, counts = np.ascontiguousarray(table.T)
-    if not (np.isfinite(table).all() and np.all(right > left) and np.all(counts >= 0.0)
-            and np.all(left[1:] == right[:-1])):
-        return _scan_histogram(path, data)
-    return _histogram(path, np.concatenate((left[:1], right)), counts)
-
-
-def _histogram(path, edges, counts) -> Histogram:
-    """``Histogram(edges, counts)``, its error of the whole table naming ``path``."""
-    try:
-        return Histogram(edges=edges, counts=counts)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from None
+    every error names ``path``.  A parsed table whose bins are not contiguous
+    (a NaN is not) or that ``Histogram`` rejects goes to the line scanner."""
+    data, columns = _read_csv(path, (3,))
+    if columns is not None:
+        left, right, counts = columns
+        if np.all(left[1:] == right[:-1]):
+            try:
+                return Histogram(edges=np.concatenate((left[:1], right)), counts=counts)
+            except DomainError:
+                pass
+    return _scan_histogram(path, data)
 
 
 def _scan_histogram(path, data: bytes) -> Histogram:
@@ -237,7 +220,10 @@ def _scan_histogram(path, data: bytes) -> Histogram:
         counts.append(count)
     if not counts:
         raise EmptyDataError(f"{path}: no histogram rows")
-    return _histogram(path, np.asarray(edges), np.asarray(counts))
+    try:
+        return Histogram(edges=np.asarray(edges), counts=np.asarray(counts))
+    except DomainError as exc:   # an error of the whole table
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def format_histogram_csv(hist: Histogram) -> str:
@@ -341,7 +327,7 @@ def block_dct8(img: GrayImage, exclude_dc: bool = False) -> CoefficientSet:
     coeffs = np.abs(_dct_blocks(blocks)).reshape(-1, 64)
     if exclude_dc:
         coeffs = coeffs[:, 1:]
-    return CoefficientSet(values=coeffs.reshape(-1).copy())
+    return CoefficientSet(values=coeffs.reshape(-1))
 
 
 def build_histogram(values, bins: int, value_range=None) -> tuple[Histogram, int]:

@@ -12,9 +12,10 @@ and ``L(s) = sum w x^s ln x``; else the root of ``S(r) / S(s)``, in log space
 where the sums need two anchors or the quotient leaves the normal doubles.
 One anchor rule serves every sum that may have lost digits, one not finite
 or below ``(sum w + n)`` times the smallest normal double, and the v-weights:
-its terms are taken over the largest term ``w x^p``, found by ``ln w + p ln
-x``, so a weight beyond the double range still scales its power.  Every mean
-is clamped to the data range, which it can leave only by rounding.
+its terms are taken over the largest term ``w x^p``, found by ``ln w + p
+ln(x / x')`` from the extreme value ``x'``, so a weight beyond the double
+range still scales its power.  Every mean is clamped to the data range,
+which it can leave only by rounding; a limit whose sums are not finite raises.
 
 Every weighted sum of the library is ``_dot``'s: one of more than 8191
 terms is one BLAS dot per block of 8192 terms of contiguous operands, too
@@ -162,11 +163,13 @@ class _PowerSums:
         self._sums = {}
 
     def dominant(self, p: float) -> int:
-        """The index of the largest term ``w x^p``, by ``ln w + p ln x``."""
+        """The index of the largest term ``w x^p``, by ``ln w + p ln(x / x')``,
+        ``x'`` ``xmax`` for ``p > 0`` else ``xmin``, which no positive ``x`` overflows."""
         logs = np.log(self.ws)
         if p:   # 0^0 is 1, and 0^p, for p < 0, is the largest term
-            with np.errstate(divide="ignore"):
-                logs += p * np.log(self.xs)
+            extreme = self.xmax if p > 0.0 else self.xmin
+            with np.errstate(divide="ignore", over="ignore"):
+                logs += p * (np.log(self.xs) - (math.log(extreme) if extreme else 0.0))
         return int(np.argmax(logs))
 
     def relative(self, p: float, i: int) -> np.ndarray:
@@ -280,9 +283,11 @@ def _gini_at(sums: _PowerSums, r: float, s: float) -> float:
     if abs(r - s) < GEOMETRIC_CUTOFF:
         # L(s) / S(s) of the plain sums where they keep their digits; no anchor changes it.
         i = None if sums.plain(s) and math.isfinite(sums(s, log=True)) else sums.dominant(s)
-        with np.errstate(over="ignore"):
-            mean = np.exp(sums(s, i, log=True) / sums(s, i))
-        return min(max(float(mean), sums.xmin), sums.xmax)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.exp(sums(s, i, log=True) / sums(s, i)))
+        if math.isnan(mean):   # inf / inf: no anchor kept the sums finite
+            raise DomainError(f"the limit mean is not finite at exponent {r}")
+        return min(max(mean, sums.xmin), sums.xmax)
     top = bottom = None
     num, den = sums(r), sums(s)
     if not (sums.plain(r) and sums.plain(s)):

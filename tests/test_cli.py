@@ -186,6 +186,13 @@ class TestMean:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: line 1: not ASCII\n"
 
+    def test_huge_exponent_is_the_largest_value(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e300\n1e308\n")
+        proc = run_warnings_as_errors("mean", "--family", "lehmer", "--alpha", "1e307",
+                                      "--input", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1e+308\n", "")
+
 
 class TestFit:
     def test_counts_summing_beyond_the_doubles_are_a_data_error(self, run, tmp_path):

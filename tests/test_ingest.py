@@ -234,7 +234,9 @@ def values_csv(draw):
 @st.composite
 def histogram_csv(draw):
     """Contiguous increasing bins with non-negative counts, and now and then
-    a gap, a decreasing bin, a negative count, or a NaN or infinite field."""
+    a gap, a decreasing bin, a negative count, or a NaN or infinite field;
+    or, a fault of the whole table that only ``Histogram`` sees, every count
+    zero or every count 1e308 (whose sum overflows)."""
     left = draw(st.floats(-10.0, 10.0))
     rows = []
     for _ in range(draw(st.integers(0, 8))):
@@ -251,6 +253,10 @@ def histogram_csv(draw):
             row[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         rows.append(row)
         left = right
+    whole = draw(st.sampled_from([None] * 8 + [0.0, 1e308]))
+    if whole is not None:
+        for row in rows:
+            row[2] = whole
     return draw(_csv_bytes(rows))
 
 

@@ -297,6 +297,28 @@ class TestGiniMean:
         got = mean(values, *exponents, weights=weights)
         assert abs(got - want) <= 8 * math.ulp(1.0) * (1 + abs(math.log(want))) * want
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean, values, alpha, weights, expected", [
+        # Every p ln x overflows; at such an exponent a Lehmer a - 1 == a, the r = s limit.
+        pytest.param(lehmer_mean, [1e300, 1e308], 1e307, None, 1e308, id="lehmer-up"),
+        pytest.param(lehmer_mean, [1e-300, 1e-308], -1e307, None, 1e-308, id="lehmer-down"),
+        pytest.param(holder_mean, [1.0, 3.0, 1e308], 1e308, [2.0, 4.0, 1.0], 1e308, id="holder"),
+    ])
+    def test_huge_exponent_anchors_at_the_largest_term(self, mean, values, alpha, weights,
+                                                       expected):
+        assert mean(values, alpha, weights=weights) == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_dominant_term_at_a_huge_exponent(self):
+        assert _PowerSums(np.array([1e300, 1e308]), np.ones(2)).dominant(1e307) == 1
+        assert _PowerSums(np.array([1e-300, 1e-308]), np.ones(2)).dominant(-1e307) == 1
+
+    def test_limit_not_finite_raises(self, monkeypatch):
+        # Anchored at the smaller value, both sums of the limit are infinite.
+        monkeypatch.setattr(_PowerSums, "dominant", lambda self, p: 0)
+        with pytest.raises(DomainError, match="limit mean is not finite"):
+            lehmer_mean([1e300, 1e308], 1e307)
+
     def test_infinite_exponents(self):
         assert gini_mean(PAIR, math.inf, 3.0) == 2.0
         assert gini_mean(PAIR, -5.0, -math.inf) == 0.6
