@@ -12,6 +12,11 @@ Subcommands::
 Exit codes: 0 success, 1 computation or data failure, 2 usage error.  A
 reader that closes stdout early does not make a run fail.
 All numeric output uses full-precision repr, so emitted CSV round-trips.
+
+Imported before numpy, this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless
+the environment already sets it: meanfit gives OpenBLAS no job large enough
+to split, and each extra OpenBLAS worker busy-waits on its own core after
+numpy loads.  Every result is the same on any thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ import os
 import stat
 import sys
 from pathlib import Path
+
+# OpenBLAS reads its thread count only when numpy loads it, so this runs
+# before the imports below; a process that already has numpy keeps its own.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DomainError, EmptyDataError, FormatError, NoSolutionError, SweepError
 from .expfam import HYPERPARAMETERS, MODEL_NAMES, catalog
@@ -182,7 +192,11 @@ def _cmd_sweep(args) -> str:
 def _cmd_dct_hist(args) -> str:
     img = load_pgm(args.input)
     coeffs = block_dct8(img, exclude_dc=args.exclude_dc)
-    hist, _ = build_histogram(coeffs, bins=args.bins, value_range=args.range)
+    hist, clipped = build_histogram(coeffs, bins=args.bins, value_range=args.range)
+    if clipped:
+        print(f"warning: {clipped} of {coeffs.values.size} coefficients outside "
+              f"{_fmt(hist.edges[0])}:{_fmt(hist.edges[-1])} were clipped into the end bins",
+              file=sys.stderr)
     return format_histogram_csv(hist)
 
 
@@ -205,10 +219,10 @@ def _cmd_compare(args) -> str:
             hists.append(load_histogram_csv(path))
         except (FormatError, DomainError, EmptyDataError, OSError) as exc:
             errors.append(exc)
-    if not hists:
-        raise errors[0]
     for exc in errors:
         print(f"warning: {exc}", file=sys.stderr)
+    if not hists:
+        raise EmptyDataError(f"{args.inputs}: none of the {len(files)} .csv histograms loaded")
     rows = compare_kernels(models, hists, args.beta, args.tie_eps)
     return "model,pct_unit,pct_power,pct_log1p,mean_improvement,n_scored,n_failed\n" + "".join(
         f"{row.model},{_fmt(row.pct_unit)},{_fmt(row.pct_power)},{_fmt(row.pct_log1p)},"

@@ -4,6 +4,7 @@ The samplers are test-only oracles (inverse-CDF / standard transforms); their
 own correctness is pinned by the Kolmogorov-Smirnov suite in test_expfam.py.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -179,17 +180,31 @@ def loop_best(points):
     return min(reports, key=_report_key)
 
 
+#: The directory that holds this checkout's ``meanfit`` package.
+SRC = str(Path(meanfit.__file__).resolve().parent.parent)
+
+
 def run_warnings_as_errors(*argv, stdin=None, stdout=subprocess.PIPE, **environ):
     """``python -W error -m meanfit.cli`` with this checkout's package first on
     the path, ``stdin`` and ``stdout`` as its standard input and output (its
     output captured by default, its error output always), and ``environ``
     added to the child's environment."""
     env = {**os.environ, **environ}
-    src = str(Path(meanfit.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "error", "-m", "meanfit.cli", *argv],
                           stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True,
                           env=env, timeout=60)
+
+
+def fresh_python(code, **environ):
+    """What ``code`` prints as JSON, run by a new ``python -I`` whose path
+    starts with this checkout's package, with ``OPENBLAS_NUM_THREADS`` taken
+    out of its environment and ``environ`` added."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-I", "-c", code], env={**env, **environ},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
 
 
 def closed_pipe():

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfit import MODEL_NAMES, SweepGrid, WeightKernel, build_histogram, catalog, \
-    format_histogram_csv, load_histogram_csv
+from meanfit import MODEL_NAMES, SweepGrid, WeightKernel, block_dct8, build_histogram, \
+    catalog, format_histogram_csv, load_histogram_csv, load_pgm
 from meanfit import cli
 from meanfit.cli import main
 from meanfit.expfam import HYPERPARAMETERS
 
-from conftest import EXTREME_VALUES, closed_pipe, dct_like_histogram, loop_best, loop_points, \
-    reference_means, run_warnings_as_errors
+from conftest import EXTREME_VALUES, closed_pipe, dct_like_histogram, fresh_python, loop_best, \
+    loop_points, reference_means, run_warnings_as_errors
 
 
 @pytest.fixture
@@ -441,8 +441,8 @@ class TestDctHist:
         return str(path)
 
     def test_counts_conserved(self, run, gradient_pgm, tmp_path):
-        code, out, _ = run("dct-hist", "--input", gradient_pgm, "--bins", "20")
-        assert code == 0
+        code, out, err = run("dct-hist", "--input", gradient_pgm, "--bins", "20")
+        assert (code, err) == (0, "")
         out_path = tmp_path / "hist.csv"
         out_path.write_text(out)
         hist = load_histogram_csv(out_path)
@@ -478,6 +478,15 @@ class TestDctHist:
         hist = load_histogram_csv(out_path)
         assert hist.edges[0] == 0.0
         assert hist.edges[-1] == 100.0
+
+    def test_clipped_coefficients_are_named_on_stderr(self, run, gradient_pgm):
+        coeffs = block_dct8(load_pgm(gradient_pgm))
+        hist, clipped = build_histogram(coeffs, bins=4, value_range=(0.0, 10.0))
+        assert clipped == np.count_nonzero(coeffs.values > 10.0) > 0
+        code, out, err = run("dct-hist", "--input", gradient_pgm, "--bins", "4", "--range", "0:10")
+        assert (code, out) == (0, format_histogram_csv(hist))
+        assert err == (f"warning: {clipped} of 256 coefficients outside 0.0:10.0 "
+                       "were clipped into the end bins\n")
 
 
 class TestCompare:
@@ -547,7 +556,9 @@ class TestCompare:
         code, out, err = run("compare", "--models", "exponential", "--inputs", str(tmp_path),
                              "--beta=-1:1:0.5")
         assert (code, out) == (1, "")
-        assert err == f"error: {tmp_path / 'a.csv'}: at least one count must be positive\n"
+        assert err == (f"warning: {tmp_path / 'a.csv'}: at least one count must be positive\n"
+                       f"warning: {tmp_path / 'b.csv'}: line 1: not a number\n"
+                       f"error: {tmp_path}: none of the 2 .csv histograms loaded\n")
 
     def test_skips_directories_and_fifos_named_csv(self, tmp_path):
         # Opening the FIFO would block until a writer came, so the run is a
@@ -724,6 +735,32 @@ class TestParserReuse:
         argv = ["mean", "--family", "holder", "--alpha-grid=-2:2:1", "--input", pair_csv]
         proc = run_warnings_as_errors(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(*argv)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count")
+class TestBlasThreads:
+    """A fresh process that imports the CLI before numpy runs OpenBLAS on one
+    thread, unless its environment names a count."""
+
+    PROBE = ("import json, os\n{before}\nenviron = dict(os.environ)\nimport meanfit.cli\n"
+             "print(json.dumps([len(os.listdir('/proc/self/task')),"
+             " os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) != environ]))")
+
+    def probe(self, before="", **environ):
+        """Threads, OPENBLAS_NUM_THREADS and whether ``import meanfit.cli``
+        changed the environment, in a fresh process that ran ``before``."""
+        return fresh_python(self.PROBE.format(before=before), **environ)
+
+    def test_a_cold_import_starts_no_blas_worker(self):
+        assert self.probe() == [1, "1", True]
+
+    def test_a_count_the_user_set_wins(self):
+        assert self.probe()[1] == "1"
+        assert self.probe(OPENBLAS_NUM_THREADS="2")[1:] == ["2", False]
+
+    def test_a_process_with_numpy_keeps_its_environment(self):
+        assert self.probe()[2]
+        assert self.probe("import numpy")[1:] == [None, False]
 
 
 def run_in_process(*argv):
