@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="per-kernel win percentages over histograms")
     p.add_argument("--models", required=True, help="comma-separated model names")
     p.add_argument("--inputs", required=True, help="directory of histogram .csv files")
-    p.add_argument("--beta", **beta_grid)
+    p.add_argument("--beta", **dict(beta_grid, help="exponent grid (default -2:2:0.05; without 0, "
+                                                    "mean_improvement can be negative)"))
     p.add_argument("--tie-eps", type=_checked(float, lambda eps: 0.0 <= eps < math.inf,
                                               "tie epsilon must be finite and non-negative"),
                    default=1e-3, help="relative MSE tie tolerance (default 1e-3)")

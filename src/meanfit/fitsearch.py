@@ -307,8 +307,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             ln_a = part.log_base(xs)
             t = np.broadcast_to(part.suff_stat(xs), ln_a.shape)
             tx = np.compress(in_x, t, axis=1)[:, None, :]
-            step = scratch.size // (v.shape[0] * max(1, xs.size))
-            blocks = [slice(start, start + step) for start in range(0, ln_a.shape[0], step)]
+            blocks = [slice(start, start + rows) for start in range(0, len(index), rows)]
             if drop is None:
                 m = _dot(v, tx)
             else:
@@ -375,11 +374,14 @@ def compare_kernels(models, hists, beta_grid: SweepGrid,
                     tie_epsilon: float = 1e-3) -> list[KernelComparison]:
     """Count, per model, how often each kernel attains the minimal MSE.
 
-    MSEs within a relative ``tie_epsilon`` of the per-histogram minimum are
-    treated as identical, so several kernels may win the same histogram and
-    percentages can sum above 100.  The improvement column is the mean of
-    ``|mse_unit - mse_power| / mse_unit`` over histograms where both fits
-    succeeded.
+    A model's scores are one table, a row per histogram of the unit, best
+    power and log1p MSE, NaN where that fit failed; a row with any score is
+    scored.  MSEs within a relative ``tie_epsilon`` of a row's minimum tie, so
+    several kernels may win one histogram and percentages can sum above 100.
+    The improvement is the mean of the signed ``(mse_unit - mse_power) /
+    mse_unit`` (0 where ``mse_unit`` is 0) over the rows where both scored;
+    with 0 on the grid, whose power kernel is the unit kernel, it is never
+    negative.
     """
     models = list(models)
     hists = list(hists)
@@ -393,46 +395,28 @@ def compare_kernels(models, hists, beta_grid: SweepGrid,
                *map(WeightKernel.power, beta_grid.points())]
     results = []
     for model in models:
-        wins = {"unit": 0, "power": 0, "log1p": 0}
-        improvements = []
+        scores = np.full((len(hists), 3), np.nan)   # unit, power, log1p MSE
         failures = []
-        n_scored = 0
         for idx, hist in enumerate(hists):
             surface = fit_surface(model, hist, kernels)
-            scores = {}
             attempts = (
                 ("unit", lambda: surface.report(0, 0)),
                 ("power", lambda: surface.best(slice(2, None))),
                 ("log1p", lambda: surface.report(0, 1)),
             )
-            for label, attempt in attempts:
+            for col, (label, attempt) in enumerate(attempts):
                 try:
-                    scores[label] = attempt().mse
+                    scores[idx, col] = attempt().mse
                 except (SweepError, *_FIT_ERRORS) as exc:
                     failures.append(f"histogram {idx}: {label}: {exc}")
-            if not scores:
-                continue
-            n_scored += 1
-            floor = min(scores.values())
-            for label, mse in scores.items():
-                if mse <= floor * (1.0 + tie_epsilon):
-                    wins[label] += 1
-            if "unit" in scores and "power" in scores:
-                unit_mse = scores["unit"]
-                if unit_mse > 0.0:
-                    improvements.append(abs(unit_mse - scores["power"]) / unit_mse)
-                else:
-                    improvements.append(0.0)
-        denom = max(n_scored, 1)
-        results.append(
-            KernelComparison(
-                model=model.name,
-                pct_unit=100.0 * wins["unit"] / denom,
-                pct_power=100.0 * wins["power"] / denom,
-                pct_log1p=100.0 * wins["log1p"] / denom,
-                mean_improvement=float(np.mean(improvements)) if improvements else 0.0,
-                n_scored=n_scored,
-                failures=tuple(failures),
-            )
-        )
+        n_scored = int(np.count_nonzero(~np.isnan(scores).all(axis=1)))
+        # fmin skips a failed score without nanmin's all-NaN warning; NaN never wins.
+        floor = np.fmin.reduce(scores, axis=1, keepdims=True)
+        wins = np.count_nonzero(scores <= floor * (1.0 + tie_epsilon), axis=0)
+        unit, power = scores[:, 0], scores[:, 1]
+        both = ~np.isnan(scores[:, :2]).any(axis=1)
+        gain = np.divide(unit - power, unit, out=np.zeros(len(hists)), where=unit > 0.0)
+        results.append(KernelComparison(
+            model.name, *(100.0 * wins / max(n_scored, 1)).tolist(),
+            float(np.mean(gain[both])) if both.any() else 0.0, n_scored, tuple(failures)))
     return results

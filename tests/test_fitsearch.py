@@ -372,6 +372,46 @@ class TestCompareKernels:
         assert by_name["std-lognormal"].n_scored == 0
         assert len(by_name["std-lognormal"].failures) == 3
 
+    def test_improvement_is_signed_when_power_loses(self):
+        # Without 0 on the grid every power kernel fits worse than the unit one.
+        hist = Histogram(edges=np.arange(5.0), counts=np.array([40.0, 15.0, 6.0, 2.0]))
+        grid = SweepGrid(3.0, 4.0, 0.5)
+        unit = fit_histogram(EXPO, hist, WeightKernel.unit()).mse
+        power = min(fit_histogram(EXPO, hist, kernel).mse for kernel in powers(grid))
+        row = compare_kernels([EXPO], [hist], grid)[0]
+        assert (row.pct_unit, row.pct_power, row.n_scored) == (100.0, 0.0, 1)
+        assert row.mean_improvement == pytest.approx((unit - power) / unit, rel=1e-12)
+        assert row.mean_improvement < -0.5
+
+    def test_mixed_failures_across_a_corpus(self, monkeypatch):
+        # Histogram 0 scores every kernel, 1 fails only unit, 2 fails every kernel.
+        grid = SweepGrid(-1.0, 1.0, 1.0)
+        kernels = (WeightKernel.unit(), WeightKernel.log_shift(), *powers(grid))
+        tables = [[4.0, 1.0005, 3.0, 1.0, 2.0],   # unit, log1p, then beta -1, 0, 1
+                  [math.nan, 3.0, 2.0, 2.5, math.nan],
+                  [math.nan] * 5]
+
+        def surface(mses):
+            mse = np.array([mses])
+            return fitsearch.FitSurface(
+                model="exponential", alphas=(None,), kernels=kernels, shape_swept=False,
+                theta_hat=mse.copy(), mse=mse, loglik=mse.copy(), dropped_bins=np.zeros(5, int),
+                failures={(0, j): DomainError(f"kernel {j} failed")
+                          for j in np.flatnonzero(np.isnan(mse[0])).tolist()})
+
+        monkeypatch.setattr(fitsearch, "fit_surface", lambda model, hist, ks: surface(tables[hist]))
+        row = compare_kernels([EXPO], range(3), grid)[0]
+        assert row.n_scored == 2
+        assert (row.pct_unit, row.pct_power, row.pct_log1p) == (0.0, 100.0, 50.0)
+        assert row.mean_improvement == (4.0 - 1.0) / 4.0
+        assert row.failures == (
+            "histogram 1: unit: kernel 0 failed",
+            "histogram 2: unit: kernel 0 failed",
+            "histogram 2: power: every exponent in the sweep failed "
+            "[-1.0: kernel 2 failed; 0.0: kernel 3 failed; 1.0: kernel 4 failed]",
+            "histogram 2: log1p: kernel 1 failed",
+        )
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyDataError):
             compare_kernels([], [single_bin_hist()], SweepGrid(0.0, 1.0, 0.5))
