@@ -7,11 +7,10 @@ Fit quality is the mean squared difference between the empirical bin density
 ``count / (total * width)`` and the fitted density, over every bin whose
 center lies in the model support, zero-count bins included (an empty bin is
 honest evidence of density 0).  A fit is either finite or a typed failure,
-checked in this order: no kept bin (``EmptyDataError``), a non-finite kernel
-weight, a kernel weight total beyond the doubles (each ``DomainError``), no
-solution for the mean statistic (``NoSolutionError``), theta outside its
-domain, a non-finite log-likelihood, a non-finite MSE (each ``DomainError``);
-a point fails with the first check it fails.
+checked in this order: no kept bin (``EmptyDataError``), no solution for the
+mean statistic (``NoSolutionError``), theta outside its domain, a non-finite
+log-likelihood, a non-finite MSE (each ``DomainError``); a point fails with
+the first check it fails.
 ``fit_surface`` scores a whole (shape x kernel) grid in bounded chunks of
 shape rows that share one support, the closed form and the checks one array
 pass per chunk and the density grid of the MSE one bounded block at a time
@@ -113,7 +112,7 @@ class FitReport:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Inclusive arithmetic grid lo, lo+step, ..., hi."""
+    """Inclusive grid lo, lo+step, ..., hi, none past hi; a point rounding near 0 is 0."""
 
     lo: float
     hi: float
@@ -132,7 +131,9 @@ class SweepGrid:
 
     def points(self) -> np.ndarray:
         n = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
-        return self.lo + self.step * np.arange(n + 1)
+        pts = np.minimum(self.lo + self.step * np.arange(n + 1), self.hi)
+        pts[1:][np.abs(pts[1:]) <= 4 * np.spacing(max(abs(self.lo), abs(self.hi)))] = 0.0
+        return pts
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,6 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     used = keep.any(axis=0)
     w, keep = np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
     drop = None if keep.all() else ~keep
-    # Only a log1p weight can overflow: a power kernel's sum is anchored.
-    bad_weights = ~np.isfinite(w).all(axis=1)
     with np.errstate(all="ignore"):
         empirical = hist.counts / (hist.total * hist.widths)
         wsum = w.sum(axis=1)
@@ -333,9 +332,6 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             bad_theta = ~((0.0 < theta) & (theta < np.inf))
         checks = (
             (wsum == 0.0, lambda r, j: EmptyDataError("every histogram bin was dropped")),
-            (bad_weights, lambda r, j: DomainError("weights must be finite and strictly positive")),
-            (~np.isfinite(wsum), lambda r, j: DomainError(
-                "weights must be finite and strictly positive, with a finite sum")),
             (~(np.isfinite(m) & (m < 0.0)), lambda r, j: NoSolutionError(
                 f"{part.name}: mean statistic {float(m[r, j])!r} outside the attainable range "
                 f"(negative reals)")),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError
 from .expfam import FamilyModel, _check_support, _checked_theta, stat_mean_inverse
-from .means import _PowerSums, _dot, _normal
+from .means import _TINY, _PowerSums, _dot
 
 __all__ = [
     "KERNEL_KINDS",
@@ -42,9 +42,9 @@ __all__ = [
 
 KERNEL_KINDS = ("unit", "power", "log1p")
 
-# A power kernel's weights are anchored where their sum W exceeds 2^1012 too:
-# the maximum log-likelihood is W times the per-unit term c0 + (d - 1) sum v
-# ln x + h (ln theta - 1/q), whose logarithms of doubles are each below 745 in
+# Kernel weights are anchored where their sum W exceeds 2^1012 too: the
+# maximum log-likelihood is W times the per-unit term c0 + (d - 1) sum v ln x
+# + h (ln theta - 1/q), whose logarithms of doubles are each below 745 in
 # magnitude, so with moderate constants (|d - 1| + |h| up to 5) it stays
 # within the 2^12 left below the largest double.
 _ANCHOR_ABOVE = 2.0**1012
@@ -80,14 +80,14 @@ class WeightKernel:
         """The ln(x+1) kernel (reported under the label 'log1p')."""
         return cls("log1p")
 
+    def power_of(self, x) -> tuple[np.ndarray, float]:
+        """u(x) as a power ``y^e``: ``(x, 0)``, ``(x, beta)`` or ``(ln(1+x), 1)``."""
+        xs = np.asarray(x, dtype=float)
+        return (np.log1p(xs), 1.0) if self.kind == "log1p" else (xs, self.beta or 0.0)
+
     def weights(self, x) -> np.ndarray:
         """Evaluate u(x) elementwise."""
-        xs = np.asarray(x, dtype=float)
-        if self.kind == "unit":
-            return np.ones_like(xs)
-        if self.kind == "power":
-            return np.power(xs, self.beta)
-        return np.log1p(xs)
+        return np.power(*self.power_of(x))
 
 
 @dataclass(frozen=True)
@@ -132,28 +132,31 @@ class MleResult:
 
 
 def _kernel_weights(kernels, xs: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """``base * u(x)``, one row per kernel; a power kernel whose plain sum is not
-    a normal double below ``_ANCHOR_ABOVE`` takes ``(base / b*) (x / x*)^beta``,
-    ``b* x*^beta`` the largest weight, by ``ln base + beta ln x``, among the
-    points of positive base weight (unless all of them are at 0)."""
+    """``base * y^e`` of each kernel's ``power_of(x)``, one row per kernel; a row
+    whose plain total is not finite, is below the ``_PowerSums.floor`` of the
+    points of positive base weight or above ``_ANCHOR_ABOVE`` is their terms
+    over the largest, as in the means (unless each of them has ``y = 0``)."""
     positive = base > 0.0
     with np.errstate(all="ignore"):
-        w = np.where(positive, base * np.array([kernel.weights(xs) for kernel in kernels]), 0.0)
+        floor = (base[positive].sum() + np.count_nonzero(positive)) * _TINY
+        powers = [kernel.power_of(xs) for kernel in kernels]
+        w = np.where(positive, base * np.array([np.power(y, e) for y, e in powers]), 0.0)
         totals = w.sum(axis=1)
-        for i in np.flatnonzero(~_normal(totals) | (totals > _ANCHOR_ABOVE)):
-            kernel = kernels[i]
-            if kernel.kind == "power" and np.any(xs[positive]):
-                sums = _PowerSums(xs[positive], base[positive])
-                w[i, positive] = sums.relative(kernel.beta, sums.dominant(kernel.beta))
+        for i in np.flatnonzero(~((floor <= totals) & (totals <= _ANCHOR_ABOVE))):
+            y, e = powers[i]
+            if np.any(y[positive]):
+                sums = _PowerSums(y[positive], base[positive])
+                w[i, positive] = sums.relative(e, sums.dominant(e))
     return w
 
 
 def apply_kernel(values, kernel: WeightKernel, base_weights=None) -> tuple[WeightedSeries, int]:
     """Attach kernel weights to a value series.
 
-    Each point receives ``u(x) * base_weight`` (base weights default to 1),
-    up to a scale ``_kernel_weights`` may factor out.  Points whose combined
-    weight is zero are dropped; their count is returned alongside the series.
+    Each point receives ``base_weight * y^e`` of the kernel's ``power_of(x)``
+    (base weights default to 1), over the largest where ``_kernel_weights``
+    anchors them; a negative ``e`` needs every ``y`` positive.  Points whose
+    combined weight is zero are dropped; their count is returned alongside.
     """
     xs = np.atleast_1d(np.asarray(values, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
@@ -168,7 +171,8 @@ def apply_kernel(values, kernel: WeightKernel, base_weights=None) -> tuple[Weigh
             raise DomainError("base weights must match the series length")
         if not np.all(np.isfinite(base)) or np.any(base < 0.0):
             raise DomainError("base weights must be finite and non-negative")
-    if kernel.kind == "power" and kernel.beta < 0.0 and np.any(xs == 0.0):
+    y, e = kernel.power_of(xs)
+    if e < 0.0 and np.any(y == 0.0):
         raise DomainError("power kernel with negative exponent requires strictly positive values")
     combined = _kernel_weights((kernel,), xs, base)[0]
     keep = combined > 0.0

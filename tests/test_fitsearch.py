@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestFitHistogram:
         assert (power0.kernel, power0.beta) == ("power", 0.0)
         assert (unit.kernel, unit.beta) == ("unit", None)
 
+    @pytest.mark.parametrize("beta", [243, 244])
+    def test_subnormal_powers_are_anchored(self, beta):
+        # Each x^beta is subnormal, near 1e-318; times the counts their total,
+        # 1.1e-307, is normal but below the floor (sum count + 2) * tiny.
+        hist = Histogram([0.049, 0.0495, 0.05], [1e11, 1e11])
+        theta = fit_histogram(EXPO, hist, WeightKernel.power(beta)).theta_hat
+
+        def power_sum(t):
+            return sum(Fraction(c) * Fraction(x) ** t for x, c in zip(hist.centers, hist.counts))
+
+        assert math.isclose(theta, power_sum(beta) / power_sum(beta + 1), rel_tol=1e-15)
+
 
 class TestSweepGrid:
     def test_points_include_both_ends(self):
@@ -214,6 +227,11 @@ class TestSweepGrid:
             SweepGrid(0.0, 1.0, 0.0)
         with pytest.raises(DomainError, match="must be finite"):
             SweepGrid(0.0, math.inf, 0.1)
+
+    def test_points_hit_zero_and_stop_at_hi(self):
+        # lo + k step rounds to 5.6e-17 at k = 3, and past hi at the last k
+        np.testing.assert_array_equal(SweepGrid(-0.3, 0.3, 0.1).points()[[3, 6]], [0.0, 0.3])
+        assert SweepGrid(0.2, 3.0, 0.05).points()[-1] == 3.0
 
     @pytest.mark.parametrize("lo, hi, step", [
         (0.0, 1.0, 1e-300), (0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0), (0.0, 2.0**60, 1.0)])
@@ -371,6 +389,14 @@ class TestCompareKernels:
         assert by_name["exponential"].n_scored == 1
         assert by_name["std-lognormal"].n_scored == 0
         assert len(by_name["std-lognormal"].failures) == 3
+
+    def test_zero_on_a_decimal_grid_is_the_unit_kernel(self):
+        # Power 5.6e-17, where -0.3 + 3 * 0.1 rounds, fits a little worse than
+        # power 0: the improvement read -1.5e-15.
+        hist, _ = build_histogram(np.random.default_rng(2).exponential(30.0, 400), bins=15)
+        grid = SweepGrid(-0.3, 0.3, 0.1)
+        assert compare_kernels([EXPO], [hist], grid)[0].mean_improvement >= 0.0
+        assert fit_surface(EXPO, hist, powers(grid)).best().beta == 0.0
 
     def test_improvement_is_signed_when_power_loses(self):
         # Without 0 on the grid every power kernel fits worse than the unit one.
@@ -556,10 +582,8 @@ MIXED_KERNELS = [WeightKernel.power(b) for b in (-1.0, 0.0, 0.5, 2.0)] + [
 
 # (model, edges, counts, kernel, error, words): every class of failure a
 # fit_surface point can still have, each in a histogram where the unit fits.
+# There no point loses every bin: weights that all underflow are anchored.
 ROW_FAILURES = [
-    # log1p(x) times a subnormal count rounds to 0 in both bins
-    (EXPO, [0.0, 0.4, 0.8], [5e-324, 5e-324], WeightKernel.log_shift(),
-     EmptyDataError, "dropped"),
     # x^1000 underflows at 0.25, so only T(1) = 0 is left
     (catalog("std-lognormal"), [0.0, 0.5, 1.5], [1.0, 1.0], WeightKernel.power(1000.0),
      NoSolutionError, "mean statistic"),
@@ -574,6 +598,16 @@ ROW_FAILURES = [
     (EXPO, [0.0, 2e-200, 2.0], [1e-250, 1.0], WeightKernel.power(-1000.0),
      DomainError, "MSE"),
 ]
+
+
+def assert_scale_free_log1p_fit(hist):
+    """The log1p fit to ``hist`` fits, matches the scalar loop, and is within
+    1e-15 of the fit to the same histogram with its counts times 2^-1000."""
+    kernel = WeightKernel.log_shift()
+    surface = assert_matches_loop_and_messages(EXPO, hist, [kernel])
+    assert not surface.failures
+    smaller = fit_histogram(EXPO, Histogram(hist.edges, hist.counts * 2.0**-1000), kernel)
+    assert math.isclose(surface.theta_hat[0, 0], smaller.theta_hat, rel_tol=1e-15)
 
 
 def shapes_of(model):
@@ -695,31 +729,28 @@ class TestFitSurface:
         assert surface.loglik[0, 0] == pytest.approx(math.log(1000.0) - 1.0, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_log1p_weight_fails_as_the_scalar_path(self):
-        # 1.7e308 * ln(3) overflows, so the weights are not finite; only a
-        # count near the double maximum gets there, and with it the unit
-        # kernel's log-likelihood overflows too
-        hist = Histogram(np.array([1.0, 3.0, 5.0]), np.array([1.7e308, 1.0]))
-        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.log_shift()])
-        exc = surface.failures[(0, 0)]
-        assert (type(exc), str(exc)) == (
-            DomainError, "weights must be finite and strictly positive")
-        with pytest.raises(DomainError, match="weights must be finite"):
-            fit_histogram(EXPO, hist, WeightKernel.log_shift())
+    def test_overflowing_log1p_weight_is_anchored(self):
+        # 1.7e308 * ln(3) overflows, so the weights are taken over the largest
+        assert_scale_free_log1p_fit(Histogram([1.0, 3.0, 5.0], [1.7e308, 1.0]))
 
     @pytest.mark.filterwarnings("error")
-    def test_log1p_weight_total_beyond_the_doubles_fails_as_the_scalar_path(self):
+    def test_log1p_weight_total_beyond_the_doubles_is_anchored(self):
         # Each weight 0.85e308 * ln(1 + x), at x = 2 and 2.1, is finite; their
-        # sum is not, so the v-weights u / sum u would all be 0, and so the
-        # statistic.
-        hist = Histogram(np.array([1.95, 2.05, 2.15]), np.array([0.85e308, 0.85e308]))
-        surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.log_shift()])
-        exc = surface.failures[(0, 0)]
-        message = "weights must be finite and strictly positive, with a finite sum"
-        assert (type(exc), str(exc)) == (DomainError, message)
-        series, _ = apply_kernel(hist.centers, WeightKernel.log_shift(), hist.counts)
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            mle_closed_form(EXPO, series)
+        # sum is not, so u / sum u would be 0, unless taken over the largest
+        assert_scale_free_log1p_fit(Histogram([1.95, 2.05, 2.15], [0.85e308, 0.85e308]))
+
+    @pytest.mark.parametrize("model", [EXPO, catalog("half-normal")], ids=lambda m: m.name)
+    @pytest.mark.parametrize("scale", [2.0**-1070, 2.0**1009], ids=["2^-1070", "2^1009"])
+    def test_fits_do_not_depend_on_the_count_scale(self, model, scale):
+        # Only u / sum u enters theta, so every kernel is anchored where the
+        # scaled counts take its weights out of the normal doubles.
+        kernels = [WeightKernel.unit(), WeightKernel.log_shift(),
+                   WeightKernel.power(-2.0), WeightKernel.power(3.0)]
+        scaled = Histogram(KEPT_HIST.edges, KEPT_HIST.counts * scale)
+        surface = assert_matches_loop_and_messages(model, scaled, kernels)
+        np.testing.assert_allclose(surface.theta_hat,
+                                   fit_surface(model, KEPT_HIST, kernels).theta_hat,
+                                   rtol=1e-15, atol=0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_statistic_at_a_dropped_bin_is_masked(self):

@@ -59,6 +59,19 @@ class TestWeightKernel:
             WeightKernel.log_shift().weights([0.0, math.e - 1.0]), [0.0, 1.0]
         )
 
+    def test_power_of(self):
+        # u(x) = y^e, and its power is the kernel's own formula, bit for bit
+        xs = np.array([0.0, 0.5, 3.0])
+        with np.errstate(divide="ignore"):
+            cases = [(WeightKernel.unit(), xs, 0.0, np.ones(3)),
+                     (WeightKernel.power(-1.5), xs, -1.5, xs**-1.5),
+                     (WeightKernel.log_shift(), np.log1p(xs), 1.0, np.log1p(xs))]
+            for kernel, y, e, u in cases:
+                got_y, got_e = kernel.power_of(xs)
+                np.testing.assert_array_equal(got_y, y)
+                assert got_e == e
+                np.testing.assert_array_equal(kernel.weights(xs), u)
+
     def test_power_requires_exponent(self):
         with pytest.raises(DomainError):
             WeightKernel("power")
@@ -134,6 +147,15 @@ class TestApplyKernel:
     def test_all_dropped_is_empty_data(self):
         with pytest.raises(EmptyDataError):
             apply_kernel([0.0], WeightKernel.log_shift())
+
+    @pytest.mark.filterwarnings("error")
+    def test_log1p_weights_below_the_doubles_are_anchored(self):
+        # ln(1 + x) times the smallest subnormal rounds to 0 at both points,
+        # so the weights are taken over the largest
+        series, dropped = apply_kernel([0.2, 0.6], WeightKernel.log_shift(), [5e-324, 5e-324])
+        want = [math.log1p(0.2) / math.log1p(0.6), 1.0]
+        np.testing.assert_allclose(series.weights, want, rtol=1e-15)
+        assert dropped == 0
 
     def test_power_weights_beyond_the_doubles_are_anchored(self):
         # 2^1100 overflows, so the weights are (x / 2)^1100, where 0.5^1100
