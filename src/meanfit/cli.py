@@ -152,8 +152,7 @@ def _cmd_mean(args) -> str:
 def _cmd_fit(args) -> str:
     model = _build_model(args.model, args.shape)
     hist = load_histogram_csv(args.input)
-    report = fit_histogram(model, hist, args.kernel)
-    payload = _report_json(report) + "\n"
+    payload = _report_json(fit_histogram(model, hist, args.kernel)) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
         return ""
@@ -182,10 +181,8 @@ def _cmd_sweep(args) -> str:
     shapes = args.shape_grid.points() if args.shape_grid is not None else None
     surface = fit_surface(model, hist, kernels, shapes)
     best = surface.best()
-    sidecar.write_text(
-        "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile()),
-        encoding="utf-8",
-    )
+    profile = "".join(f"{_fmt(beta)},{_fmt(mse)}\n" for beta, mse in surface.profile())
+    sidecar.write_text(profile, encoding="utf-8")
     return _report_json(best) + "\n"
 
 
@@ -240,8 +237,7 @@ def _cmd_curves(args) -> str:
     columns = zip(alphas, mean_curve(pair, alphas, "holder"), mean_curve(pair, alphas, "lehmer"))
     rows = []
     for alpha, h, le in columns:
-        vh = v_weights(pair, alpha, "holder")
-        vl = v_weights(pair, alpha, "lehmer")
+        vh, vl = (v_weights(pair, alpha, family) for family in ("holder", "lehmer"))
         rows.append(",".join(_fmt(v) for v in (alpha, h, le, vh[0], vl[0], vh[1], vl[1])) + "\n")
     return "alpha,holder,lehmer,vh_x1,vl_x1,vh_x2,vl_x2\n" + "".join(rows)
 
@@ -259,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     beta_grid = dict(type=_grid_type, metavar="LO:HI:STEP", default=SweepGrid(-2.0, 2.0, 0.05),
-                     help="exponent grid (default -2:2:0.05; keep 0 inside it)")
+                     help="exponent grid (default -2:2:0.05; keep 0 inside it; "
+                          "write a negative LO as --beta=-2:2:0.05)")
 
     p = sub.add_parser("mean", help="central tendency of a value series")
     p.add_argument("--family", required=True, choices=("holder", "lehmer", "kolmogorov"),
@@ -267,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=_checked(float, lambda a: not math.isnan(a),
                                                 "exponent must not be NaN"),
-                       help="exponent (inf/-inf allowed)")
+                       help="exponent (inf/-inf allowed; write a negative value as --alpha=-inf)")
     group.add_argument("--alpha-grid", type=_grid_type, metavar="LO:HI:STEP",
-                       help="emit alpha,mean rows over this grid")
+                       help="emit alpha,mean rows over this grid "
+                            "(write a negative LO as --alpha-grid=-3:3:0.25)")
     p.add_argument("--input", required=True, help="values CSV: value[,weight] per line")
     p.add_argument("--weights", action="store_true", help="use the file's weight column")
     p.set_defaults(handler=_cmd_mean)
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=_checked(_floats("LO:HI", "range"),
                                             lambda span: -math.inf < span[0] < span[1] < math.inf,
                                             "range must satisfy lo < hi"), metavar="LO:HI",
-                   help="histogram range (default 0:max)")
+                   help="histogram range (default 0:max; write a negative LO as --range=-5:5)")
     p.add_argument("--exclude-dc", action="store_true", help="drop the (0,0) coefficients")
     p.set_defaults(handler=_cmd_dct_hist)
 
@@ -309,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="comma-separated model names")
     p.add_argument("--inputs", required=True, help="directory of histogram .csv files")
     p.add_argument("--beta", **dict(beta_grid, help="exponent grid (default -2:2:0.05; without 0, "
-                                                    "mean_improvement can be negative)"))
+                                                    "mean_improvement can be negative; write a "
+                                                    "negative LO as --beta=-2:2:0.05)"))
     p.add_argument("--tie-eps", type=_checked(float, lambda eps: 0.0 <= eps < math.inf,
                                               "tie epsilon must be finite and non-negative"),
                    default=1e-3, help="relative MSE tie tolerance (default 1e-3)")
@@ -317,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="mean and v-weight curves for a value pair")
     p.add_argument("--pair", required=True, type=_floats("X1,X2", "pair"), metavar="X1,X2")
-    p.add_argument("--alpha-grid", required=True, type=_grid_type, metavar="LO:HI:STEP")
+    p.add_argument("--alpha-grid", required=True, type=_grid_type, metavar="LO:HI:STEP",
+                   help="exponent grid (write a negative LO as --alpha-grid=-5:5:0.1)")
     p.set_defaults(handler=_cmd_curves)
 
     return parser

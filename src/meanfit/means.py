@@ -27,9 +27,10 @@ all its sums ``S`` and ``L`` in one pass over the series: each slice of 4
 blocks goes to the next free of one thread per CPU the process may run on,
 but of no more threads than the series has slices, and is powered at every
 exponent into that thread's one buffer, so no array of the series' length is
-allocated.  The threads are joined before the pass returns.  Each slice is
-the same block dots whichever thread takes it, so no result depends on the
-CPU count either.
+allocated; the block dots kept, 40 bytes per slice and sum, outgrow the
+series only past 13,107 sums.  The threads are joined before the pass
+returns.  Each slice is the same block dots whichever thread takes it, so no
+result depends on the CPU count either.
 
 Inputs are one-dimensional collections of finite non-negative reals; weights
 must be finite and strictly positive, with a finite sum.  Exponents may be
@@ -69,9 +70,8 @@ _DOT_BLOCK = 8192
 
 # Terms per slice of a plain power sum: whole blocks, 256 KiB of doubles.
 # A pass over the series has at most one thread per slice, so a series of
-# fewer than two slices is summed on the calling thread alone; it holds at
-# most this many block dots.  A one-block slice makes a sum slower; a larger
-# slice starts threads later.
+# fewer than two slices is summed on the calling thread alone.  A one-block
+# slice makes a sum slower; a larger slice starts threads later.
 _CHUNK = 4 * _DOT_BLOCK
 
 
@@ -197,60 +197,60 @@ class _PowerSums:
     def take(self, exponents, log_exponents=()) -> None:
         """Take the plain sums ``sum w x^p`` at ``exponents`` and the log sums
         ``sum w x^p ln x`` at ``log_exponents``, from the block dots of
-        ``_dot(x^p, w)`` and ``_dot(x^p ln x, w)``, in passes over the series
-        that hold at most ``_CHUNK`` dots each.  In a pass, each slice goes to
-        the next free of one thread per CPU, but of no more threads than the
-        series has slices, which powers it at every exponent of the pass, and
-        takes its ``ln x`` at every log one, into its own buffer; every thread
-        is joined before the pass ends.  Sums taken already or at an exponent
-        not finite are skipped, and on a series with a zero, log sums and
-        negative exponents too (``_gini_at`` raises first)."""
+        ``_dot(x^p, w)`` and ``_dot(x^p ln x, w)``, in one pass that keeps 5 block
+        dots per slice per sum.  Each slice goes to the next free of one thread
+        per CPU, but of no more threads than the series has slices, which powers
+        it at every exponent, and its ``ln x`` at every log one, into its own
+        buffer; every thread is joined before the pass ends.  Sums taken already
+        or at an exponent not finite are skipped, and on a series with a zero, log
+        sums and negative exponents too (``_gini_at`` raises first)."""
         keys = [*((p, None, False) for p in exponents), *((p, None, True) for p in log_exponents)]
         todo = [(p, i, log) for p, i, log in dict.fromkeys(keys) if math.isfinite(p)
                 and (p, i, log) not in self._sums and (p >= 0.0 and not log or self.xmin > 0.0)]
+        if not todo:
+            return
         n = self.xs.size
         count, helpers = -(-n // _CHUNK), min(_cpu_count(), n // _CHUNK) - 1
-        step = max(1, _CHUNK // (count * (_CHUNK // _DOT_BLOCK + 1)))
-        for ps in (todo[i:i + step] for i in range(0, len(todo), step)):
-            # A slice left out stays None in ``parts``, and its sums fail.
-            parts, errors, lock, slices = [None] * count, [], threading.Lock(), iter(range(count))
+        # A slice left out stays NaN in ``dots``, and so do its sums.
+        dots = np.full((len(todo), count, _CHUNK // _DOT_BLOCK + 1), math.nan)
+        errors, lock, slices = [], threading.Lock(), iter(range(count))
 
-            def next_slice():
-                with lock:
-                    return next(slices, None)
+        def next_slice():
+            with lock:
+                return next(slices, None)
 
-            def work():
-                buf = np.empty((1 + any(log for *_, log in ps), min(_CHUNK, n)))
-                try:
-                    with np.errstate(over="ignore"):
-                        for k in iter(next_slice, None):
-                            xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
-                            parts[k] = []
-                            for p, _, log in ps:
-                                powers = np.power(xs, p, out=buf[0, :xs.size])
-                                if log:
-                                    powers *= np.log(xs, out=buf[1, :xs.size])
-                                parts[k].append(_dot_parts(powers, ws).tolist())
-                except Exception as exc:   # raised once every thread is joined
-                    errors.append(exc)
-
-            threads = []
-            for _ in range(helpers):
-                thread = threading.Thread(target=work)
-                try:
-                    thread.start()
-                except RuntimeError:   # can't start new thread: the others take its slices
-                    break
-                threads.append(thread)
+        def work():
+            buf = np.empty((1 + any(log for *_, log in todo), min(_CHUNK, n)))
             try:
-                work()
-            finally:
-                for thread in threads:
-                    thread.join()
-            if errors:
-                raise errors[0]
-            for j, key in enumerate(ps):
-                self._sums[key] = np.float64(_exact_sum([x for dots in parts for x in dots[j]]))
+                with np.errstate(over="ignore"):
+                    for k in iter(next_slice, None):
+                        xs, ws = (a[k * _CHUNK:(k + 1) * _CHUNK] for a in (self.xs, self.ws))
+                        for j, (p, _, log) in enumerate(todo):
+                            powers = np.power(xs, p, out=buf[0, :xs.size])
+                            if log:
+                                powers *= np.log(xs, out=buf[1, :xs.size])
+                            parts = _dot_parts(powers, ws)
+                            dots[j, k, :parts.size], dots[j, k, parts.size:] = parts, 0.0
+            except Exception as exc:   # raised once every thread is joined
+                errors.append(exc)
+
+        threads = []
+        for _ in range(helpers):
+            thread = threading.Thread(target=work)
+            try:
+                thread.start()
+            except RuntimeError:   # can't start new thread: the others take its slices
+                break
+            threads.append(thread)
+        try:
+            work()
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        for key, row in zip(todo, dots.reshape(len(todo), -1)):
+            self._sums[key] = np.float64(_exact_sum(row.tolist()))
 
     def __call__(self, p: float, i: int | None = None, log: bool = False) -> float:
         """``sum w x^p``, or its terms over the one at index ``i``; times ``ln x`` if ``log``."""

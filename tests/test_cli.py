@@ -673,6 +673,33 @@ class TestUsageErrors:
         assert err.endswith(message + "\n")
 
 
+class TestDashValues:
+    """argparse takes a value that starts with a dash, other than a number such
+    as ``-2``, for a flag after a space; each flag that takes one names the
+    ``--flag=value`` form in its help, and that form parses."""
+
+    @pytest.mark.parametrize("argv, flag, want", [
+        ("mean --family lehmer --input MISSING", "--alpha", -math.inf),
+        ("mean --family lehmer --input MISSING", "--alpha-grid", SweepGrid(-3.0, 3.0, 0.25)),
+        ("sweep --model exponential --input MISSING", "--beta", SweepGrid(-2.0, 2.0, 0.05)),
+        ("compare --models exponential --inputs MISSING", "--beta", SweepGrid(-2.0, 2.0, 0.05)),
+        ("dct-hist --input MISSING", "--range", (-5.0, 5.0)),
+        ("curves --pair 0.6,2", "--alpha-grid", SweepGrid(-5.0, 5.0, 0.1)),
+    ], ids=["mean-alpha", "mean-alpha-grid", "sweep-beta", "compare-beta", "dct-hist-range",
+            "curves-alpha-grid"])
+    def test_the_help_names_the_equals_form(self, run, monkeypatch, argv, flag, want):
+        monkeypatch.setenv("COLUMNS", "1000")   # no help line wraps at a hyphen
+        code, out, _ = run(argv.split()[0], "--help")
+        forms = re.findall(rf"write a negative \w+ as ({re.escape(flag)}=\S+)\)", out)
+        assert (code, len(forms)) == (0, 1)
+        args = cli.build_parser().parse_args([*argv.split(), forms[0]])
+        assert getattr(args, flag[2:].replace("-", "_")) == want
+        # Parsing is unchanged: the same value after a space is a usage error.
+        code, out, err = run(*argv.split(), *forms[0].split("=", 1))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument {flag}: expected one argument\n")
+
+
 class TestClosedStdout:
     """A reader that closes stdout before the CLI writes is not a failed run."""
 

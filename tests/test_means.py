@@ -498,14 +498,15 @@ class TestAcrossCpus:
         mean_curve(np.linspace(1.0, 2.0, n), SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer")
         assert per_call(started) == {want}
 
-    def test_every_slice_is_summed_once_under_frequent_switches(self, monkeypatch):
+    @pytest.mark.parametrize("count", [13, 1400])
+    def test_every_slice_is_summed_once_under_frequent_switches(self, count, monkeypatch):
         # More threads than cores, switching every microsecond: each slice of
         # each sum is powered by one thread only, and lands at its index.
         monkeypatch.setattr(means, "_cpu_count", lambda: 8)
         rng = np.random.default_rng(4)
         n = 9 * _CHUNK + 5
         values, weights = 10.0 ** rng.uniform(-3.0, 1.0, n), rng.uniform(0.5, 2.0, n)
-        exponents = np.linspace(-3.0, 3.0, 13)
+        exponents = np.linspace(-3.0, 3.0, count)
         dot_parts, starts = means._dot_parts, []
 
         def counting(a, b):
@@ -539,10 +540,10 @@ class TestAcrossCpus:
         mean_curve(values, SweepGrid(-3.0, 3.0, 0.25).points(), "lehmer", weights=weights)
         assert starts == [k * _CHUNK for k in range(-(-values.size // _CHUNK)) for _ in range(29)]
 
-    def test_passes_hold_a_bounded_number_of_block_dots(self, monkeypatch):
-        # 1400 exponents of 10 slices' 5 block dots each are 70 000 dots, over
-        # the 32 768 of one pass: three passes, each starting its thread.  One
-        # pass of them all peaks at about 3.4 MiB, most of it Python floats.
+    def test_a_call_is_one_pass_however_many_sums(self, monkeypatch):
+        # 1400 exponents over 10 slices: one pass, whose thread starts once, and
+        # whose 5 block dots per slice and sum take 547 KiB in one array; with
+        # each thread's 256 KiB buffer, the peak is about 1.24 MiB.
         monkeypatch.setattr(means, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(5)
         n = 9 * _CHUNK + 5
@@ -556,7 +557,7 @@ class TestAcrossCpus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(started) == 3
+        assert len(started) == 1
         assert peak < 2.5 * 2**20
         monkeypatch.setattr(means, "_cpu_count", lambda: 1)
         serial = _PowerSums(values, weights)
