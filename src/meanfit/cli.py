@@ -117,6 +117,8 @@ def _build_model(name: str, shape_text: str | None):
         hyper = {key: float(value) for key, value in zip(keys, values, strict=True)}
     except ValueError:
         raise _UsageError(f"bad --shape {shape_text!r}") from None
+    if not all(0.0 < value < math.inf for value in hyper.values()):
+        raise _UsageError(f"--shape values must be positive reals, got {shape_text!r}")
     return catalog(name, **hyper)
 
 

@@ -236,13 +236,15 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
 
     Each point is the closed-form fit of the shaped model under the kernel,
     scored and checked as the module docstring says: ``m = V @ T`` with the
-    v-weights ``V = W / W.sum(1)``, and the closed forms over all ``m``.  A
-    chunk is a run of shape rows with one support, so one set of MSE bins:
-    as many as about 16 ``rows x kernels`` and 4 ``rows x bins`` arrays fit
-    in ``_BLOCK`` doubles (at least one).  Its MSE grid goes through grid
-    blocks, as many rows as one ``_BLOCK``-double scratch buffer holds (at
-    least one, at most a chunk's).  So memory stays bounded, and no result
-    depends on where a chunk or block ends.
+    v-weights ``V = W / W.sum(1)``, one dot per chunk, where a ``T = -x^p``
+    that overflowed to ``-inf`` makes ``m = -inf`` for each kernel that keeps
+    its bin; then the closed forms over all ``m``.  A chunk is a run of shape
+    rows with one support, so one set of MSE bins: as many as about 16
+    ``rows x kernels`` and 4 ``rows x bins`` arrays fit in ``_BLOCK``
+    doubles (at least one).  Its MSE grid goes through grid blocks, as many
+    rows as one ``_BLOCK``-double scratch buffer, the only ``rows x kernels x
+    bins`` array, holds (at least one, at most a chunk's).  So memory stays
+    bounded, and no result depends on where a chunk or block ends.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed, every shape a row of one ``shape_columns`` model;
     a shape that ``catalog`` rejects fails its row with ``catalog``'s error.
@@ -271,7 +273,6 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     # row in another order than the scalar path's contiguous one.
     used = keep.any(axis=0)
     w, keep = np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
-    drop = None if keep.all() else ~keep
     with np.errstate(all="ignore"):
         empirical = hist.counts / (hist.total * hist.widths)
         wsum = w.sum(axis=1)
@@ -306,19 +307,18 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             ln_a = part.log_base(xs)
             t = np.broadcast_to(part.suff_stat(xs), ln_a.shape)
             tx = np.compress(in_x, t, axis=1)[:, None, :]
-            blocks = [slice(start, start + rows) for start in range(0, len(index), rows)]
-            if drop is None:
-                m = _dot(v, tx)
-            else:
-                # The masked statistics are a (rows x kernels x bins) grid too.
-                m = np.concatenate([_dot(v, np.where(drop, 0.0, tx[b])) for b in blocks])
+            # A dropped bin's v-weight is 0: only a T = -inf there adds a NaN.
+            overflow = np.isinf(tx)
+            m = _dot(v, np.where(overflow, 0.0, tx))
+            if overflow.any():
+                m[overflow[:, 0] @ keep.T] = -np.inf
             theta = part.mean_inverse(m)
             eta = part.natural_param(theta)
             log_norm = part.log_normalizer(theta)
             loglik = _loglik_at_max(part, np.log(theta), wsum, mean_log)
             mse = np.empty(theta.shape)
             observed = empirical[support]
-            for b in blocks:
+            for b in (slice(start, start + rows) for start in range(0, len(index), rows)):
                 # ln a + eta T - H in log_pdf's order; each einsum element is one product.
                 shape = (*theta[b].shape, xs.size)
                 density = np.einsum("bk,bn->bkn", eta[b], t[b],

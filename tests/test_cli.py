@@ -672,6 +672,18 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.endswith(message + "\n")
 
+    @pytest.mark.parametrize("argv", [
+        "--model weibull --shape 0", "--model weibull --shape=-1", "--model weibull --shape inf",
+        "--model weibull --shape nan", "--model gen-gamma --shape 2,0",
+    ], ids=["zero", "negative", "inf", "nan", "gen-gamma-zero-b"])
+    def test_shape_outside_the_positive_reals(self, run, tmp_path, argv):
+        # catalog would reject these too, but as a data failure after the read
+        code, out, err = run("fit", *argv.split(), "--kernel", "unit",
+                             "--input", str(tmp_path / "missing.csv"))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "--shape" in err
+
 
 class TestDashValues:
     """argparse takes a value that starts with a dash, other than a number such

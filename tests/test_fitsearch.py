@@ -578,6 +578,9 @@ KEPT_HIST = dct_like_histogram(np.random.default_rng(1))
 # Every kernel keeps every bin of KEPT_HIST.
 MIXED_KERNELS = [WeightKernel.power(b) for b in (-1.0, 0.0, 0.5, 2.0)] + [
     WeightKernel.unit(), WeightKernel.log_shift()]
+# Centers 1 and 1e200: under weibull at shape 2 or more, T(1e200) = -x^alpha
+# overflows to -inf, and power -2 weighs 1e200 by 1e-400, which underflows.
+HUGE_HIST = Histogram(np.array([0.5, 1.5, 2e200 - 1.5]), np.array([3.0, 1.0]))
 
 
 # (model, edges, counts, kernel, error, words): every class of failure a
@@ -755,10 +758,9 @@ class TestFitSurface:
     @pytest.mark.filterwarnings("error")
     def test_infinite_statistic_at_a_dropped_bin_is_masked(self):
         # T(1e200) = -(1e200)^2 is -inf.  The unit kernel sums it; power -2
-        # weighs 1e200 by 1e-400, which underflows, so that bin is dropped
-        # and its -inf must not meet a zero v-weight (0 * -inf is NaN).
-        hist = Histogram(np.array([0.5, 1.5, 2e200 - 1.5]), np.array([3.0, 1.0]))
-        model = catalog("weibull", alpha=2.0)
+        # drops that bin, and its -inf must not meet a zero v-weight (0 * -inf
+        # is NaN).
+        hist, model = HUGE_HIST, catalog("weibull", alpha=2.0)
         surface = assert_matches_loop_and_messages(
             model, hist, [WeightKernel.unit(), WeightKernel.power(-2.0)])
         exc = surface.failures[(0, 0)]
@@ -769,6 +771,16 @@ class TestFitSurface:
         assert surface.theta_hat[0, 1] == 1.0
         assert surface.dropped_bins.tolist() == [0, 1]
         assert surface.report(0, 1) == fit_histogram(model, hist, WeightKernel.power(-2.0))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a bin whose plain weight underflows is dropped, even where its weighted "
+        "statistic count * u * T is finite"))
+    def test_underflowed_weight_keeps_its_statistic(self):
+        # Under power -2, 1e200 weighs 1e-400 but T(1e200) = -1e400, so that
+        # bin adds -1 to sum u T: m = -4/3, the exact weighted MLE is
+        # theta = sqrt(3/4) (1 / gini_mean(centers, 0, -2, counts)), not 1.0.
+        surface = fit_surface(catalog("weibull", alpha=2.0), HUGE_HIST, [WeightKernel.power(-2.0)])
+        assert surface.theta_hat[0, 0] == pytest.approx(math.sqrt(0.75), rel=1e-15)
 
     @pytest.mark.parametrize("seed", [26, 297])
     def test_small_shape_matches_loop_exactly(self, seed):
@@ -939,6 +951,45 @@ class TestBlocks:
         assert fitsearch._BLOCK // (16 * len(MIXED_KERNELS) + 4 * hist.nbins) == 2
         assert_block_invariant(model, hist, MIXED_KERNELS, shapes)
         assert_matches_loop_and_messages(model, hist, MIXED_KERNELS, shapes)
+
+    def test_infinite_statistics_across_chunks(self, monkeypatch):
+        # At 8 doubles each shape is its own chunk and grid block.  At shape
+        # 1.5, T(1e200) = -1e300 is finite and every kernel fits; at 2.0 and
+        # 2.5 it is -inf, so every kernel that keeps the 1e200 bin has no
+        # solution, and power -2, which drops it, fits the bin at 1 alone.
+        monkeypatch.setattr(fitsearch, "_BLOCK", 8)
+        model, shapes = catalog("weibull", alpha=1.0), [1.5, 2.0, 2.5]
+        kernels = [WeightKernel.unit()] + [WeightKernel.power(b) for b in (-2.0, -1.0, 0.0)]
+        surface = assert_block_invariant(model, HUGE_HIST, kernels, shapes)
+        assert_matches_loop_and_messages(model, HUGE_HIST, kernels, shapes)
+        assert list(surface.failures) == [(i, j) for i in (1, 2) for j in (0, 2, 3)]
+        for exc in surface.failures.values():
+            assert (type(exc), str(exc)) == (
+                NoSolutionError,
+                "weibull: mean statistic -inf outside the attainable range (negative reals)")
+        assert surface.theta_hat[1:, 1].tolist() == [1.0, 1.0]
+        assert surface.dropped_bins.tolist() == [0, 1, 0, 0]
+
+    def test_dropping_kernels_allocate_no_grid(self):
+        # 57 shapes x 82 kernels x 100 bins, once with kernels that drop up to
+        # 97 bins and once with kernels that keep every bin: the statistics
+        # of the first take no (rows x kernels x bins) grid besides the MSE
+        # scratch, so both peak alike.
+        hist = dct_like_histogram(np.random.default_rng(1), bins=100)
+        shapes = SweepGrid(0.2, 3.0, 0.05).points()
+        peaks, dropped = [], []
+        for betas in (SweepGrid(-400.0, 400.0, 10.0), SweepGrid(-2.0, 2.0, 0.05)):
+            kernels = [WeightKernel.unit(), *powers(betas)]
+            tracemalloc.start()
+            try:
+                surface = fit_surface(catalog("weibull", alpha=1.0), hist, kernels, shapes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not surface.failures
+            dropped.append(int(surface.dropped_bins.max()))
+        assert dropped == [97, 0]
+        assert peaks[0] <= peaks[1] + 64 * 1024
 
     def test_memory_stays_within_a_few_blocks(self):
         # 400 shapes x 81 kernels x 100 bins is 25 blocks of density grid.
