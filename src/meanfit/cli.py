@@ -231,11 +231,7 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_curves(args) -> str:
-    x1, x2 = args.pair
-    if x1 <= 0.0 or x2 <= 0.0:
-        raise DomainError("both pair values must be positive")
-    pair = [x1, x2]
-    alphas = args.alpha_grid.points()
+    pair, alphas = args.pair, args.alpha_grid.points()
     columns = zip(alphas, mean_curve(pair, alphas, "holder"), mean_curve(pair, alphas, "lehmer"))
     rows = []
     for alpha, h, le in columns:
@@ -298,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_checked(int, lambda bins: bins >= 2,
                                            "need an integer bin count of at least 2"),
                    default=100)
-    p.add_argument("--range", type=_checked(_floats("LO:HI", "range"),
-                                            lambda span: -math.inf < span[0] < span[1] < math.inf,
-                                            "range must satisfy lo < hi"), metavar="LO:HI",
+    span = _checked(_floats("LO:HI", "range"), lambda lo_hi: lo_hi[0] < lo_hi[1],
+                    "range must satisfy lo < hi")
+    p.add_argument("--range", type=_checked(span, lambda lo_hi: lo_hi[1] - lo_hi[0] < math.inf,
+                                            "range must be finite, with a finite hi - lo"),
+                   metavar="LO:HI",
                    help="histogram range (default 0:max; write a negative LO as --range=-5:5)")
     p.add_argument("--exclude-dc", action="store_true", help="drop the (0,0) coefficients")
     p.set_defaults(handler=_cmd_dct_hist)
@@ -317,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("curves", help="mean and v-weight curves for a value pair")
-    p.add_argument("--pair", required=True, type=_floats("X1,X2", "pair"), metavar="X1,X2")
+    p.add_argument("--pair", required=True, metavar="X1,X2",
+                   type=_checked(_floats("X1,X2", "pair"),
+                                 lambda pair: all(0.0 < x < math.inf for x in pair),
+                                 "pair values must be positive reals"))
     p.add_argument("--alpha-grid", required=True, type=_grid_type, metavar="LO:HI:STEP",
                    help="exponent grid (write a negative LO as --alpha-grid=-5:5:0.1)")
     p.set_defaults(handler=_cmd_curves)

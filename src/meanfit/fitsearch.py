@@ -4,34 +4,31 @@ A histogram is fitted by treating bin centers as observations, bin counts as
 frequency weights, and multiplying in the kernel weight ``u(center)``; a bin
 with a non-positive center, a zero count or a zero kernel weight is dropped.
 Fit quality is the mean squared difference between the empirical bin density
-``count / (total * width)`` and the fitted density, over every bin whose
-center lies in the model support, zero-count bins included (an empty bin is
-honest evidence of density 0).  A fit is either finite or a typed failure,
-checked in this order: no kept bin (``EmptyDataError``), no solution for the
-mean statistic (``NoSolutionError``), theta outside its domain, a non-finite
-log-likelihood, a non-finite MSE (each ``DomainError``); a point fails with
-the first check it fails.
-``fit_surface`` scores a whole (shape x kernel) grid in bounded chunks of
-shape rows that share one support, the closed form and the checks one array
-pass per chunk and the density grid of the MSE one bounded block at a time
-(the shapes' constants are the columns of one model, ``shape_columns``);
-``fit_histogram`` is its one-point surface, and a sweep, a grid search with
-deterministic tie-breaking, is its ``best()`` and ``profile()``.  Every
-weighted sum is ``means._dot``'s, as on the scalar path, in 8192-term blocks
-where it has more than 8191 terms: no fit or log-likelihood depends on the
-BLAS thread count or its inputs' layout.
+``count / (total * width)`` and the fitted density, over every bin with a
+positive center, zero-count bins included (an empty bin is honest evidence of
+density 0).  A fit is either finite or a typed failure, checked in this order:
+no kept bin (``EmptyDataError``), no solution for the mean statistic
+(``NoSolutionError``), theta outside its domain, a non-finite log-likelihood,
+a non-finite MSE (each ``DomainError``); a point fails with the first check it
+fails.  ``fit_surface`` scores a whole (shape x kernel) grid in bounded chunks
+of shape rows, the closed form and the checks one array pass per chunk and the
+density grid of the MSE one bounded block at a time (the shapes' constants are
+the columns of one model, ``shape_columns``); ``fit_histogram`` is its
+one-point surface, and a sweep, a grid search with deterministic tie-breaking,
+is its ``best()`` and ``profile()``.  Every weighted sum is ``means._dot``'s,
+as on the scalar path, in 8192-term blocks where it has more than 8191 terms:
+no fit or log-likelihood depends on the BLAS thread count or its inputs' layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, NoSolutionError, SweepError
-from .expfam import FamilyModel, in_support, shape_columns
+from .expfam import FamilyModel, shape_columns
 from .means import _dot
 from .wmle import WeightKernel, _kernel_weights, _loglik_at_max
 
@@ -52,7 +49,8 @@ _BLOCK = 2**17   # doubles (1 MiB) in the density grid of a fit_surface block
 
 @dataclass(frozen=True)
 class Histogram:
-    """Strictly increasing bin edges plus non-negative counts."""
+    """Strictly increasing bin edges of finite widths plus non-negative
+    counts; so every center, halved before the sum, is finite."""
 
     edges: np.ndarray
     counts: np.ndarray
@@ -62,15 +60,17 @@ class Histogram:
         counts = np.atleast_1d(np.asarray(self.counts, dtype=float))
         if edges.ndim != 1 or edges.size < 2:
             raise DomainError("histogram needs at least two bin edges")
-        if not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0.0):
-            raise DomainError("bin edges must be finite and strictly increasing")
+        with np.errstate(all="ignore"):
+            widths, total = np.diff(edges), counts.sum()
+        # A non-finite edge makes a width next to it non-finite.
+        if not np.all((0.0 < widths) & (widths < np.inf)):
+            raise DomainError("bin edges must be finite and strictly increasing, with finite widths")
         if counts.shape != (edges.size - 1,):
             raise DomainError("counts must have one entry per bin")
         if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
             raise DomainError("counts must be finite and non-negative")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(counts.sum()):
-                raise DomainError("counts must be finite and non-negative, with a finite sum")
+        if not np.isfinite(total):
+            raise DomainError("counts must be finite and non-negative, with a finite sum")
         if not np.any(counts > 0.0):
             raise DomainError("at least one count must be positive")
         object.__setattr__(self, "edges", edges)
@@ -82,7 +82,7 @@ class Histogram:
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        return 0.5 * self.edges[:-1] + 0.5 * self.edges[1:]
 
     @property
     def widths(self) -> np.ndarray:
@@ -238,13 +238,14 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     scored and checked as the module docstring says: ``m = V @ T`` with the
     v-weights ``V = W / W.sum(1)``, one dot per chunk, where a ``T = -x^p``
     that overflowed to ``-inf`` makes ``m = -inf`` for each kernel that keeps
-    its bin; then the closed forms over all ``m``.  A chunk is a run of shape
-    rows with one support, so one set of MSE bins: as many as about 16
-    ``rows x kernels`` and 4 ``rows x bins`` arrays fit in ``_BLOCK``
-    doubles (at least one).  Its MSE grid goes through grid blocks, as many
-    rows as one ``_BLOCK``-double scratch buffer, the only ``rows x kernels x
-    bins`` array, holds (at least one, at most a chunk's).  So memory stays
-    bounded, and no result depends on where a chunk or block ends.
+    its bin; then the closed forms over all ``m``.  Every point fits and
+    scores the same bins, those with a positive center.  A chunk is as many
+    shape rows as about 16 ``rows x kernels`` and 4 ``rows x bins`` arrays
+    fit in ``_BLOCK`` doubles (at least one).  Its MSE grid goes through grid
+    blocks, as many rows as one ``_BLOCK``-double scratch buffer, the only
+    ``rows x kernels x bins`` array, holds (at least one, at most a chunk's).
+    So memory stays bounded, and no result depends on where a chunk or block
+    ends.
     ``shapes`` sweeps the ``alpha`` hyperparameter with the other
     hyperparameters fixed, every shape a row of one ``shape_columns`` model;
     a shape that ``catalog`` rejects fails its row with ``catalog``'s error.
@@ -262,11 +263,13 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             raise DomainError("shape grid values must be positive")
         alphas = tuple(shapes.tolist())
 
-    # Kernel weights count * u(center) of the positive centers, one row per
-    # kernel.  The bins that every kernel drops are left out here, so that a
-    # kernel keeping all the others sums the same bins as the scalar path.
+    # Every chunk fits and scores the bins of positive center x, and only those;
+    # a bin that every kernel drops is left out of the sums, so that a kernel
+    # keeping all the others sums the same bins as the scalar path.
     centers = hist.centers
-    w = _kernel_weights(kernels, centers, np.where(centers > 0.0, hist.counts, 0.0))
+    positive = centers > 0.0
+    xs = centers[positive]
+    w = _kernel_weights(kernels, xs, hist.counts[positive])
     keep = w > 0.0
     dropped_bins = hist.nbins - np.count_nonzero(keep, axis=1)
     # compress, not w[:, used], whose rows are strided: ``sum`` adds a strided
@@ -274,11 +277,11 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     used = keep.any(axis=0)
     w, keep = np.compress(used, w, axis=1), np.compress(used, keep, axis=1)
     with np.errstate(all="ignore"):
-        empirical = hist.counts / (hist.total * hist.widths)
+        observed = (hist.counts / (hist.total * hist.widths))[positive]
         wsum = w.sum(axis=1)
         v = w / wsum[:, None]
-        # Every used center is positive, so ln x is finite; and it is shape-free.
-        mean_log = _dot(v, np.log(centers[used]))
+        # Every x is positive, so ln x is finite; and it is shape-free.
+        mean_log = _dot(v, np.log(xs[used]))
 
     fits = np.full((3, len(alphas), len(kernels)), np.nan)   # theta, MSE, log-likelihood
     spec, rejected = shape_columns(model, shapes)
@@ -289,16 +292,9 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
     chunk = max(1, _BLOCK // (16 * len(kernels) + 4 * hist.nbins))
     rows = max(1, min(len(fitted), _BLOCK // (len(kernels) * hist.nbins), chunk))
     scratch = np.empty(rows * len(kernels) * hist.nbins)
-    # Only a center at 0 can be in one shape's support and not another's.
-    zero_in = np.logical_and(0.0 in centers, spec.zero_in_support,
-                             out=np.zeros((len(alphas), 1), dtype=bool))[:, 0]
-    runs = (list(run) for _, run in itertools.groupby(fitted, zero_in.__getitem__))
-    for index in (run[start:start + chunk] for run in runs for start in range(0, len(run), chunk)):
+    for index in (fitted[start:start + chunk] for start in range(0, len(fitted), chunk)):
         # The rows are increasing, so as many as the grid has are all of them.
         part = spec if len(index) == len(alphas) else spec.rows(index)
-        # Used centers are positive, hence in the support: once a bin is kept, the MSE has one.
-        support = np.atleast_2d(in_support(part, centers))[0]
-        xs, in_x = centers[support], used[support]
         with np.errstate(all="ignore"):
             # Each constant is a column, so every step is one array operation
             # over the chunk, but for the powers x^p, base^(1/q) and theta^q:
@@ -306,7 +302,7 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             # a scalar exponent of 2, 0.5 or -1 otherwise than with an array.
             ln_a = part.log_base(xs)
             t = np.broadcast_to(part.suff_stat(xs), ln_a.shape)
-            tx = np.compress(in_x, t, axis=1)[:, None, :]
+            tx = np.compress(used, t, axis=1)[:, None, :]
             # A dropped bin's v-weight is 0: only a T = -inf there adds a NaN.
             overflow = np.isinf(tx)
             m = _dot(v, np.where(overflow, 0.0, tx))
@@ -317,7 +313,6 @@ def fit_surface(model: FamilyModel, hist: Histogram, kernels,
             log_norm = part.log_normalizer(theta)
             loglik = _loglik_at_max(part, np.log(theta), wsum, mean_log)
             mse = np.empty(theta.shape)
-            observed = empirical[support]
             for b in (slice(start, start + rows) for start in range(0, len(index), rows)):
                 # ln a + eta T - H in log_pdf's order; each einsum element is one product.
                 shape = (*theta[b].shape, xs.size)

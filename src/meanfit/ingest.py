@@ -335,7 +335,8 @@ def build_histogram(values, bins: int, value_range=None) -> tuple[Histogram, int
 
     ``values`` may be a CoefficientSet or any array-like.  Without an explicit
     range, [0, max] is used (widened to [0, 1] when every value is zero).
-    Returns the histogram and the number of clipped values.
+    Returns the histogram and the number of clipped values; a range that
+    cannot hold ``bins`` finite, strictly increasing edges is a DomainError.
     """
     if isinstance(values, CoefficientSet):
         vals = values.values
@@ -353,8 +354,10 @@ def build_histogram(values, bins: int, value_range=None) -> tuple[Histogram, int
             hi = lo + 1.0
     else:
         lo, hi = float(value_range[0]), float(value_range[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise DomainError("range must satisfy lo < hi")
+    with np.errstate(all="ignore"):   # np.histogram's test, failed by a NaN or inf edge too
+        edges = np.linspace(lo, hi, int(bins) + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        raise DomainError(f"range {lo!r}:{hi!r} cannot hold {int(bins)} bins of positive, finite width")
     clipped = int(np.count_nonzero((vals < lo) | (vals > hi)))
     counts, edges = np.histogram(np.clip(vals, lo, hi), bins=int(bins), range=(lo, hi))
     return Histogram(edges=edges, counts=counts.astype(float)), clipped

@@ -290,6 +290,28 @@ class TestFit:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "b/alpha underflows" in err
 
+    @pytest.mark.parametrize("command", [
+        ("fit", "--model", "exponential", "--kernel", "unit"),
+        ("sweep", "--model", "weibull", "--shape-grid", "0.5:2:0.5", "--beta=-1:1:0.5"),
+    ], ids=["fit", "sweep"])
+    def test_histogram_at_the_edge_of_the_doubles_fits(self, tmp_path, command):
+        # The last center, 0.5 * (1e308 + 1.7e308) if summed first, is finite
+        path = tmp_path / "edge.csv"
+        path.write_text("0,1e308,1\n1e308,1.7e308,1\n")
+        proc = run_warnings_as_errors(*command, "--input", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert 0.0 < report["theta_hat"] < math.inf and report["dropped_bins"] == 0
+
+    def test_bin_wider_than_the_doubles_is_one_error_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("-1.7e308,1.7e308,1\n")
+        proc = run_warnings_as_errors("fit", "--model", "exponential", "--kernel", "unit",
+                                      "--input", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: {path}: bin edges must be finite and strictly "
+                               "increasing, with finite widths\n")
+
 
 class TestSweep:
     def test_best_dominates_unit_and_writes_sidecar(self, run, expo_hist_csv, tmp_path):
@@ -488,6 +510,14 @@ class TestDctHist:
         assert err == (f"warning: {clipped} of 256 coefficients outside 0.0:10.0 "
                        "were clipped into the end bins\n")
 
+    def test_range_too_narrow_for_its_bins_is_one_error_line(self, gradient_pgm):
+        # 100 bins of 1:1.000000000000001 would share edges
+        proc = run_warnings_as_errors("dct-hist", "--input", gradient_pgm,
+                                      "--range", "1:1.000000000000001", "--bins", "100")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: range 1.0:1.000000000000001 cannot hold 100 bins "
+                               "of positive, finite width\n")
+
 
 class TestCompare:
     def test_single_bin_ties_all_kernels(self, run, tmp_path):
@@ -619,10 +649,6 @@ class TestCurves:
         assert all(b < a for a, b in zip(vh1, vh1[1:]))
         assert all(b > a for a, b in zip(vh2, vh2[1:]))
 
-    def test_nonpositive_pair_fails(self, run):
-        code, _, _ = run("curves", "--pair", "0,2", "--alpha-grid", "0:1:0.5")
-        assert code == 1
-
     def test_failing_exponent_prints_no_rows(self):
         # the Holder v-weight (1e-300)^-3 overflows at alpha = -2; the header
         # and inf/nan rows were printed before the error
@@ -662,9 +688,20 @@ class TestUsageErrors:
          "argument --alpha: exponent must not be NaN"),
         ("sweep --model weibull --shape-grid 0:1:0.5 --input MISSING",
          "argument --shape-grid: shape grid values must be positive"),
+        ("dct-hist --input MISSING --range=-1.7e308:1.7e308",
+         "argument --range: range must be finite, with a finite hi - lo"),
+        ("curves --pair=0,1 --alpha-grid=0:1:0.5",
+         "argument --pair: pair values must be positive reals"),
+        ("curves --pair=-1,2 --alpha-grid=0:1:0.5",
+         "argument --pair: pair values must be positive reals"),
+        ("curves --pair=nan,1 --alpha-grid=0:1:0.5",
+         "argument --pair: pair values must be positive reals"),
+        ("curves --pair=inf,2 --alpha-grid=0:1:0.5",
+         "argument --pair: pair values must be positive reals"),
     ], ids=["mean-no-exponent", "kolmogorov-weights", "pair-count", "pair-non-numeric",
             "power-kernel", "gen-gamma-shape", "no-models", "sweep-device", "one-bin",
-            "reversed-range", "nan-tie-eps", "negative-tie-eps", "nan-alpha", "zero-shape"])
+            "reversed-range", "nan-tie-eps", "negative-tie-eps", "nan-alpha", "zero-shape",
+            "infinite-range-width", "zero-pair", "negative-pair", "nan-pair", "inf-pair"])
     def test_reported_before_the_input_is_read(self, run, tmp_path, argv, message):
         # MISSING names no file: a usage error must come first, with exit code 2
         missing = str(tmp_path / "missing.csv")

@@ -77,6 +77,14 @@ class TestHistogram:
         np.testing.assert_allclose(hist.widths, [1.0, 2.0])
         assert hist.total == 4.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_centers_at_the_edge_of_the_doubles_are_finite(self):
+        # 1e308 + 1.7e308 overflows, so the center halves each edge first
+        hist = Histogram(edges=np.array([0.0, 1e308, 1.7e308]), counts=np.array([1.0, 1.0]))
+        assert hist.centers.tolist() == [5e307, 1.35e308]
+        with pytest.raises(DomainError, match="with finite widths$"):
+            Histogram(edges=np.array([-1.7e308, 1.7e308]), counts=np.array([1.0]))
+
 
 class TestHistogramToSeries:
     """A fit weights each kept bin as the observation ``(center, count * u(center))``,
@@ -708,6 +716,15 @@ class TestFitSurface:
         assert report.theta_hat == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
+    def test_last_center_near_the_largest_double_fits_and_scores(self):
+        # 0.5 * (1e308 + 1.7e308) would be inf: a bin fitted and not scored
+        hist = Histogram(np.array([0.0, 1e308, 1.7e308]), np.array([1.0, 1.0]))
+        surface = assert_matches_loop_and_messages(EXPO, hist, MIXED_KERNELS)
+        assert surface.theta_hat[0, 0] > 0.0
+        assert_matches_loop_and_messages(catalog("weibull", alpha=1.0), hist, MIXED_KERNELS,
+                                         [0.5, 1.0, 2.0])
+
+    @pytest.mark.filterwarnings("error")
     def test_zero_center_is_dropped_under_negative_power(self):
         hist = Histogram(np.array([-1.0, 1.0, 2.0]), np.array([1.0, 1.0]))
         surface = assert_matches_loop_and_messages(EXPO, hist, [WeightKernel.power(-1.0)])
@@ -941,16 +958,20 @@ class TestBlocks:
                 got = surface.failures[(list(shapes).index(alpha), j)]
                 assert (type(got), str(got)) == (want.type, str(want.value))
 
-    def test_zero_center_splits_blocks_by_support(self, small_blocks):
-        # Only alpha = 1 has x = 0 in its support, so only its MSE counts
-        # the first bin, whose center is 0.  At 300 doubles a chunk holds 2
-        # rows, so the three shapes on each side of alpha = 1 make the chunks
-        # (0, 1), (2), (3), (4, 5) and (6): each run spans a chunk boundary.
+    def test_zero_center_is_neither_fitted_nor_scored_at_any_shape(self, small_blocks):
+        # x = 0 is in the support at alpha = 1 alone, yet no shape fits or
+        # scores the first bin, whose center is 0: the surface is the one of
+        # the same counts with that bin centered at -1.  At 300 doubles a
+        # chunk holds 2 rows, so alpha = 1 shares the chunk (2, 3).
         hist = Histogram(np.array([-1.0, 1.0, 3.0, 5.0]), np.array([2.0, 3.0, 1.0]))
         model, shapes = catalog("weibull", alpha=1.0), [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]
         assert fitsearch._BLOCK // (16 * len(MIXED_KERNELS) + 4 * hist.nbins) == 2
-        assert_block_invariant(model, hist, MIXED_KERNELS, shapes)
+        surface = assert_block_invariant(model, hist, MIXED_KERNELS, shapes)
         assert_matches_loop_and_messages(model, hist, MIXED_KERNELS, shapes)
+        negative = Histogram(np.array([-3.0, 1.0, 3.0, 5.0]), hist.counts)
+        assert_same_surface(surface, fit_surface(model, negative, MIXED_KERNELS, shapes))
+        assert not surface.failures
+        assert surface.dropped_bins.tolist() == [1] * len(MIXED_KERNELS)
 
     def test_infinite_statistics_across_chunks(self, monkeypatch):
         # At 8 doubles each shape is its own chunk and grid block.  At shape

@@ -605,3 +605,13 @@ class TestBuildHistogram:
             build_histogram([1.0], bins=4, value_range=(2.0, 1.0))
         with pytest.raises(DomainError, match="values must be finite"):
             build_histogram([1.0, math.nan], bins=4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value_range, bins, words", [
+        ((-1.7e308, 1.7e308), 4, r"^range -1\.7e\+308:1\.7e\+308 cannot hold 4 bins"),
+        ((1.0, 1.000000000000001), 100, "^range 1.0:1.000000000000001 cannot hold 100 bins"),
+        (None, 10**6, "^range 0.0:5e-324 cannot hold 1000000 bins"),
+    ], ids=["width-overflows", "edges-collide", "default-range"])
+    def test_range_that_cannot_hold_its_bins(self, value_range, bins, words):
+        with pytest.raises(DomainError, match=words):
+            build_histogram([5e-324], bins=bins, value_range=value_range)
